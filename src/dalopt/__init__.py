@@ -64,4 +64,4 @@ from .theory import (
     xi_det_jacobi,
 )
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"  # the only copy; pyproject.toml reads it

@@ -9,12 +9,19 @@ schedule.
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .local_solve import ProxProblem, SolverBudget, gradient_step_local, prox_local_info
+from .local_solve import (
+    ProxProblem,
+    SolverBudget,
+    gradient_step,
+    prox_local_batch,
+    prox_local_info,
+)
 from .network import NetworkModel
 from .objective import ObjectiveStack
 
@@ -86,6 +93,8 @@ class AlgorithmConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}")
+        if not isinstance(self.tau, numbers.Integral) or isinstance(self.tau, bool):
+            raise ConfigError(f"tau must be an integer, got {self.tau!r}")
         if self.alpha <= 0 or self.rho < 0 or self.tau < 1:
             raise ConfigError("need alpha > 0, rho >= 0, tau >= 1")
         if self.variant in ("det_gradient", "rand_gradient"):
@@ -156,44 +165,31 @@ def jacobi_sweeps(stack, net, x, mu, rho, tau, epsilon):
 
     Returns (x_new, xbar_new, gradient_evaluations). Within one sweep the
     per-node solves read only the previous sweep's state, so they are
-    order-independent.
+    order-independent and run as one batched solve.
     """
     n, d = stack.n_nodes, stack.dimension
-    x = x.copy()
-    xbar = net.weights_apply(x, d)
+    x = np.asarray(x, dtype=float).reshape(n, d)
+    mu = np.asarray(mu, dtype=float).reshape(n, d)
+    xbar = net.weights_apply(x, d).reshape(n, d)
     grads = 0
     for _ in range(tau):
-        new_x = np.empty_like(x)
-        for i in range(n):
-            sl = slice(i * d, (i + 1) * d)
-            v = mu[sl] - rho * xbar[sl]
-            p = ProxProblem(cost=stack.costs[i], rho=rho, linear_term=v)
-            y, g = prox_local_info(p, SolverBudget(warm_start=x[sl], epsilon=epsilon))
-            new_x[sl] = y
-            grads += g
-        x = new_x
-        xbar = net.weights_apply(x, d)
-    return x, xbar, grads
+        x, g = prox_local_batch(stack, rho, mu - rho * xbar, x, epsilon)
+        grads += int(g.sum())
+        xbar = net.weights_apply(x, d).reshape(n, d)
+    return x.reshape(-1), xbar.reshape(-1), grads
 
 
 def gradient_sweeps(stack, net, x, mu, rho, tau, beta):
     """tau synchronized gradient sweeps; one gradient evaluation per node
     per sweep. Returns (x_new, xbar_new, gradient_evaluations)."""
     n, d = stack.n_nodes, stack.dimension
-    x = x.copy()
-    xbar = net.weights_apply(x, d)
-    grads = 0
+    x = np.asarray(x, dtype=float).reshape(n, d)
+    mu = np.asarray(mu, dtype=float).reshape(n, d)
+    xbar = net.weights_apply(x, d).reshape(n, d)
     for _ in range(tau):
-        new_x = np.empty_like(x)
-        for i in range(n):
-            sl = slice(i * d, (i + 1) * d)
-            new_x[sl] = gradient_step_local(
-                stack.costs[i], x[sl], xbar[sl], mu[sl], beta, rho
-            )
-            grads += 1
-        x = new_x
-        xbar = net.weights_apply(x, d)
-    return x, xbar, grads
+        x = gradient_step(x, xbar, mu, stack.node_grads(x), beta, rho)
+        xbar = net.weights_apply(x, d).reshape(n, d)
+    return x.reshape(-1), xbar.reshape(-1), n * tau
 
 
 def _init_state(stack, net, x0=None):
@@ -274,34 +270,36 @@ def _run_randomized(stack, net, cfg, k_max, tick_update, x0, schedule, check_xba
     if len(schedule) < k_max:
         raise ConfigError("schedule shorter than k_max")
     w = net.weights.entries
-    hoods = net.graph.neighborhoods
+    hoods = [np.array(sorted(h)) for h in net.graph.neighborhoods]
+    hood_weights = [w[h, i, None] for i, h in enumerate(hoods)]
     state = _init_state(stack, net, x0)
     trace = RunTrace(config=cfg, n_nodes=stack.n_nodes)
     tx = ge = 0
     t0 = time.perf_counter()
     trace.record(state.x, state.mu, tx, ge, 0.0)
     x, mu, xbar = state.x, state.mu, state.xbar
-    k = 0
-    for sched in schedule[:k_max]:
-        for i in sched.nodes:
-            i = int(i)
-            sl = slice(i * d, (i + 1) * d)
-            new_block, g = tick_update(i, x[sl], xbar[sl], mu[sl])
-            delta = new_block - x[sl]
-            x[sl] = new_block
+    # (N, d) views of the stacked vectors, which are updated in place
+    xs, xbars, mus = x.reshape(n, d), xbar.reshape(n, d), mu.reshape(n, d)
+    for k, sched in enumerate(schedule[:k_max], start=1):
+        for i in sched.nodes.tolist():
+            new_block, g = tick_update(i, xs, xbars, mus)
+            delta = new_block - xs[i]
+            xs[i] = new_block
             # only the selected node broadcasts; refresh averages in O_i
-            for j in hoods[i]:
-                jl = slice(j * d, (j + 1) * d)
-                xbar[jl] += w[j, i] * delta
+            xbars[hoods[i]] += hood_weights[i] * delta
             tx += 1
             ge += g
         if check_xbar:
             full = net.weights_apply(x, d)
-            assert np.max(np.abs(full - xbar)) <= 1e-12 * max(1.0, np.max(np.abs(full)))
-            xbar = full
+            deviation = float(np.max(np.abs(full - xbar)))
+            if deviation > 1e-12 * max(1.0, float(np.max(np.abs(full)))):
+                raise RuntimeError(
+                    f"incremental neighbor averages drifted at outer iteration k={k}: "
+                    f"largest deviation from (W (x) I) x is {deviation:.3e}"
+                )
+            xbar[:] = full
         # dual update happens every outer boundary, even for zero ticks
-        mu = mu + cfg.alpha * (x - xbar)
-        k += 1
+        mu += cfg.alpha * (x - xbar)
         trace.record(x, mu, tx, ge, time.perf_counter() - t0)
         if stop is not None and stop(x, mu, k):
             break
@@ -315,9 +313,10 @@ def run_rand_gauss_seidel(
     if cfg.variant != "rand_gauss_seidel":
         raise ConfigError("config variant mismatch")
 
-    def tick(i, xi, xbari, mui):
-        p = ProxProblem(cost=stack.costs[i], rho=cfg.rho, linear_term=mui - cfg.rho * xbari)
-        return prox_local_info(p, SolverBudget(warm_start=xi, epsilon=cfg.epsilon))
+    def tick(i, x, xbar, mu):
+        v = mu[i] - cfg.rho * xbar[i]
+        p = ProxProblem(cost=stack.costs[i], rho=cfg.rho, linear_term=v)
+        return prox_local_info(p, SolverBudget(warm_start=x[i], epsilon=cfg.epsilon))
 
     return _run_randomized(stack, net, cfg, k_max, tick, x0, schedule, check_xbar, stop)
 
@@ -330,9 +329,9 @@ def run_rand_gradient(
         raise ConfigError("config variant mismatch")
     _check_beta(cfg, stack)
 
-    def tick(i, xi, xbari, mui):
-        y = gradient_step_local(stack.costs[i], xi, xbari, mui, cfg.beta, cfg.rho)
-        return y, 1
+    def tick(i, x, xbar, mu):
+        g = stack.node_grad(i, x[i])
+        return gradient_step(x[i], xbar[i], mu[i], g, cfg.beta, cfg.rho), 1
 
     return _run_randomized(stack, net, cfg, k_max, tick, x0, schedule, check_xbar, stop)
 

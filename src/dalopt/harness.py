@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -80,6 +81,19 @@ class ExperimentConfig:
     stop_rel_cost: float | None = None
     output_dir: str = "dalopt_out"
 
+    def __post_init__(self):
+        _check_config("k_max", self.k_max, _is_count, "an integer >= 1")
+        _check_config("epsilon", self.epsilon, _is_positive, "a finite number > 0")
+        for i, entry in enumerate(self.algorithms):
+            if not isinstance(entry, dict):
+                raise StageError("config", f"algorithms[{i}] must be an object")
+            if "tau" in entry:
+                _check_config(f"algorithms[{i}].tau", entry["tau"], _is_count,
+                              "an integer >= 1")
+            if "epsilon" in entry:
+                _check_config(f"algorithms[{i}].epsilon", entry["epsilon"], _is_positive,
+                              "a finite number > 0")
+
     @classmethod
     def from_dict(cls, doc):
         known = {"network", "objective", "algorithms", "k_max", "epsilon",
@@ -100,6 +114,20 @@ class ExperimentConfig:
         except (OSError, json.JSONDecodeError) as exc:
             raise StageError("config", f"cannot read {path}: {exc}") from exc
         return cls.from_dict(doc)
+
+
+def _is_count(v):
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 1
+
+
+def _is_positive(v):
+    return (isinstance(v, numbers.Real) and not isinstance(v, bool)
+            and math.isfinite(v) and v > 0)
+
+
+def _check_config(key, value, ok, need):
+    if not ok(value):
+        raise StageError("config", f"{key} must be {need}, got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,13 +183,11 @@ def reference_solve(stack: ObjectiveStack, max_iterations=2_000_000) -> Referenc
     d = stack.dimension
     g0 = float(np.linalg.norm(stack.aggregate_grad(np.zeros(d))))
     tol = 1e-12 * max(1.0, g0)
-    if all(isinstance(c, QuadraticCost) for c in stack.costs):
-        a = sum(c.matrix for c in stack.costs)
-        b = sum(c.linear for c in stack.costs)
-        x = np.linalg.solve(a, -b)
+    if stack.kind == "quadratic":
+        x = np.linalg.solve(stack.matrices.sum(axis=0), -stack.linears.sum(axis=0))
     else:
-        m = sum(c.h_min for c in stack.costs)
-        lip = sum(c.h_max for c in stack.costs)
+        m = float(stack.node_h_min.sum())
+        lip = float(stack.node_h_max.sum())
         sq = math.sqrt(m / lip)
         momentum = (1.0 - sq) / (1.0 + sq)
         x = np.zeros(d)
@@ -192,7 +218,7 @@ def relative_cost_error(stack: ObjectiveStack, ref: ReferenceSolution, x, f0=Non
     if denom <= 0:
         raise StageError("metrics", "degenerate instance: f(0) equals f*")
     x = np.asarray(x, dtype=float).reshape(stack.n_nodes, d)
-    total = sum(stack.aggregate_value(xi) - ref.f_star for xi in x)
+    total = float((stack.aggregate_values(x) - ref.f_star).sum())
     return max(total / (stack.n_nodes * denom), 0.0)
 
 
@@ -238,7 +264,7 @@ def resolve_algorithm(entry, stack, net, default_epsilon=1e-5) -> AlgorithmConfi
         label = label or variant
     if entry:
         raise StageError("config", f"unknown algorithm keys: {sorted(entry)}")
-    return AlgorithmConfig(variant=variant, alpha=alpha, rho=rho, tau=int(tau),
+    return AlgorithmConfig(variant=variant, alpha=alpha, rho=rho, tau=tau,
                            beta=beta, seed=seed, epsilon=epsilon, label=label)
 
 
@@ -357,7 +383,7 @@ def run_experiment(cfg: ExperimentConfig):
             cert = certificate(acfg, stack, net, ref.x_star)
             # cost translation: f(x_i) - f* <= (sum_j h_max_j)/2 ||x_i - x*||^2,
             # so rel_cost_error <= cost_factor * (r^k * bound_constant)^2
-            cost_factor = sum(c.h_max for c in stack.costs) / (2.0 * (f0 - ref.f_star))
+            cost_factor = float(stack.node_h_max.sum()) / (2.0 * (f0 - ref.f_star))
             with open(out / f"certificate_{acfg.name}.txt", "w") as fh:
                 fh.write(f"algorithm: {acfg.name} ({acfg.variant})\n")
                 fh.write(f"tau: {acfg.tau}\n")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .network import NetworkModel
-from .objective import NodeCost, ObjectiveStack, QuadraticCost, grad_stack
+from .objective import NodeCost, ObjectiveStack, grad_stack
 
 __all__ = [
     "ProxProblem",
@@ -22,10 +22,15 @@ __all__ = [
     "SolverError",
     "prox_local",
     "prox_local_info",
+    "prox_local_batch",
+    "gradient_step",
     "gradient_step_local",
     "exact_al_minimizer",
     "exact_al_minimizer_direct",
 ]
+
+
+MAX_ITERATIONS = 200_000  # default iteration cap of one prox solve
 
 
 class SolverError(RuntimeError):
@@ -67,7 +72,7 @@ class SolverBudget:
 
     warm_start: np.ndarray
     epsilon: float = 1e-5
-    max_iterations: int = 200_000
+    max_iterations: int = MAX_ITERATIONS
 
     def __post_init__(self):
         if self.epsilon <= 0:
@@ -151,6 +156,83 @@ def prox_local(p: ProxProblem, budget: SolverBudget) -> np.ndarray:
     return y
 
 
+def prox_local_batch(stack: ObjectiveStack, rho, v, x0, epsilon, max_iterations=MAX_ITERATIONS):
+    """prox_local_info for every node of the stack at once.
+
+    Node i solves min_y f_i(y) + v_i'y + (rho/2)||y||^2 from the warm start
+    x0_i (v and x0 are (N, d)). Each node runs prox_local_info's schedule:
+    its own planned step count, then polish rounds of max(planned, 8)
+    steps until its gradient-norm check passes. All nodes step together
+    until the next pending check; a node's result is taken when it passes,
+    and its later steps are neither used nor counted. Returns (y, gradient
+    evaluations per node); raises SolverError when a node reaches the
+    iteration cap.
+    """
+    nu = stack.node_h_min + rho
+    lip = stack.node_h_max + stack.node_h_min + rho  # as in prox_local_info
+    x0 = np.asarray(x0, dtype=float)
+
+    def grad(y):
+        return stack.node_grads(y) + v + rho * y
+
+    grads = np.ones(stack.n_nodes, dtype=np.int64)
+    r_dist = np.linalg.norm(stack.node_grads(x0) + nu[:, None] * x0 + v, axis=1) / nu
+    active = r_dist != 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        arg = 2.0 * epsilon / (r_dist * r_dist * lip)
+        q = nu / lip
+        steps = np.ceil(np.abs(np.log(arg) / np.log(1.0 - np.sqrt(q))))
+    planned = np.where((arg >= 1.0) | (q >= 1.0), 1, steps)
+    planned = np.minimum(planned, max_iterations).astype(np.int64)
+
+    sq = np.sqrt(q)
+    momentum = ((1.0 - sq) / (1.0 + sq))[:, None]
+    target = np.sqrt(2.0 * nu * epsilon)
+    lip = lip[:, None]
+
+    out = x0.copy()
+    x = x0.copy()
+    y = x0.copy()
+    left = planned.copy()  # steps before the node's next check
+    done = np.zeros_like(planned)  # steps taken
+    while active.any():
+        k = int(left[active].min())
+        for _ in range(k):
+            g = grad(y)
+            x_new = y - g / lip
+            y = x_new + momentum * (x_new - x)
+            x = x_new
+        taken = k * active
+        grads += taken
+        left -= taken
+        done += taken
+        # strong-convexity certificate: gap <= ||grad||^2 / (2 nu)
+        check = active & (left == 0)
+        gn = np.linalg.norm(grad(x), axis=1)
+        grads += check
+        passed = check & (gn <= target)
+        out[passed] = x[passed]
+        active &= ~passed
+        again = check & ~passed
+        capped = again & (done >= max_iterations)
+        if capped.any():
+            i = int(np.argmax(capped))
+            raise SolverError(
+                f"prox solve at node {i} exceeded {max_iterations} iterations "
+                f"(gradient norm {gn[i]:.3e} > {target[i]:.3e}); Hessian bounds suspect"
+            )
+        planned = np.where(again, np.minimum(np.maximum(planned, 8), max_iterations - done),
+                           planned)
+        left = np.where(again, planned, left)
+    return out, grads
+
+
+def gradient_step(x, xbar, mu, grad, beta, rho):
+    """x <- (1 - beta rho) x + beta rho xbar - beta (mu + grad), on one block
+    or on an (N, d) array of blocks; grad is grad f at x."""
+    return (1.0 - beta * rho) * x + beta * rho * xbar - beta * (mu + grad)
+
+
 def gradient_step_local(cost: NodeCost, x_i, xbar_i, mu_i, beta, rho) -> np.ndarray:
     """One gradient step on the node's augmented objective:
 
@@ -159,11 +241,8 @@ def gradient_step_local(cost: NodeCost, x_i, xbar_i, mu_i, beta, rho) -> np.ndar
     if beta <= 0:
         raise ValueError("beta must be positive")
     x_i = np.asarray(x_i, dtype=float)
-    return (
-        (1.0 - beta * rho) * x_i
-        + beta * rho * np.asarray(xbar_i, dtype=float)
-        - beta * (np.asarray(mu_i, dtype=float) + cost.grad(x_i))
-    )
+    xbar_i = np.asarray(xbar_i, dtype=float)
+    return gradient_step(x_i, xbar_i, np.asarray(mu_i, dtype=float), cost.grad(x_i), beta, rho)
 
 
 def al_objective_grad(stack: ObjectiveStack, net: NetworkModel, x, mu, rho):
@@ -213,15 +292,11 @@ def exact_al_minimizer(
 def exact_al_minimizer_direct(stack: ObjectiveStack, net: NetworkModel, mu, rho) -> np.ndarray:
     """Closed-form oracle for all-quadratic stacks: solve
     (blockdiag(A_i) + rho L (x) I) x = -(b_stack + mu)."""
-    if not all(isinstance(c, QuadraticCost) for c in stack.costs):
+    if stack.kind != "quadratic":
         raise TypeError("direct solve applies to all-quadratic stacks only")
     n, d = stack.n_nodes, stack.dimension
     mu = np.asarray(mu, dtype=float)
-    h = np.zeros((n * d, n * d))
-    b = np.zeros(n * d)
-    for i, c in enumerate(stack.costs):
-        sl = slice(i * d, (i + 1) * d)
-        h[sl, sl] = c.matrix
-        b[sl] = c.linear
-    h += rho * np.kron(net.spec.laplacian, np.eye(d))
-    return np.linalg.solve(h, -(b + mu))
+    h = np.zeros((n, d, n, d))
+    h[np.arange(n), :, np.arange(n), :] = stack.matrices
+    h = h.reshape(n * d, n * d) + rho * np.kron(net.spec.laplacian, np.eye(d))
+    return np.linalg.solve(h, -(stack.linears.reshape(-1) + mu))

@@ -8,6 +8,7 @@ f(x) = sum_i f_i(x) on R^d.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -113,6 +114,9 @@ class LogisticCost(NodeCost):
     label: int
     reg: float
     n_nodes: int
+    stacked_sample: np.ndarray = field(init=False)  # c = (b*a, b), dimension d
+    h_min: float = field(init=False)
+    h_max: float = field(init=False)
 
     def __post_init__(self):
         a = np.asarray(self.feature, dtype=float)
@@ -120,25 +124,16 @@ class LogisticCost(NodeCost):
             raise ValueError("label must be -1 or +1")
         if self.reg <= 0 or self.n_nodes < 1:
             raise ValueError("need reg > 0 and n_nodes >= 1")
+        c = np.concatenate([self.label * a, [float(self.label)]])
+        h_min = self.reg / self.n_nodes
         object.__setattr__(self, "feature", a)
-
-    @property
-    def stacked_sample(self):
-        """c = (b*a, b), dimension d."""
-        return np.concatenate([self.label * self.feature, [float(self.label)]])
+        object.__setattr__(self, "stacked_sample", c)
+        object.__setattr__(self, "h_min", h_min)
+        object.__setattr__(self, "h_max", h_min + 0.25 * float(c @ c))
 
     @property
     def dimension(self):
         return self.feature.size + 1
-
-    @property
-    def h_min(self):
-        return self.reg / self.n_nodes
-
-    @property
-    def h_max(self):
-        c = self.stacked_sample
-        return self.reg / self.n_nodes + 0.25 * float(c @ c)
 
     def value(self, x):
         x = np.asarray(x, dtype=float)
@@ -161,11 +156,42 @@ def logistic_hessian_bounds(cost: LogisticCost):
     return cost.h_min, cost.h_max
 
 
+def _row_products(x, m):
+    """x @ m.T as a C-ordered array, summed feature by feature in a fixed order.
+
+    Entry (r, j) depends only on x[r] and m[j], bit for bit, however many
+    rows x has. A BLAS product does not promise that (one row goes to gemv,
+    several to gemm), and f(x*) must reproduce f* exactly.
+    """
+    out = np.multiply.outer(x[:, 0], m[:, 0])
+    for k in range(1, x.shape[1]):
+        out += np.multiply.outer(x[:, k], m[:, k])
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class ObjectiveStack:
-    """N node costs of common dimension d."""
+    """N node costs of common dimension d, all logistic or all quadratic.
+
+    Construction also builds the array form that the algorithms and the
+    metrics read instead of the per-node objects:
+
+    - logistic: ``samples`` C in R^{N x d} (row j is node j's c) and
+      ``node_reg`` (reg/N per node);
+    - quadratic: ``matrices`` A in R^{N x d x d} and ``linears`` B in
+      R^{N x d}, plus the per-node constants;
+    - both: ``node_h_min`` and ``node_h_max``.
+    """
 
     costs: tuple
+    kind: str = field(init=False)  # "logistic" or "quadratic"
+    node_h_min: np.ndarray = field(init=False)
+    node_h_max: np.ndarray = field(init=False)
+    samples: np.ndarray | None = field(init=False, default=None)
+    node_reg: np.ndarray | None = field(init=False, default=None)
+    matrices: np.ndarray | None = field(init=False, default=None)
+    linears: np.ndarray | None = field(init=False, default=None)
+    constants: np.ndarray | None = field(init=False, default=None)
 
     def __post_init__(self):
         costs = tuple(self.costs)
@@ -174,7 +200,21 @@ class ObjectiveStack:
         d = costs[0].dimension
         if any(c.dimension != d for c in costs):
             raise ValueError("node costs must share a common dimension")
-        object.__setattr__(self, "costs", costs)
+        put = partial(object.__setattr__, self)
+        put("costs", costs)
+        if all(isinstance(c, LogisticCost) for c in costs):
+            put("kind", "logistic")
+            put("samples", np.array([c.stacked_sample for c in costs]))
+            put("node_reg", np.array([c.h_min for c in costs]))
+        elif all(isinstance(c, QuadraticCost) for c in costs):
+            put("kind", "quadratic")
+            put("matrices", np.array([c.matrix for c in costs]))
+            put("linears", np.array([c.linear for c in costs]))
+            put("constants", np.array([float(c.constant) for c in costs]))
+        else:
+            raise ValueError("a stack holds only logistic or only quadratic costs")
+        put("node_h_min", np.array([c.h_min for c in costs]))
+        put("node_h_max", np.array([c.h_max for c in costs]))
 
     @property
     def n_nodes(self):
@@ -186,21 +226,49 @@ class ObjectiveStack:
 
     @property
     def h_min(self):
-        return min(c.h_min for c in self.costs)
+        return float(self.node_h_min.min())
 
     @property
     def h_max(self):
-        return max(c.h_max for c in self.costs)
+        return float(self.node_h_max.max())
+
+    def node_grads(self, x):
+        """Row i of the result is grad f_i(x[i]); x is (N, d)."""
+        if self.kind == "logistic":
+            # sigmoid(-c'x) = exp(-log(1 + exp(c'x))), overflow-free
+            s = np.exp(-np.logaddexp(0.0, (self.samples * x).sum(axis=1)))
+            return self.node_reg[:, None] * x - s[:, None] * self.samples
+        return np.matmul(self.matrices, x[:, :, None])[:, :, 0] + self.linears
+
+    def node_grad(self, i, x):
+        """grad f_i(x) at one block x, from row i of the array form."""
+        if self.kind == "logistic":
+            c = self.samples[i]
+            return self.node_reg[i] * x - _sigmoid(-float(c @ x)) * c
+        return self.matrices[i] @ x + self.linears[i]
+
+    def aggregate_values(self, x):
+        """f(x[r]) = sum_j f_j(x[r]) for every row r of x.
+
+        Every array here is C-ordered, so that each row sum runs in the same
+        order whatever the number of rows.
+        """
+        x = np.ascontiguousarray(x, dtype=float)
+        if self.kind == "logistic":
+            loss = np.logaddexp(0.0, -_row_products(x, self.samples)).sum(axis=1)
+            return loss + 0.5 * self.node_reg.sum() * (x * x).sum(axis=1)
+        a = self.matrices.sum(axis=0)
+        quad = (_row_products(x, a) * x).sum(axis=1)
+        lin = (x * self.linears.sum(axis=0)).sum(axis=1)
+        return 0.5 * quad + lin + self.constants.sum()
 
     def aggregate_value(self, x):
         """f(x) = sum_i f_i(x), common argument."""
-        return sum(c.value(x) for c in self.costs)
+        return float(self.aggregate_values(np.asarray(x, dtype=float)[None, :])[0])
 
     def aggregate_grad(self, x):
-        g = np.zeros(self.dimension)
-        for c in self.costs:
-            g += c.grad(x)
-        return g
+        x = np.broadcast_to(np.asarray(x, dtype=float), (self.n_nodes, self.dimension))
+        return self.node_grads(x).sum(axis=0)
 
 
 def _blocks(stack, x):
@@ -219,8 +287,7 @@ def eval_stack(stack: ObjectiveStack, x) -> float:
 
 def grad_stack(stack: ObjectiveStack, x) -> np.ndarray:
     """Block-stacked gradient (grad f_1(x_1), ..., grad f_N(x_N))."""
-    xb = _blocks(stack, x)
-    return np.concatenate([c.grad(xi) for c, xi in zip(stack.costs, xb)])
+    return stack.node_grads(_blocks(stack, x)).reshape(-1)
 
 
 def condition_number(stack: ObjectiveStack) -> float:

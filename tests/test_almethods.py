@@ -22,9 +22,21 @@ from dalopt.almethods import (
     sample_poisson_schedule,
     write_trace_csv,
 )
-from dalopt.harness import generate_quadratic_stack
-from dalopt.local_solve import exact_al_minimizer_direct, gradient_step_local
-from dalopt.network import build_chain_graph, build_geometric_graph, build_network
+from dalopt.harness import generate_logistic_data, generate_quadratic_stack
+from dalopt.local_solve import (
+    ProxProblem,
+    SolverBudget,
+    exact_al_minimizer_direct,
+    gradient_step_local,
+    prox_local_info,
+)
+from dalopt.network import (
+    NetworkModel,
+    build_chain_graph,
+    build_complete_graph,
+    build_geometric_graph,
+    build_network,
+)
 from dalopt.objective import ObjectiveStack, QuadraticCost
 from dalopt.theory import saddle_point
 
@@ -102,6 +114,24 @@ class TestDetJacobi:
         tr = run_det_jacobi(stack, net, cfg, 1)
         assert np.allclose(tr.xs[1], [1.0, -2.0, 5.0], atol=1e-6)
 
+    def test_one_sweep_matches_per_node_solves(self, geo10_net, rng):
+        stack, net = generate_logistic_data(10, 4, reg=2.0, seed=5), geo10_net
+        rho, eps = 0.7, 1e-10
+        x = rng.standard_normal(40)
+        mu = rng.standard_normal(40)
+        out, xbar, grads = jacobi_sweeps(stack, net, x, mu, rho, 1, eps)
+        v = mu - rho * net.weights_apply(x, 4)
+        solves = [
+            prox_local_info(
+                ProxProblem(cost=c, rho=rho, linear_term=v[4 * i : 4 * i + 4]),
+                SolverBudget(warm_start=x[4 * i : 4 * i + 4], epsilon=eps),
+            )
+            for i, c in enumerate(stack.costs)
+        ]
+        assert np.abs(out - np.concatenate([y for y, _ in solves])).max() <= 1e-12
+        assert grads == sum(g for _, g in solves)
+        assert np.array_equal(xbar, net.weights_apply(out, 4))
+
     def test_transmission_counter(self, chain5_net, quad5_stack):
         cfg = AlgorithmConfig(variant="det_jacobi", alpha=0.5, rho=1.0, tau=3)
         tr = run_det_jacobi(quad5_stack, chain5_net, cfg, 4)
@@ -154,6 +184,12 @@ class TestDetGradient:
         cfg = AlgorithmConfig(variant="det_gradient", alpha=0.5, rho=1.0, tau=1, beta=10.0)
         with pytest.raises(ConfigError, match="beta"):
             run_det_gradient(quad5_stack, chain5_net, cfg, 1)
+
+
+class TestAlgorithmConfig:
+    def test_fractional_tau_rejected(self):
+        with pytest.raises(ConfigError, match="tau must be an integer"):
+            AlgorithmConfig(variant="det_jacobi", alpha=0.5, rho=1.0, tau=2.7)
 
 
 class TestPoissonSchedule:
@@ -217,6 +253,17 @@ class TestRandGaussSeidel:
     def test_incremental_xbar_matches_recompute(self, geo10_net, quad10_stack):
         cfg = AlgorithmConfig(variant="rand_gauss_seidel", alpha=0.5, rho=1.0, tau=3, seed=2)
         run_rand_gauss_seidel(quad10_stack, geo10_net, cfg, 10, check_xbar=True)
+
+    def test_xbar_check_names_iteration_and_deviation(self, quad5_stack):
+        # ticks refresh chain neighborhoods, but the weights are the complete
+        # graph's, so the incremental averages drift from W x at once
+        complete = build_network(build_complete_graph(5))
+        net = NetworkModel(graph=build_chain_graph(5), weights=complete.weights,
+                           spec=complete.spec)
+        cfg = AlgorithmConfig(variant="rand_gauss_seidel", alpha=0.5, rho=1.0, tau=1)
+        sched = [PoissonSchedule(nodes=np.array([0]))]
+        with pytest.raises(RuntimeError, match=r"k=1: largest deviation .* is \d"):
+            run_rand_gauss_seidel(quad5_stack, net, cfg, 1, schedule=sched, check_xbar=True)
 
 
 class TestRandGradient:

@@ -212,6 +212,29 @@ class TestExperimentConfig:
         cfg = ExperimentConfig.from_file(path)
         assert cfg.network["n"] == 3 and cfg.k_max == 300
 
+    @pytest.mark.parametrize("k_max", [-3, 0, 2.5, True, "10"])
+    def test_bad_k_max_rejected(self, tmp_path, k_max):
+        with pytest.raises(StageError, match=r"\[config\] k_max must be an integer >= 1"):
+            minimal_config(tmp_path, k_max=k_max)
+
+    @pytest.mark.parametrize("tau", [2.7, 0, -1, "2"])
+    def test_bad_tau_rejected(self, tmp_path, tau):
+        algorithms = [{"recipe": "section4_jacobi", "tau": tau}]
+        with pytest.raises(StageError, match=r"\[config\] algorithms\[0\]\.tau must be"):
+            minimal_config(tmp_path, algorithms=algorithms)
+
+    @pytest.mark.parametrize("epsilon", [0, -1e-5, float("nan"), "1e-5"])
+    def test_bad_epsilon_rejected(self, tmp_path, epsilon):
+        with pytest.raises(StageError, match=r"\[config\] epsilon must be a finite number > 0"):
+            minimal_config(tmp_path, epsilon=epsilon)
+
+    @pytest.mark.parametrize("epsilon", [0, -1e-5])
+    def test_bad_entry_epsilon_rejected(self, tmp_path, epsilon):
+        algorithms = [{"recipe": "section4_jacobi"}, {"recipe": "section5_jacobi",
+                                                       "epsilon": epsilon}]
+        with pytest.raises(StageError, match=r"\[config\] algorithms\[1\]\.epsilon must be"):
+            minimal_config(tmp_path, algorithms=algorithms)
+
     def test_from_file_bad_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{")

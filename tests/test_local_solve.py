@@ -6,13 +6,16 @@ import pytest
 from dalopt.local_solve import (
     ProxProblem,
     SolverBudget,
+    SolverError,
     al_objective_grad,
     exact_al_minimizer,
     exact_al_minimizer_direct,
     gradient_step_local,
     prox_local,
+    prox_local_batch,
     prox_local_info,
 )
+from dalopt.harness import generate_logistic_data
 from dalopt.objective import LogisticCost, ObjectiveStack, QuadraticCost, grad_stack
 from dalopt.theory import saddle_point
 
@@ -62,6 +65,63 @@ class TestProxLocal:
         p = ProxProblem(cost=scalar_quadratic(100.0), rho=0.0, linear_term=np.zeros(1))
         with pytest.raises(SolverError, match="exceeded"):
             prox_local(p, SolverBudget(warm_start=np.zeros(1), epsilon=1e-14, max_iterations=2))
+
+
+def per_node_prox(stack, rho, v, x0, epsilon, max_iterations=200_000):
+    """prox_local_info node by node: the oracle of prox_local_batch."""
+    out = [
+        prox_local_info(
+            ProxProblem(cost=c, rho=rho, linear_term=vi),
+            SolverBudget(warm_start=xi, epsilon=epsilon, max_iterations=max_iterations),
+        )
+        for c, vi, xi in zip(stack.costs, v, x0)
+    ]
+    return np.array([y for y, _ in out]), np.array([g for _, g in out])
+
+
+class TestProxLocalBatch:
+    def test_matches_per_node_solves(self, rng, quad5_stack):
+        for stack in (quad5_stack, generate_logistic_data(7, 4, reg=0.5, seed=3)):
+            n, d = stack.n_nodes, stack.dimension
+            v = rng.standard_normal((n, d))
+            x0 = rng.standard_normal((n, d))
+            y, grads = prox_local_batch(stack, 0.8, v, x0, 1e-9)
+            y_ref, grads_ref = per_node_prox(stack, 0.8, v, x0, 1e-9)
+            assert np.abs(y - y_ref).max() <= 1e-12
+            assert grads.tolist() == grads_ref.tolist()
+
+    def test_polish_round_counts_match(self):
+        from dalopt.local_solve import _planned_iterations
+
+        # node 0's warm start understates its distance, so its planned
+        # steps fall short and it needs polish rounds; nodes 1 and 2 do not
+        stack = ObjectiveStack(tuple(scalar_quadratic(c) for c in (1.0, -0.5, -2.0)))
+        rho, eps = 0.1, 1e-3
+        v = np.zeros((3, 1))
+        x0 = np.array([[0.5], [0.0], [1.0]])
+        y, grads = prox_local_batch(stack, rho, v, x0, eps)
+        y_ref, grads_ref = per_node_prox(stack, rho, v, x0, eps)
+        assert np.abs(y - y_ref).max() <= 1e-12
+        assert grads.tolist() == grads_ref.tolist()
+        nu, lip = 1.0 + rho, 2.0 + rho
+        r_dist = abs(float(stack.costs[0].grad(x0[0])[0]) + nu * 0.5) / nu
+        planned = _planned_iterations(eps, r_dist, lip, nu / lip)
+        assert grads[0] > planned + 2  # the initial gradient, planned steps, one check
+
+    def test_iteration_cap_raises_like_per_node(self, quad5_stack, rng):
+        n, d = quad5_stack.n_nodes, quad5_stack.dimension
+        v = rng.standard_normal((n, d))
+        x0 = np.zeros((n, d))
+        with pytest.raises(SolverError, match="exceeded 3 iterations"):
+            per_node_prox(quad5_stack, 1.0, v, x0, 1e-14, max_iterations=3)
+        with pytest.raises(SolverError, match="exceeded 3 iterations"):
+            prox_local_batch(quad5_stack, 1.0, v, x0, 1e-14, max_iterations=3)
+
+    def test_node_at_its_optimum_costs_one_gradient(self):
+        stack = ObjectiveStack((scalar_quadratic(0.0), scalar_quadratic(3.0)))
+        y, grads = prox_local_batch(stack, 1.0, np.zeros((2, 1)), np.zeros((2, 1)), 1e-8)
+        assert y[0, 0] == 0.0 and grads[0] == 1
+        assert grads[1] > 1
 
 
 class TestGradientStepLocal:

@@ -170,3 +170,80 @@ class TestNumericalStability:
         for x in (np.array([500.0, 0.0]), np.array([-500.0, 0.0])):
             assert np.isfinite(cost.value(x))
             assert np.isfinite(cost.grad(x)).all()
+
+    def test_extreme_arguments_array_form(self):
+        costs = tuple(LogisticCost(feature=np.array([s]), label=b, reg=1.0, n_nodes=2)
+                      for s, b in ((100.0, 1), (100.0, -1)))
+        stack = ObjectiveStack(costs)
+        for x in (np.array([500.0, 0.0]), np.array([-500.0, 0.0])):
+            rows = np.tile(x, (2, 1))
+            grads = stack.node_grads(rows)
+            assert np.isfinite(grads).all()
+            assert np.allclose(grads, [c.grad(x) for c in costs], rtol=1e-14, atol=0)
+            for i, c in enumerate(costs):
+                assert np.array_equal(stack.node_grad(i, x), c.grad(x))
+            value = stack.aggregate_value(x)
+            assert np.isfinite(value)
+            assert value == pytest.approx(sum(c.value(x) for c in costs), rel=1e-14)
+
+
+def random_quadratic_stack(rng, n=4, d=3):
+    costs = []
+    for _ in range(n):
+        m = rng.standard_normal((d, d))
+        costs.append(QuadraticCost(matrix=m @ m.T + np.eye(d), linear=rng.standard_normal(d),
+                                   constant=float(rng.standard_normal())))
+    return ObjectiveStack(tuple(costs))
+
+
+class TestArrayForm:
+    @pytest.fixture(params=["logistic", "quadratic"])
+    def stack(self, request, rng):
+        if request.param == "logistic":
+            return random_logistic_stack(rng, n=6, d=4, reg=2.0)
+        return random_quadratic_stack(rng, n=6, d=3)
+
+    def test_node_grads_match_per_node(self, stack, rng):
+        x = 3.0 * rng.standard_normal((stack.n_nodes, stack.dimension))
+        oracle = np.array([c.grad(xi) for c, xi in zip(stack.costs, x)])
+        assert np.allclose(stack.node_grads(x), oracle, rtol=1e-13, atol=1e-14)
+        for i, xi in enumerate(x):
+            assert np.allclose(stack.node_grad(i, xi), oracle[i], rtol=1e-13, atol=1e-14)
+
+    def test_aggregate_values_match_per_node(self, stack, rng):
+        x = 3.0 * rng.standard_normal((5, stack.dimension))
+        oracle = [sum(c.value(xi) for c in stack.costs) for xi in x]
+        assert np.allclose(stack.aggregate_values(x), oracle, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("wide", [False, True])
+    def test_aggregate_value_of_a_row_ignores_the_batch(self, stack, rng, wide):
+        # f(x*) in a trace row must reproduce f* bit for bit; the wide
+        # stacks have enough nodes and features for pairwise summation
+        if wide:
+            stack = (random_logistic_stack(rng, n=12, d=16) if stack.kind == "logistic"
+                     else random_quadratic_stack(rng, n=12, d=10))
+        for m in (1, 2, 3, 7, 40):
+            x = rng.standard_normal((m, stack.dimension))
+            single = [stack.aggregate_value(xi) for xi in x]
+            assert stack.aggregate_values(x).tolist() == single
+            assert stack.aggregate_values(np.asfortranarray(x)).tolist() == single
+
+    def test_aggregate_grad_matches_per_node(self, stack, rng):
+        x = rng.standard_normal(stack.dimension)
+        oracle = sum(c.grad(x) for c in stack.costs)
+        assert np.allclose(stack.aggregate_grad(x), oracle, rtol=1e-13, atol=1e-14)
+
+    def test_bounds_match_per_node(self, stack):
+        assert stack.node_h_min.tolist() == [c.h_min for c in stack.costs]
+        assert stack.node_h_max.tolist() == [c.h_max for c in stack.costs]
+
+    def test_mixed_stack_rejected(self, rng):
+        logistic = LogisticCost(feature=rng.standard_normal(1), label=1, reg=1.0, n_nodes=2)
+        quadratic = QuadraticCost(matrix=np.eye(2), linear=np.zeros(2))
+        with pytest.raises(ValueError, match="only logistic or only quadratic"):
+            ObjectiveStack((logistic, quadratic))
+
+    def test_logistic_cost_caches_its_sample(self):
+        cost = LogisticCost(feature=np.array([1.0, -2.0]), label=-1, reg=3.0, n_nodes=6)
+        assert cost.stacked_sample.tolist() == [-1.0, 2.0, -1.0]
+        assert (cost.h_min, cost.h_max) == (0.5, 0.5 + 0.25 * 6.0)
