@@ -8,7 +8,6 @@ convergence-rate certificates.
 from .almethods import (
     AlgorithmConfig,
     PoissonSchedule,
-    PrimalDualState,
     RunTrace,
     run_det_gradient,
     run_det_jacobi,

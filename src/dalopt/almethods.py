@@ -1,10 +1,10 @@
 """Distributed augmented-Lagrangian drivers.
 
-The generic driver alternates an inner primal policy with a dual ascent
-step mu <- mu + alpha (L (x) I) x. Four concrete inner policies are
-provided: synchronized Jacobi sweeps, synchronized gradient sweeps, and
-their randomized single-node counterparts driven by a Poisson tick
-schedule.
+Every variant runs one outer loop, the paper's template: an inexact primal
+phase, then the dual ascent step mu <- mu + alpha (L (x) I) x. Four primal
+phases are provided: synchronized Jacobi sweeps, synchronized gradient
+sweeps, and their randomized single-node counterparts driven by a Poisson
+tick schedule. run_inexact_al runs the same loop with any other policy.
 """
 
 from __future__ import annotations
@@ -22,17 +22,14 @@ from .local_solve import (
     prox_local_batch,
     prox_local_info,
 )
-from .network import NetworkModel
 from .objective import ObjectiveStack
 
 __all__ = [
-    "PrimalDualState",
     "AlgorithmConfig",
     "PoissonSchedule",
     "RunTrace",
     "ConfigError",
     "VARIANTS",
-    "dual_update",
     "jacobi_sweeps",
     "gradient_sweeps",
     "sample_poisson_schedule",
@@ -57,19 +54,6 @@ TRACE_HEADER = (
 
 class ConfigError(ValueError):
     """Inconsistent algorithm configuration."""
-
-
-@dataclass
-class PrimalDualState:
-    """Stacked primal/dual iterates plus cached neighbor averages."""
-
-    x: np.ndarray
-    mu: np.ndarray
-    xbar: np.ndarray
-    outer_index: int = 0
-
-    def copy(self):
-        return PrimalDualState(self.x.copy(), self.mu.copy(), self.xbar.copy(), self.outer_index)
 
 
 @dataclass(frozen=True)
@@ -141,22 +125,17 @@ class RunTrace:
         return len(self.xs) - 1
 
 
-def _check_beta(cfg: AlgorithmConfig, stack: ObjectiveStack):
-    limit = 1.0 / (stack.h_max + cfg.rho)
-    if cfg.beta > limit * (1.0 + 1e-12):
-        raise ConfigError(
-            f"beta={cfg.beta} exceeds 1/(h_max+rho)={limit}; contraction not guaranteed"
-        )
-
-
-def dual_update(state: PrimalDualState, net: NetworkModel, alpha: float) -> PrimalDualState:
-    """mu_i <- mu_i + alpha (x_i - xbar_i), the stacked dual ascent step.
-
-    Requires state.xbar consistent with state.x; then x - xbar equals
-    (L (x) I) x.
-    """
-    mu = state.mu + alpha * (state.x - state.xbar)
-    return PrimalDualState(state.x.copy(), mu, state.xbar.copy(), state.outer_index + 1)
+def _check_variant(cfg: AlgorithmConfig, stack: ObjectiveStack, variant):
+    """Reject a config of another variant, and for the gradient variants a
+    step beta above 1/(h_max + rho), where contraction is not guaranteed."""
+    if cfg.variant != variant:
+        raise ConfigError("config variant mismatch")
+    if variant.endswith("_gradient"):
+        limit = 1.0 / (stack.h_max + cfg.rho)
+        if cfg.beta > limit * (1.0 + 1e-12):
+            raise ConfigError(
+                f"beta={cfg.beta} exceeds 1/(h_max+rho)={limit}; contraction not guaranteed"
+            )
 
 
 def jacobi_sweeps(stack, net, x, mu, rho, tau, epsilon):
@@ -192,57 +171,60 @@ def gradient_sweeps(stack, net, x, mu, rho, tau, beta):
     return x.reshape(-1), xbar.reshape(-1), n * tau
 
 
-def _init_state(stack, net, x0=None):
+def _outer_loop(stack, net, cfg, k_max, inner, x0=None, stop=None) -> RunTrace:
+    """The outer loop of every variant.
+
+    inner(k, x, mu, xbar) is the inexact primal phase of outer iteration
+    k. It receives xbar = (W (x) I) x, may update x and xbar in place, and
+    returns (x, xbar, transmissions, grad_evals) with xbar = (W (x) I) x
+    again. The dual step mu + alpha (x - xbar) is then mu + alpha (L (x) I) x.
+    The run raises once x or mu is not finite, and ends after k_max outer
+    iterations or once stop(x, mu, k) holds.
+    """
     n, d = stack.n_nodes, stack.dimension
-    if x0 is None:
-        x = np.zeros(n * d)
-    else:
-        x = np.asarray(x0, dtype=float).copy()
-        blocks = x.reshape(n, d)
-        if np.max(np.abs(blocks - blocks[0])) > 0:
-            raise ConfigError("primal initialization must be equal across nodes")
-    return PrimalDualState(x=x, mu=np.zeros(n * d), xbar=net.weights_apply(x, d))
-
-
-def _run_deterministic(stack, net, cfg, k_max, inner, x0, stop=None):
-    state = _init_state(stack, net, x0)
-    trace = RunTrace(config=cfg, n_nodes=stack.n_nodes)
+    x = np.zeros(n * d) if x0 is None else np.array(x0, dtype=float)
+    blocks = x.reshape(n, d)
+    if np.max(np.abs(blocks - blocks[0])) > 0:
+        raise ConfigError("primal initialization must be equal across nodes")
+    mu = np.zeros(n * d)
+    xbar = net.weights_apply(x, d)
+    trace = RunTrace(config=cfg, n_nodes=n)
     tx = ge = 0
     t0 = time.perf_counter()
-    trace.record(state.x, state.mu, tx, ge, 0.0)
-    n = stack.n_nodes
-    for k in range(k_max):
-        x, xbar, g = inner(state.x, state.mu)
-        tx += n * cfg.tau  # one broadcast per node per inner iteration
-        ge += g
-        state = dual_update(PrimalDualState(x, state.mu, xbar, state.outer_index), net, cfg.alpha)
-        trace.record(state.x, state.mu, tx, ge, time.perf_counter() - t0)
-        if stop is not None and stop(state.x, state.mu, k + 1):
+    trace.record(x, mu, tx, ge, 0.0)
+    for k in range(1, k_max + 1):
+        x, xbar, sent, grads = inner(k, x, mu, xbar)
+        tx += sent
+        ge += grads
+        mu = mu + cfg.alpha * (x - xbar)
+        if not (np.isfinite(x).all() and np.isfinite(mu).all()):
+            raise FloatingPointError(f"iterates are not finite at outer iteration k={k}")
+        trace.record(x, mu, tx, ge, time.perf_counter() - t0)
+        if stop is not None and stop(x, mu, k):
             break
     return trace
 
 
 def run_det_jacobi(stack, net, cfg: AlgorithmConfig, k_max, x0=None, stop=None) -> RunTrace:
     """Deterministic AL with Jacobi primal updates."""
-    if cfg.variant != "det_jacobi":
-        raise ConfigError("config variant mismatch")
+    _check_variant(cfg, stack, "det_jacobi")
 
-    def inner(x, mu):
-        return jacobi_sweeps(stack, net, x, mu, cfg.rho, cfg.tau, cfg.epsilon)
+    def inner(k, x, mu, xbar):
+        x, xbar, grads = jacobi_sweeps(stack, net, x, mu, cfg.rho, cfg.tau, cfg.epsilon)
+        return x, xbar, stack.n_nodes * cfg.tau, grads  # one broadcast per node per sweep
 
-    return _run_deterministic(stack, net, cfg, k_max, inner, x0, stop)
+    return _outer_loop(stack, net, cfg, k_max, inner, x0, stop)
 
 
 def run_det_gradient(stack, net, cfg: AlgorithmConfig, k_max, x0=None, stop=None) -> RunTrace:
     """Deterministic AL with gradient primal updates."""
-    if cfg.variant != "det_gradient":
-        raise ConfigError("config variant mismatch")
-    _check_beta(cfg, stack)
+    _check_variant(cfg, stack, "det_gradient")
 
-    def inner(x, mu):
-        return gradient_sweeps(stack, net, x, mu, cfg.rho, cfg.tau, cfg.beta)
+    def inner(k, x, mu, xbar):
+        x, xbar, grads = gradient_sweeps(stack, net, x, mu, cfg.rho, cfg.tau, cfg.beta)
+        return x, xbar, stack.n_nodes * cfg.tau, grads  # one broadcast per node per sweep
 
-    return _run_deterministic(stack, net, cfg, k_max, inner, x0, stop)
+    return _outer_loop(stack, net, cfg, k_max, inner, x0, stop)
 
 
 def sample_poisson_schedule(n, tau, k_max, seed) -> list[PoissonSchedule]:
@@ -263,7 +245,11 @@ def sample_poisson_schedule(n, tau, k_max, seed) -> list[PoissonSchedule]:
     return out
 
 
-def _run_randomized(stack, net, cfg, k_max, tick_update, x0, schedule, check_xbar, stop=None):
+def _tick_phase(stack, net, cfg, k_max, tick, schedule, check_xbar):
+    """The primal phase of the randomized variants: the ticks of
+    schedule[k - 1] in order. A ticking node i takes the block
+    tick(i, x, xbar, mu) -> (block, grad_evals), on (N, d) views, and
+    broadcasts it; only the averages in its neighborhood change."""
     n, d = stack.n_nodes, stack.dimension
     if schedule is None:
         schedule = sample_poisson_schedule(n, cfg.tau, k_max, cfg.seed)
@@ -272,23 +258,18 @@ def _run_randomized(stack, net, cfg, k_max, tick_update, x0, schedule, check_xba
     w = net.weights.entries
     hoods = [np.array(sorted(h)) for h in net.graph.neighborhoods]
     hood_weights = [w[h, i, None] for i, h in enumerate(hoods)]
-    state = _init_state(stack, net, x0)
-    trace = RunTrace(config=cfg, n_nodes=stack.n_nodes)
-    tx = ge = 0
-    t0 = time.perf_counter()
-    trace.record(state.x, state.mu, tx, ge, 0.0)
-    x, mu, xbar = state.x, state.mu, state.xbar
-    # (N, d) views of the stacked vectors, which are updated in place
-    xs, xbars, mus = x.reshape(n, d), xbar.reshape(n, d), mu.reshape(n, d)
-    for k, sched in enumerate(schedule[:k_max], start=1):
-        for i in sched.nodes.tolist():
-            new_block, g = tick_update(i, xs, xbars, mus)
-            delta = new_block - xs[i]
-            xs[i] = new_block
-            # only the selected node broadcasts; refresh averages in O_i
+
+    def inner(k, x, mu, xbar):
+        # (N, d) views of the stacked vectors; x and xbar are updated in place
+        xs, xbars, mus = x.reshape(n, d), xbar.reshape(n, d), mu.reshape(n, d)
+        nodes = schedule[k - 1].nodes.tolist()
+        grads = 0
+        for i in nodes:
+            block, g = tick(i, xs, xbars, mus)
+            delta = block - xs[i]
+            xs[i] = block
             xbars[hoods[i]] += hood_weights[i] * delta
-            tx += 1
-            ge += g
+            grads += g
         if check_xbar:
             full = net.weights_apply(x, d)
             deviation = float(np.max(np.abs(full - xbar)))
@@ -297,63 +278,55 @@ def _run_randomized(stack, net, cfg, k_max, tick_update, x0, schedule, check_xba
                     f"incremental neighbor averages drifted at outer iteration k={k}: "
                     f"largest deviation from (W (x) I) x is {deviation:.3e}"
                 )
-            xbar[:] = full
-        # dual update happens every outer boundary, even for zero ticks
-        mu += cfg.alpha * (x - xbar)
-        trace.record(x, mu, tx, ge, time.perf_counter() - t0)
-        if stop is not None and stop(x, mu, k):
-            break
-    return trace
+            xbar = full
+        return x, xbar, len(nodes), grads
+
+    return inner
 
 
 def run_rand_gauss_seidel(
     stack, net, cfg: AlgorithmConfig, k_max, x0=None, schedule=None, check_xbar=False, stop=None
 ) -> RunTrace:
     """Randomized AL: the ticking node solves its prox problem in place."""
-    if cfg.variant != "rand_gauss_seidel":
-        raise ConfigError("config variant mismatch")
+    _check_variant(cfg, stack, "rand_gauss_seidel")
 
     def tick(i, x, xbar, mu):
         v = mu[i] - cfg.rho * xbar[i]
         p = ProxProblem(cost=stack.costs[i], rho=cfg.rho, linear_term=v)
         return prox_local_info(p, SolverBudget(warm_start=x[i], epsilon=cfg.epsilon))
 
-    return _run_randomized(stack, net, cfg, k_max, tick, x0, schedule, check_xbar, stop)
+    inner = _tick_phase(stack, net, cfg, k_max, tick, schedule, check_xbar)
+    return _outer_loop(stack, net, cfg, k_max, inner, x0, stop)
 
 
 def run_rand_gradient(
     stack, net, cfg: AlgorithmConfig, k_max, x0=None, schedule=None, check_xbar=False, stop=None
 ) -> RunTrace:
     """Randomized AL: the ticking node takes one gradient step."""
-    if cfg.variant != "rand_gradient":
-        raise ConfigError("config variant mismatch")
-    _check_beta(cfg, stack)
+    _check_variant(cfg, stack, "rand_gradient")
 
     def tick(i, x, xbar, mu):
         g = stack.node_grad(i, x[i])
         return gradient_step(x[i], xbar[i], mu[i], g, cfg.beta, cfg.rho), 1
 
-    return _run_randomized(stack, net, cfg, k_max, tick, x0, schedule, check_xbar, stop)
+    inner = _tick_phase(stack, net, cfg, k_max, tick, schedule, check_xbar)
+    return _outer_loop(stack, net, cfg, k_max, inner, x0, stop)
 
 
 def run_inexact_al(stack, net, cfg: AlgorithmConfig, inner_policy, k_max, x0=None) -> RunTrace:
-    """Generic inexact AL driver.
+    """Inexact AL with any primal policy, through the loop every variant runs.
 
     inner_policy(x, mu) -> x_next produces the new stacked primal; the dual
-    then ascends along (L (x) I) x_next. The four concrete variants are
-    instances of this driver with their sweep policies plugged in.
+    then ascends along (L (x) I) x_next. The policy's communication and
+    gradient work are not counted: both trace columns stay 0.
     """
     d = stack.dimension
-    state = _init_state(stack, net, x0)
-    trace = RunTrace(config=cfg, n_nodes=stack.n_nodes)
-    t0 = time.perf_counter()
-    trace.record(state.x, state.mu, 0, 0, 0.0)
-    x, mu = state.x, state.mu
-    for _ in range(k_max):
+
+    def inner(k, x, mu, xbar):
         x = np.asarray(inner_policy(x, mu), dtype=float)
-        mu = mu + cfg.alpha * net.laplacian_apply(x, d)
-        trace.record(x, mu, 0, 0, time.perf_counter() - t0)
-    return trace
+        return x, net.weights_apply(x, d), 0, 0
+
+    return _outer_loop(stack, net, cfg, k_max, inner, x0)
 
 
 _RUNNERS = {
@@ -375,24 +348,27 @@ def write_trace_csv(path, trace: RunTrace, rel_cost_error, primal_error_norm, ly
     Metric columns are precomputed arrays aligned with the trace rows
     (the trace itself has no access to the reference solution). Floats are
     written with 17 significant digits so identical runs produce
-    byte-identical files.
+    byte-identical files. A non-finite value is refused before the file
+    is opened.
     """
     n_rows = len(trace.xs)
-    for col in (rel_cost_error, primal_error_norm, lyapunov_value):
-        if len(col) != n_rows:
-            raise ValueError("metric column length mismatch")
     if trace.n_nodes < 1:
         raise ValueError("trace is missing its node count")
+    dual_sum = [np.linalg.norm(mu.reshape(trace.n_nodes, -1).sum(axis=0)) for mu in trace.mus]
+    cols = (rel_cost_error, primal_error_norm, dual_sum, lyapunov_value)
+    if any(len(col) != n_rows for col in cols):
+        raise ValueError("metric column length mismatch")
+    table = np.column_stack([np.asarray(col, dtype=float) for col in cols])
+    bad = np.argwhere(~np.isfinite(table))
+    if bad.size:
+        k, j = bad[0]
+        name = TRACE_HEADER.split(",")[3 + j]
+        raise ValueError(f"{name} is not finite in trace row k={k}: {table[k, j]}")
     with open(path, "w") as fh:
         fh.write(TRACE_HEADER + "\n")
-        for k in range(n_rows):
-            mu = trace.mus[k]
-            dual_sum = float(np.linalg.norm(mu.reshape(trace.n_nodes, -1).sum(axis=0)))
-            fh.write(
-                f"{k},{trace.transmissions[k]},{trace.grad_evals[k]},"
-                f"{rel_cost_error[k]:.17g},{primal_error_norm[k]:.17g},"
-                f"{dual_sum:.17g},{lyapunov_value[k]:.17g}\n"
-            )
+        for k, row in enumerate(table.tolist()):
+            values = ",".join(f"{v:.17g}" for v in row)
+            fh.write(f"{k},{trace.transmissions[k]},{trace.grad_evals[k]},{values}\n")
 
 
 def read_trace_csv(path):

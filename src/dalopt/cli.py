@@ -15,16 +15,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .harness import (
-    ExperimentConfig,
-    StageError,
-    _build_graph,
-    _build_objective,
-    reference_solve,
-    resolve_algorithm,
-    run_experiment,
-)
-from .network import NetworkError, build_network, load_network
+from .harness import ExperimentConfig, StageError, build_problem, run_experiment, stage
+from .network import NetworkError, load_network
 from .theory import certificate
 
 
@@ -37,25 +29,10 @@ def _cmd_run(args):
 
 def _cmd_certify(args):
     cfg = ExperimentConfig.from_file(args.config)
-    try:
-        graph, meta = _build_graph(dict(cfg.network))
-        net = build_network(graph, meta=meta)
-    except StageError:
-        raise
-    except Exception as exc:
-        raise StageError("network", str(exc)) from exc
-    try:
-        ospec = dict(cfg.objective)
-        ospec.setdefault("n", net.node_count)
-        stack = _build_objective(ospec)
-    except StageError:
-        raise
-    except Exception as exc:
-        raise StageError("objective", str(exc)) from exc
-    ref = reference_solve(stack)
-    for entry in cfg.algorithms:
-        acfg = resolve_algorithm(entry, stack, net, cfg.epsilon)
-        cert = certificate(acfg, stack, net, ref.x_star)
+    net, stack, ref, acfgs = build_problem(cfg)
+    for acfg in acfgs:
+        with stage(f"certify:{acfg.name}"):
+            cert = certificate(acfg, stack, net, ref.x_star)
         print(f"algorithm: {acfg.name} ({acfg.variant}), tau={acfg.tau}")
         print(cert.report())
     return 0

@@ -13,6 +13,7 @@ import json
 import math
 import numbers
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -35,6 +36,8 @@ __all__ = [
     "ExperimentConfig",
     "ReferenceSolution",
     "StageError",
+    "stage",
+    "build_problem",
     "OUTPUT_DIR_ENV",
     "generate_logistic_data",
     "generate_quadratic_stack",
@@ -55,6 +58,18 @@ class StageError(RuntimeError):
     def __init__(self, stage, message):
         super().__init__(f"[{stage}] {message}")
         self.stage = stage
+
+
+@contextmanager
+def stage(name):
+    """Re-raise any failure inside the block as a StageError naming the
+    stage; a StageError raised inside keeps its own stage."""
+    try:
+        yield
+    except StageError:
+        raise
+    except Exception as exc:
+        raise StageError(name, str(exc)) from exc
 
 
 @dataclass
@@ -324,6 +339,31 @@ def render_plots(out_dir):
     )
 
 
+def build_problem(cfg: ExperimentConfig):
+    """The problem `run` and `certify` share: (net, stack, ref, algorithms).
+
+    Builds the network, the node costs, the reference solution and the
+    resolved AlgorithmConfig of every entry, and rejects duplicate labels.
+    Any failure raises StageError naming the stage. Writes no file.
+    """
+    with stage("network"):
+        graph, meta = _build_graph(dict(cfg.network))
+        net = build_network(graph, meta=meta)
+    with stage("objective"):
+        ospec = dict(cfg.objective)
+        ospec.setdefault("n", net.node_count)
+        if ospec["n"] != net.node_count:
+            raise ValueError("objective node count differs from the network's")
+        stack = _build_objective(ospec)
+    ref = reference_solve(stack)
+    with stage("config"):
+        acfgs = [resolve_algorithm(e, stack, net, cfg.epsilon) for e in cfg.algorithms]
+        labels = [a.name for a in acfgs]
+        if len(set(labels)) != len(labels):
+            raise ValueError(f"duplicate algorithm labels: {labels}")
+    return net, stack, ref, acfgs
+
+
 def run_experiment(cfg: ExperimentConfig):
     """Execute the full pipeline; returns the output directory path.
 
@@ -332,44 +372,16 @@ def run_experiment(cfg: ExperimentConfig):
     """
     out = Path(os.environ.get(OUTPUT_DIR_ENV) or cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-
-    try:
-        graph, meta = _build_graph(dict(cfg.network))
-        net = build_network(graph, meta=meta)
+    net, stack, ref, acfgs = build_problem(cfg)
+    with stage("network"):
         save_network(net, out / "network.json")
-    except StageError:
-        raise
-    except Exception as exc:
-        raise StageError("network", str(exc)) from exc
-
-    try:
-        ospec = dict(cfg.objective)
-        ospec.setdefault("n", net.node_count)
-        if ospec["n"] != net.node_count:
-            raise ValueError("objective node count differs from the network's")
-        stack = _build_objective(ospec)
-        if ospec.get("type", "logistic") == "logistic":
+    if stack.kind == "logistic":
+        with stage("objective"):
             save_dataset(stack, out / "dataset.csv")
-    except StageError:
-        raise
-    except Exception as exc:
-        raise StageError("objective", str(exc)) from exc
-
-    ref = reference_solve(stack)
-
-    try:
-        acfgs = [resolve_algorithm(e, stack, net, cfg.epsilon) for e in cfg.algorithms]
-        labels = [a.name for a in acfgs]
-        if len(set(labels)) != len(labels):
-            raise ValueError(f"duplicate algorithm labels: {labels}")
-    except StageError:
-        raise
-    except Exception as exc:
-        raise StageError("config", str(exc)) from exc
 
     f0 = stack.aggregate_value(np.zeros(stack.dimension))
     for acfg in acfgs:
-        try:
+        with stage(f"run:{acfg.name}"):
             stop = None
             if cfg.stop_rel_cost is not None:
                 threshold = float(cfg.stop_rel_cost)
@@ -395,15 +407,7 @@ def run_experiment(cfg: ExperimentConfig):
                     " (r^k * bound_constant)^2\n"
                     f"  cost_factor    = {cost_factor:.17g}\n"
                 )
-        except StageError:
-            raise
-        except Exception as exc:
-            raise StageError(f"run:{acfg.name}", str(exc)) from exc
 
-    try:
+    with stage("plots"):
         render_plots(out)
-    except StageError:
-        raise
-    except Exception as exc:
-        raise StageError("plots", str(exc)) from exc
     return out

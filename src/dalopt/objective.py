@@ -19,7 +19,6 @@ __all__ = [
     "ObjectiveStack",
     "eval_stack",
     "grad_stack",
-    "logistic_hessian_bounds",
     "condition_number",
     "save_dataset",
     "load_dataset",
@@ -107,7 +106,10 @@ class LogisticCost(NodeCost):
 
     f(x) = log(1 + exp(-c'x)) + (reg/(2 N)) ||x||^2 where
     c = (b*a, b) stacks the labeled feature vector with an intercept slot,
-    b in {-1,+1}, and reg > 0 is shared across the N nodes.
+    b in {-1,+1}, and reg > 0 is shared across the N nodes. Its Hessian
+    bounds are h_min = reg/N and h_max = reg/N + ||c||^2 / 4: the rank-one
+    sample term c c' has norm ||c||^2, and the logistic curvature factor
+    never exceeds 1/4.
     """
 
     feature: np.ndarray
@@ -145,15 +147,6 @@ class LogisticCost(NodeCost):
         c = self.stacked_sample
         z = float(c @ x)
         return -_sigmoid(-z) * c + (self.reg / self.n_nodes) * x
-
-
-def logistic_hessian_bounds(cost: LogisticCost):
-    """(h_min, h_max) = (reg/N, reg/N + ||c||^2 / 4).
-
-    ||c c'|| = ||c||^2 for the rank-one sample term, and the logistic
-    curvature factor never exceeds 1/4.
-    """
-    return cost.h_min, cost.h_max
 
 
 def _row_products(x, m):

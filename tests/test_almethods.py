@@ -7,9 +7,7 @@ from dalopt.almethods import (
     AlgorithmConfig,
     ConfigError,
     PoissonSchedule,
-    PrimalDualState,
     TRACE_HEADER,
-    dual_update,
     gradient_sweeps,
     jacobi_sweeps,
     read_trace_csv,
@@ -57,28 +55,34 @@ def quad10_stack():
 
 
 class TestDualUpdate:
+    """The dual step of the outer loop, mu <- mu + alpha (L (x) I) x, run
+    through run_inexact_al with a policy that returns given iterates."""
+
+    @staticmethod
+    def dual_iterates(net, d, alpha, xs):
+        stack = generate_quadratic_stack(net.node_count, d, seed=0)
+        cfg = AlgorithmConfig(variant="det_jacobi", alpha=alpha, rho=1.0, tau=1)
+        given = iter(xs)
+        return run_inexact_al(stack, net, cfg, lambda x, mu: next(given), len(xs)).mus
+
     def test_consensus_leaves_dual_unchanged(self, chain5_net, rng):
-        d = 2
-        x = np.tile(rng.standard_normal(d), 5)
-        state = PrimalDualState(x=x, mu=np.zeros(10), xbar=chain5_net.weights_apply(x, d))
-        out = dual_update(state, chain5_net, alpha=0.7)
-        assert np.allclose(out.mu, 0.0, atol=1e-14)
+        x = np.tile(rng.standard_normal(2), 5)
+        mus = self.dual_iterates(chain5_net, 2, 0.7, [x])
+        assert np.allclose(mus[1], 0.0, atol=1e-14)
 
     def test_two_node_direct_arithmetic(self):
         net = build_network(build_chain_graph(2), scale=None)  # W off-diagonal 1/2
-        x = np.array([1.0, 0.0])
-        state = PrimalDualState(x=x, mu=np.zeros(2), xbar=net.weights_apply(x, 1))
-        out = dual_update(state, net, alpha=1.0)
-        assert np.allclose(out.mu, [0.5, -0.5], atol=1e-15)
+        mus = self.dual_iterates(net, 1, 1.0, [np.array([1.0, 0.0])])
+        assert np.allclose(mus[1], [0.5, -0.5], atol=1e-15)
 
     def test_matches_stacked_laplacian_product(self, chain5_net, rng):
         d = 3
-        x = rng.standard_normal(15)
-        mu = rng.standard_normal(15)
-        state = PrimalDualState(x=x, mu=mu, xbar=chain5_net.weights_apply(x, d))
-        out = dual_update(state, chain5_net, alpha=0.3)
-        oracle = mu + 0.3 * np.kron(chain5_net.spec.laplacian, np.eye(d)) @ x
-        assert np.allclose(out.mu, oracle, atol=1e-12)
+        x1, x2 = rng.standard_normal(15), rng.standard_normal(15)
+        mus = self.dual_iterates(chain5_net, d, 0.3, [x1, x2])
+        lap = np.kron(chain5_net.spec.laplacian, np.eye(d))
+        assert np.allclose(mus[1], 0.3 * lap @ x1, atol=1e-12)
+        # the second step starts from the nonzero dual the first one left
+        assert np.allclose(mus[2], mus[1] + 0.3 * lap @ x2, atol=1e-12)
 
 
 class TestDetJacobi:
@@ -345,9 +349,9 @@ class TestInexactAlDriver:
         a = run_inexact_al(stack, net, cfg, policy, 10)
         b = run_det_jacobi(stack, net, cfg, 10)
         for xa, xb in zip(a.xs, b.xs):
-            assert np.allclose(xa, xb, atol=1e-10)
+            assert np.array_equal(xa, xb)
         for ma, mb in zip(a.mus, b.mus):
-            assert np.allclose(ma, mb, atol=1e-10)
+            assert np.array_equal(ma, mb)
 
 
 class TestDualSumInvariant:
@@ -378,6 +382,16 @@ class TestTraceCsv:
         assert np.array_equal(data["k"], np.arange(n))
         assert np.allclose(data["rel_cost_error"], rel, atol=0)
         assert np.array_equal(data["transmissions_total"], tr.transmissions)
+
+    def test_non_finite_metric_rejected(self, tmp_path, chain5_net, quad5_stack):
+        cfg = AlgorithmConfig(variant="det_jacobi", alpha=0.5, rho=1.0, tau=1)
+        tr = run_det_jacobi(quad5_stack, chain5_net, cfg, 3)
+        lyap = np.array([3.0, 2.0, np.inf, np.nan])
+        rel = np.array([1.0, 0.5, 0.2, np.nan])
+        path = tmp_path / "trace.csv"
+        with pytest.raises(ValueError, match=r"lyapunov_value is not finite in trace row k=2"):
+            write_trace_csv(path, tr, rel, np.ones(4), lyap)
+        assert not path.exists()
 
     def test_header_mismatch_rejected(self, tmp_path):
         p = tmp_path / "bad.csv"

@@ -54,6 +54,35 @@ class TestCertify:
         assert "r " in out or "r  " in out
 
 
+class TestBadConfig:
+    """run and certify build the problem in one stage and fail alike."""
+
+    @pytest.mark.parametrize("command", ["run", "certify"])
+    @pytest.mark.parametrize("change, stage", [
+        ({"objective": {"type": "quadratic", "d": 2, "n": 5}}, "objective"),
+        ({"algorithms": [{"recipe": "section4_jacobi", "label": "a"},
+                         {"recipe": "section5_jacobi", "label": "a"}]}, "config"),
+        ({"algorithms": [{"variant": "nope", "alpha": 1.0, "rho": 1.0, "tau": 1}]},
+         "config"),
+        ({"algorithms": [{"recipe": "section5_gradient", "beta": 100, "label": "steep"}]},
+         "{command}:steep"),
+    ], ids=["node_count", "duplicate_labels", "unknown_variant", "beta_too_large"])
+    def test_fails_with_stage(self, tmp_path, capsys, command, change, stage):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "network": {"type": "chain", "n": 3},
+            "objective": {"type": "quadratic", "d": 2, "h_lo": 1.0, "h_hi": 2.0},
+            "algorithms": [{"recipe": "section4_jacobi"}],
+            "k_max": 5,
+            "output_dir": str(tmp_path / "out"),
+            **change,
+        }))
+        assert main([command, str(path)]) == 1
+        err = capsys.readouterr().err
+        assert f"error [{stage.format(command=command)}]" in err
+        assert "Traceback" not in err
+
+
 class TestSpectrum:
     def test_success(self, tmp_path, capsys):
         net = build_network(build_chain_graph(4))

@@ -306,6 +306,27 @@ class TestRunExperiment:
         out = run_experiment(cfg)
         assert (out / "dataset.csv").exists()
 
+    @pytest.mark.parametrize("k_max, message", [
+        (300, "iterates are not finite at outer iteration k=119"),
+        (100, "lyapunov_value is not finite in trace row k=59"),
+    ])
+    def test_divergent_run_stops_at_its_run_stage(self, tmp_path, k_max, message):
+        # alpha far above h_min + rho: the dual step diverges; the Lyapunov
+        # value overflows at k=59, the iterates at k=119
+        cfg = minimal_config(
+            tmp_path,
+            network={"type": "chain", "n": 5},
+            objective={"type": "quadratic", "d": 2, "seed": 0},
+            algorithms=[{"variant": "det_gradient", "alpha": 5000, "rho": 0,
+                         "beta": 0.15, "tau": 1}],
+            k_max=k_max,
+        )
+        with np.errstate(all="ignore"), pytest.raises(StageError) as err:
+            run_experiment(cfg)
+        assert err.value.stage == "run:det_gradient"
+        assert message in str(err.value)
+        assert not list((tmp_path / "out").glob("*.csv"))
+
 
 class TestDeterminism:
     def all_variant_config(self, tmp_path):

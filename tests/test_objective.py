@@ -11,7 +11,6 @@ from dalopt.objective import (
     eval_stack,
     grad_stack,
     load_dataset,
-    logistic_hessian_bounds,
     save_dataset,
 )
 
@@ -89,13 +88,13 @@ class TestLogisticHessianBounds:
         # P=1, N=10, ||c||^2 = 4 -> (0.1, 1.1)
         a = np.array([1.0, np.sqrt(2.0)])  # ||c||^2 = 1 + 2 + 1 = 4
         cost = LogisticCost(feature=a, label=1, reg=1.0, n_nodes=10)
-        lo, hi = logistic_hessian_bounds(cost)
+        lo, hi = cost.h_min, cost.h_max
         assert lo == pytest.approx(0.1, abs=1e-15)
         assert hi == pytest.approx(1.1, abs=1e-15)
 
     def test_sampled_curvature_within_bounds(self, rng):
         cost = LogisticCost(feature=rng.standard_normal(4), label=-1, reg=2.0, n_nodes=5)
-        lo, hi = logistic_hessian_bounds(cost)
+        lo, hi = cost.h_min, cost.h_max
         h = 1e-5
         for _ in range(10_000):
             x = rng.standard_normal(5)
