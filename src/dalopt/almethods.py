@@ -9,6 +9,7 @@ tick schedule. run_inexact_al runs the same loop with any other policy.
 
 from __future__ import annotations
 
+import itertools
 import numbers
 import time
 from dataclasses import dataclass, field
@@ -30,6 +31,7 @@ __all__ = [
     "RunTrace",
     "ConfigError",
     "VARIANTS",
+    "check_beta",
     "jacobi_sweeps",
     "gradient_sweeps",
     "sample_poisson_schedule",
@@ -125,12 +127,10 @@ class RunTrace:
         return len(self.xs) - 1
 
 
-def _check_variant(cfg: AlgorithmConfig, stack: ObjectiveStack, variant):
-    """Reject a config of another variant, and for the gradient variants a
-    step beta above 1/(h_max + rho), where contraction is not guaranteed."""
-    if cfg.variant != variant:
-        raise ConfigError("config variant mismatch")
-    if variant.endswith("_gradient"):
+def check_beta(cfg: AlgorithmConfig, stack: ObjectiveStack):
+    """Reject a gradient variant's step beta above 1/(h_max + rho), where
+    contraction is not guaranteed. Runs and certificates share this check."""
+    if cfg.variant.endswith("_gradient"):
         limit = 1.0 / (stack.h_max + cfg.rho)
         if cfg.beta > limit * (1.0 + 1e-12):
             raise ConfigError(
@@ -138,18 +138,33 @@ def _check_variant(cfg: AlgorithmConfig, stack: ObjectiveStack, variant):
             )
 
 
-def jacobi_sweeps(stack, net, x, mu, rho, tau, epsilon):
+def _check_variant(cfg: AlgorithmConfig, stack: ObjectiveStack, variant):
+    """Reject a config of another variant, or a step beta check_beta rejects."""
+    if cfg.variant != variant:
+        raise ConfigError("config variant mismatch")
+    check_beta(cfg, stack)
+
+
+def _neighbor_averages(net, x, xbar, n, d):
+    """xbar as an (N, d) array, computed as (W (x) I) x when not given."""
+    if xbar is None:
+        xbar = net.weights_apply(x, d)
+    return np.asarray(xbar, dtype=float).reshape(n, d)
+
+
+def jacobi_sweeps(stack, net, x, mu, rho, tau, epsilon, xbar=None):
     """tau synchronized Jacobi sweeps: every node solves its prox problem
     warm-started at its current block, then neighbor averages refresh.
 
-    Returns (x_new, xbar_new, gradient_evaluations). Within one sweep the
-    per-node solves read only the previous sweep's state, so they are
-    order-independent and run as one batched solve.
+    Returns (x_new, xbar_new, gradient_evaluations). xbar, if given, must
+    be (W (x) I) x; the outer loop passes the one it holds. Within one
+    sweep the per-node solves read only the previous sweep's state, so
+    they are order-independent and run as one batched solve.
     """
     n, d = stack.n_nodes, stack.dimension
     x = np.asarray(x, dtype=float).reshape(n, d)
     mu = np.asarray(mu, dtype=float).reshape(n, d)
-    xbar = net.weights_apply(x, d).reshape(n, d)
+    xbar = _neighbor_averages(net, x, xbar, n, d)
     grads = 0
     for _ in range(tau):
         x, g = prox_local_batch(stack, rho, mu - rho * xbar, x, epsilon)
@@ -158,13 +173,14 @@ def jacobi_sweeps(stack, net, x, mu, rho, tau, epsilon):
     return x.reshape(-1), xbar.reshape(-1), grads
 
 
-def gradient_sweeps(stack, net, x, mu, rho, tau, beta):
+def gradient_sweeps(stack, net, x, mu, rho, tau, beta, xbar=None):
     """tau synchronized gradient sweeps; one gradient evaluation per node
-    per sweep. Returns (x_new, xbar_new, gradient_evaluations)."""
+    per sweep. Returns (x_new, xbar_new, gradient_evaluations); xbar is as
+    in jacobi_sweeps."""
     n, d = stack.n_nodes, stack.dimension
     x = np.asarray(x, dtype=float).reshape(n, d)
     mu = np.asarray(mu, dtype=float).reshape(n, d)
-    xbar = net.weights_apply(x, d).reshape(n, d)
+    xbar = _neighbor_averages(net, x, xbar, n, d)
     for _ in range(tau):
         x = gradient_step(x, xbar, mu, stack.node_grads(x), beta, rho)
         xbar = net.weights_apply(x, d).reshape(n, d)
@@ -210,7 +226,7 @@ def run_det_jacobi(stack, net, cfg: AlgorithmConfig, k_max, x0=None, stop=None) 
     _check_variant(cfg, stack, "det_jacobi")
 
     def inner(k, x, mu, xbar):
-        x, xbar, grads = jacobi_sweeps(stack, net, x, mu, cfg.rho, cfg.tau, cfg.epsilon)
+        x, xbar, grads = jacobi_sweeps(stack, net, x, mu, cfg.rho, cfg.tau, cfg.epsilon, xbar)
         return x, xbar, stack.n_nodes * cfg.tau, grads  # one broadcast per node per sweep
 
     return _outer_loop(stack, net, cfg, k_max, inner, x0, stop)
@@ -221,7 +237,7 @@ def run_det_gradient(stack, net, cfg: AlgorithmConfig, k_max, x0=None, stop=None
     _check_variant(cfg, stack, "det_gradient")
 
     def inner(k, x, mu, xbar):
-        x, xbar, grads = gradient_sweeps(stack, net, x, mu, cfg.rho, cfg.tau, cfg.beta)
+        x, xbar, grads = gradient_sweeps(stack, net, x, mu, cfg.rho, cfg.tau, cfg.beta, xbar)
         return x, xbar, stack.n_nodes * cfg.tau, grads  # one broadcast per node per sweep
 
     return _outer_loop(stack, net, cfg, k_max, inner, x0, stop)
@@ -237,32 +253,41 @@ def sample_poisson_schedule(n, tau, k_max, seed) -> list[PoissonSchedule]:
     """
     if tau <= 0:
         raise ConfigError("tau must be positive")
+    ticks = itertools.islice(_poisson_ticks(n, tau, seed), k_max)
+    return [PoissonSchedule(nodes=nodes) for nodes in ticks]
+
+
+def _poisson_ticks(n, tau, seed):
+    """The ticking nodes of outer iterations 1, 2, ..., drawn one iteration
+    at a time from one generator: first the count, then the node labels."""
     rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(k_max):
+    while True:
         ticks = int(rng.poisson(n * tau))
-        out.append(PoissonSchedule(nodes=rng.integers(0, n, size=ticks)))
-    return out
+        yield rng.integers(0, n, size=ticks)
 
 
 def _tick_phase(stack, net, cfg, k_max, tick, schedule, check_xbar):
-    """The primal phase of the randomized variants: the ticks of
-    schedule[k - 1] in order. A ticking node i takes the block
-    tick(i, x, xbar, mu) -> (block, grad_evals), on (N, d) views, and
-    broadcasts it; only the averages in its neighborhood change."""
+    """The primal phase of the randomized variants: the ticks of outer
+    iteration k in order, from schedule[k - 1] or, without a schedule,
+    drawn as sample_poisson_schedule would when the loop reaches k. A
+    ticking node i takes the block tick(i, x, xbar, mu) -> (block,
+    grad_evals), on (N, d) views, and broadcasts it; only the averages in
+    its neighborhood change."""
     n, d = stack.n_nodes, stack.dimension
     if schedule is None:
-        schedule = sample_poisson_schedule(n, cfg.tau, k_max, cfg.seed)
-    if len(schedule) < k_max:
+        ticks = _poisson_ticks(n, cfg.tau, cfg.seed)
+    elif len(schedule) < k_max:
         raise ConfigError("schedule shorter than k_max")
+    else:
+        ticks = (s.nodes for s in schedule)
     w = net.weights.entries
-    hoods = [np.array(sorted(h)) for h in net.graph.neighborhoods]
+    hoods = [np.flatnonzero(row) for row in net.graph.adjacency]
     hood_weights = [w[h, i, None] for i, h in enumerate(hoods)]
 
     def inner(k, x, mu, xbar):
         # (N, d) views of the stacked vectors; x and xbar are updated in place
         xs, xbars, mus = x.reshape(n, d), xbar.reshape(n, d), mu.reshape(n, d)
-        nodes = schedule[k - 1].nodes.tolist()
+        nodes = next(ticks).tolist()
         grads = 0
         for i in nodes:
             block, g = tick(i, xs, xbars, mus)

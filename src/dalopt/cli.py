@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .almethods import check_beta
 from .harness import ExperimentConfig, StageError, build_problem, run_experiment, stage
 from .network import NetworkError, load_network
 from .theory import certificate
@@ -32,6 +33,7 @@ def _cmd_certify(args):
     net, stack, ref, acfgs = build_problem(cfg)
     for acfg in acfgs:
         with stage(f"certify:{acfg.name}"):
+            check_beta(acfg, stack)
             cert = certificate(acfg, stack, net, ref.x_star)
         print(f"algorithm: {acfg.name} ({acfg.variant}), tau={acfg.tau}")
         print(cert.report())

@@ -8,8 +8,10 @@ L = I - W.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -45,45 +47,49 @@ class Graph:
 
     ``edges`` holds unordered pairs (i, j) with i <= j, including every
     self-loop (i, i). ``neighborhoods[i]`` is the set of neighbors of i
-    plus i itself.
+    plus i itself. The adjacency and the neighborhoods are built once, on
+    first use, and assume in-range edges (``_validate_graph`` checks them).
     """
 
     node_count: int
     edges: frozenset
     positions: tuple | None = None
 
-    @property
+    @cached_property
+    def adjacency(self):
+        """Read-only boolean N x N adjacency; the diagonal holds the self-loops."""
+        flat = itertools.chain.from_iterable(self.edges)
+        ij = np.fromiter(flat, dtype=np.intp, count=2 * len(self.edges)).reshape(-1, 2)
+        adj = np.zeros((self.node_count, self.node_count), dtype=bool)
+        adj[ij[:, 0], ij[:, 1]] = True
+        adj[ij[:, 1], ij[:, 0]] = True
+        adj.flags.writeable = False
+        return adj
+
+    @cached_property
     def neighborhoods(self):
-        hoods = [set() for _ in range(self.node_count)]
-        for i, j in self.edges:
-            hoods[i].add(j)
-            hoods[j].add(i)
-        return [frozenset(h) for h in hoods]
+        return tuple(frozenset(np.flatnonzero(row).tolist()) for row in self.adjacency)
 
     @property
     def link_count(self):
         """Number of edges excluding self-loops."""
-        return sum(1 for i, j in self.edges if i != j)
+        return int(np.count_nonzero(np.triu(self.adjacency, 1)))
 
     def degree(self, i):
         """Number of neighbors of i, excluding the self-loop."""
         return len(self.neighborhoods[i]) - 1
 
     def is_connected(self):
-        # breadth-first traversal; deliberately independent of any
-        # eigensolver tolerance
-        seen = {0}
-        frontier = [0]
-        hoods = self.neighborhoods
-        while frontier:
-            nxt = []
-            for i in frontier:
-                for j in hoods[i]:
-                    if j not in seen:
-                        seen.add(j)
-                        nxt.append(j)
-            frontier = nxt
-        return len(seen) == self.node_count
+        # level-synchronous breadth-first traversal from node 0; deliberately
+        # independent of any eigensolver tolerance
+        adj = self.adjacency
+        seen = np.zeros(self.node_count, dtype=bool)
+        seen[0] = True
+        frontier = seen.copy()
+        while frontier.any():
+            frontier = adj[frontier].any(axis=0) & ~seen
+            seen |= frontier
+        return bool(seen.all())
 
 
 def _validate_graph(g: Graph):
@@ -101,9 +107,7 @@ def _validate_graph(g: Graph):
 
 def _make_graph(n, pair_edges, positions=None):
     edges = {(i, i) for i in range(n)}
-    for i, j in pair_edges:
-        a, b = min(i, j), max(i, j)
-        edges.add((a, b))
+    edges.update((i, j) if i <= j else (j, i) for i, j in pair_edges)
     return Graph(node_count=n, edges=frozenset(edges), positions=positions)
 
 
@@ -126,12 +130,9 @@ def build_geometric_graph(n, radius=0.45, rng_seed=0, max_attempts=100):
     for attempt in range(max_attempts):
         rng = np.random.default_rng(rng_seed + attempt)
         pts = rng.uniform(0.0, 1.0, size=(n, 2))
-        pair_edges = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                if np.linalg.norm(pts[i] - pts[j]) < radius:
-                    pair_edges.append((i, j))
-        g = _make_graph(n, pair_edges, positions=tuple(map(tuple, pts)))
+        close = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1) < radius
+        i, j = np.nonzero(np.triu(close, 1))
+        g = _make_graph(n, zip(i.tolist(), j.tolist()), positions=tuple(map(tuple, pts)))
         if g.is_connected():
             return g, attempt + 1
     raise NetworkError(
@@ -189,14 +190,11 @@ def metropolis_weights(g: Graph) -> WeightMatrix:
     """Metropolis rule: W_ij = 1/(1+max(deg_i,deg_j)) on edges, diagonal
     fills the row to 1. Degrees count neighbors excluding the self-loop."""
     _validate_graph(g)
-    n = g.node_count
-    deg = [g.degree(i) for i in range(n)]
-    w = np.zeros((n, n))
-    for i, j in g.edges:
-        if i != j:
-            w[i, j] = w[j, i] = 1.0 / (1.0 + max(deg[i], deg[j]))
-    for i in range(n):
-        w[i, i] = 1.0 - np.sum(w[i]) + w[i, i]
+    adj = g.adjacency
+    deg = adj.sum(axis=1) - 1
+    links = adj & ~np.eye(g.node_count, dtype=bool)
+    w = np.where(links, 1.0 / (1.0 + np.maximum.outer(deg, deg)), 0.0)
+    w[np.diag_indices_from(w)] = 1.0 - w.sum(axis=1)
     return WeightMatrix(w)
 
 

@@ -219,6 +219,58 @@ class TestPoissonSchedule:
         assert all(np.array_equal(a.nodes, b.nodes) for a, b in zip(scheds, again))
 
 
+class TestLazyTicks:
+    """Without a schedule, each outer iteration draws its ticks when the
+    loop reaches it, from the stream sample_poisson_schedule draws."""
+
+    @pytest.mark.parametrize("variant", ["rand_gauss_seidel", "rand_gradient"])
+    @pytest.mark.parametrize("stop_at", [3, None], ids=["early_stop", "full_length"])
+    def test_same_trace_as_the_sampled_schedule(self, geo10_net, quad10_stack, variant, stop_at):
+        beta = 1.0 / (quad10_stack.h_max + 1.0) if variant == "rand_gradient" else None
+        cfg = AlgorithmConfig(variant=variant, alpha=0.5, rho=1.0, tau=2, beta=beta, seed=7)
+        k_max = 8
+        stop = None if stop_at is None else (lambda x, mu, k: k == stop_at)
+        sched = sample_poisson_schedule(10, cfg.tau, k_max, cfg.seed)
+        runner = run_rand_gauss_seidel if variant == "rand_gauss_seidel" else run_rand_gradient
+        lazy = runner(quad10_stack, geo10_net, cfg, k_max, stop=stop)
+        given = runner(quad10_stack, geo10_net, cfg, k_max, schedule=sched, stop=stop)
+        assert lazy.outer_iterations == (stop_at or k_max)
+        assert all(np.array_equal(a, b) for a, b in zip(lazy.xs, given.xs, strict=True))
+        assert all(np.array_equal(a, b) for a, b in zip(lazy.mus, given.mus, strict=True))
+        assert lazy.transmissions == given.transmissions
+        assert lazy.grad_evals == given.grad_evals
+
+
+class TestSweepsReuseXbar:
+    """The deterministic runners hand the loop's xbar to the sweeps, so an
+    outer iteration applies W once per sweep and the run once more at start."""
+
+    @pytest.mark.parametrize("variant", ["det_jacobi", "det_gradient"])
+    def test_one_weights_apply_per_sweep(self, chain5_net, quad5_stack, monkeypatch, variant):
+        beta = 1.0 / (quad5_stack.h_max + 1.0) if variant == "det_gradient" else None
+        cfg = AlgorithmConfig(variant=variant, alpha=0.5, rho=1.0, tau=3, beta=beta)
+        runner = run_det_jacobi if variant == "det_jacobi" else run_det_gradient
+        expected = runner(quad5_stack, chain5_net, cfg, 4)
+        calls = []
+        original = NetworkModel.weights_apply
+        monkeypatch.setattr(NetworkModel, "weights_apply",
+                            lambda net, x, d: calls.append(1) or original(net, x, d))
+        tr = runner(quad5_stack, chain5_net, cfg, 4)
+        assert len(calls) == 1 + 4 * cfg.tau
+        assert all(np.array_equal(a, b) for a, b in zip(tr.xs, expected.xs, strict=True))
+        assert all(np.array_equal(a, b) for a, b in zip(tr.mus, expected.mus, strict=True))
+
+    def test_given_xbar_matches_recomputed(self, chain5_net, quad5_stack, rng):
+        x, mu = rng.standard_normal(15), rng.standard_normal(15)
+        xbar = chain5_net.weights_apply(x, 3)
+        beta = 1.0 / (quad5_stack.h_max + 1.0)
+        for sweeps, last in ((jacobi_sweeps, 1e-9), (gradient_sweeps, beta)):
+            own = sweeps(quad5_stack, chain5_net, x, mu, 1.0, 2, last)
+            given = sweeps(quad5_stack, chain5_net, x, mu, 1.0, 2, last, xbar)
+            assert all(np.array_equal(a, b) for a, b in zip(own[:2], given[:2]))
+            assert own[2] == given[2]
+
+
 class TestRandGaussSeidel:
     def test_empty_schedule_holds_primal_updates_dual(self, geo10_net, quad10_stack):
         cfg = AlgorithmConfig(variant="rand_gauss_seidel", alpha=0.5, rho=1.0, tau=1)

@@ -66,7 +66,11 @@ class TestBadConfig:
          "config"),
         ({"algorithms": [{"recipe": "section5_gradient", "beta": 100, "label": "steep"}]},
          "{command}:steep"),
-    ], ids=["node_count", "duplicate_labels", "unknown_variant", "beta_too_large"])
+        # below 1/h_min, so the certificate's formulas hold, but above 1/(h_max+rho)
+        ({"algorithms": [{"recipe": "section5_gradient", "beta": 0.6, "label": "mild"}]},
+         "{command}:mild"),
+    ], ids=["node_count", "duplicate_labels", "unknown_variant", "beta_too_large",
+            "beta_above_contraction_limit"])
     def test_fails_with_stage(self, tmp_path, capsys, command, change, stage):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({

@@ -191,3 +191,106 @@ class TestSerialization:
         assert np.allclose(loaded.weights.entries, net.weights.entries, atol=0)
         assert loaded.lambda2 == pytest.approx(net.lambda2, abs=1e-14)
         assert loaded.meta == {"seed": 2}
+
+
+def metropolis_oracle(g):
+    """Per-edge Metropolis rule, one Python step per edge and per row."""
+    n = g.node_count
+    hoods = [{i} for i in range(n)]
+    for i, j in g.edges:
+        hoods[i].add(j)
+        hoods[j].add(i)
+    deg = [len(h) - 1 for h in hoods]
+    w = np.zeros((n, n))
+    for i, j in g.edges:
+        if i != j:
+            w[i, j] = w[j, i] = 1.0 / (1.0 + max(deg[i], deg[j]))
+    for i in range(n):
+        w[i, i] = 1.0 - np.sum(w[i])
+    return w
+
+
+def geometric_oracle(n, radius, rng_seed, max_attempts=100):
+    """(edge set, attempts) of the pairwise-norm geometric graph, or None
+    when no draw is connected."""
+    radius = min(radius, np.sqrt(2.0) + 1e-9)
+    for attempt in range(max_attempts):
+        pts = np.random.default_rng(rng_seed + attempt).uniform(0.0, 1.0, size=(n, 2))
+        edges = {(i, i) for i in range(n)}
+        for i in range(n):
+            for j in range(i + 1, n):
+                if np.linalg.norm(pts[i] - pts[j]) < radius:
+                    edges.add((i, j))
+        hoods = [set() for _ in range(n)]
+        for i, j in edges:
+            hoods[i].add(j)
+            hoods[j].add(i)
+        seen, todo = {0}, [0]
+        while todo:
+            for j in hoods[todo.pop()] - seen:
+                seen.add(j)
+                todo.append(j)
+        if len(seen) == n:
+            return frozenset(edges), attempt + 1
+    return None
+
+
+def star_graph(n):
+    edges = {(i, i) for i in range(n)} | {(0, i) for i in range(1, n)}
+    return Graph(node_count=n, edges=frozenset(edges))
+
+
+def oracle_graphs():
+    for n in (2, 10, 50, 200):
+        yield f"chain{n}", build_chain_graph(n)
+        yield f"complete{n}", build_complete_graph(n)
+        yield f"star{n}", star_graph(n)
+        for seed in (0, 3, 17):
+            yield f"geometric{n}_s{seed}", build_geometric_graph(n, 1.5 if n == 2 else 0.45,
+                                                                 rng_seed=seed)[0]
+
+
+ORACLE_GRAPHS = dict(oracle_graphs())
+
+
+class TestNetworkOracles:
+    """The array forms of the graph and the weights against per-edge loops."""
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_GRAPHS))
+    def test_metropolis_matches_per_edge_loop(self, name):
+        g = ORACLE_GRAPHS[name]
+        assert np.array_equal(metropolis_weights(g).entries, metropolis_oracle(g))
+
+    @pytest.mark.parametrize("radius", [0.2, 0.45, 1.5])
+    @pytest.mark.parametrize("n, seed", [(12, 0), (12, 5), (40, 1), (40, 8)])
+    def test_geometric_matches_pairwise_norms(self, n, seed, radius):
+        expected = geometric_oracle(n, radius, seed)
+        if expected is None:
+            with pytest.raises(NetworkError, match="radius"):
+                build_geometric_graph(n, radius=radius, rng_seed=seed)
+            return
+        g, attempts = build_geometric_graph(n, radius=radius, rng_seed=seed)
+        assert (g.edges, attempts) == expected
+
+    @pytest.mark.parametrize("name", ["star10", "geometric50_s3", "chain2", "complete10"])
+    def test_degree_links_and_neighborhoods_follow_the_edges(self, name):
+        g = ORACLE_GRAPHS[name]
+        n = g.node_count
+        links = {e for e in g.edges if e[0] != e[1]}
+        assert g.link_count == len(links)
+        for i in range(n):
+            hood = {i} | {b for a, b in links if a == i} | {a for a, b in links if b == i}
+            assert g.neighborhoods[i] == hood
+            assert g.degree(i) == len(hood) - 1
+            assert np.flatnonzero(g.adjacency[i]).tolist() == sorted(hood)
+        with pytest.raises(ValueError):
+            g.adjacency[0, 0] = False
+
+    @pytest.mark.parametrize("edge", [(0, 5), (-1, 0), (2, 1)])
+    def test_bad_edge_is_a_network_error(self, edge):
+        edges = {(0, 0), (1, 1), (2, 2), (0, 1), (1, 2), edge}
+        g = Graph(node_count=3, edges=frozenset(edges))
+        with pytest.raises(NetworkError, match="out of range or unordered"):
+            metropolis_weights(g)
+        with pytest.raises(NetworkError, match="out of range or unordered"):
+            build_network(g)
