@@ -17,11 +17,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .local_solve import (
-    ProxProblem,
-    SolverBudget,
     gradient_step,
+    node_gradient_step,
+    node_prox_solver,
     prox_local_batch,
-    prox_local_info,
 )
 from .objective import ObjectiveStack
 
@@ -280,9 +279,8 @@ def _tick_phase(stack, net, cfg, k_max, tick, schedule, check_xbar):
         raise ConfigError("schedule shorter than k_max")
     else:
         ticks = (s.nodes for s in schedule)
-    w = net.weights.entries
-    hoods = [np.flatnonzero(row) for row in net.graph.adjacency]
-    hood_weights = [w[h, i, None] for i, h in enumerate(hoods)]
+    # columns[i]: W's column i on i's neighborhood and 0 elsewhere, as (N, 1)
+    columns = np.where(net.graph.adjacency, net.weights.entries, 0.0).T[:, :, None].copy()
 
     def inner(k, x, mu, xbar):
         # (N, d) views of the stacked vectors; x and xbar are updated in place
@@ -293,7 +291,7 @@ def _tick_phase(stack, net, cfg, k_max, tick, schedule, check_xbar):
             block, g = tick(i, xs, xbars, mus)
             delta = block - xs[i]
             xs[i] = block
-            xbars[hoods[i]] += hood_weights[i] * delta
+            xbars += columns[i] * delta
             grads += g
         if check_xbar:
             full = net.weights_apply(x, d)
@@ -315,10 +313,10 @@ def run_rand_gauss_seidel(
     """Randomized AL: the ticking node solves its prox problem in place."""
     _check_variant(cfg, stack, "rand_gauss_seidel")
 
+    solve = node_prox_solver(stack, cfg.rho, cfg.epsilon)
+
     def tick(i, x, xbar, mu):
-        v = mu[i] - cfg.rho * xbar[i]
-        p = ProxProblem(cost=stack.costs[i], rho=cfg.rho, linear_term=v)
-        return prox_local_info(p, SolverBudget(warm_start=x[i], epsilon=cfg.epsilon))
+        return solve(i, mu[i] - cfg.rho * xbar[i], x[i])
 
     inner = _tick_phase(stack, net, cfg, k_max, tick, schedule, check_xbar)
     return _outer_loop(stack, net, cfg, k_max, inner, x0, stop)
@@ -330,9 +328,10 @@ def run_rand_gradient(
     """Randomized AL: the ticking node takes one gradient step."""
     _check_variant(cfg, stack, "rand_gradient")
 
+    step = node_gradient_step(stack, cfg.beta, cfg.rho)
+
     def tick(i, x, xbar, mu):
-        g = stack.node_grad(i, x[i])
-        return gradient_step(x[i], xbar[i], mu[i], g, cfg.beta, cfg.rho), 1
+        return step(i, x[i], xbar[i], mu[i]), 1
 
     inner = _tick_phase(stack, net, cfg, k_max, tick, schedule, check_xbar)
     return _outer_loop(stack, net, cfg, k_max, inner, x0, stop)

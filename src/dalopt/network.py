@@ -292,8 +292,9 @@ class NetworkModel:
 
 
 def build_network(graph: Graph, scale=(1.1 / 2.0, 0.9 / 2.0), meta=None) -> NetworkModel:
-    """Metropolis weights + scaling + spectrum for a validated graph."""
-    _validate_graph(graph)
+    """Metropolis weights + scaling + spectrum for a validated graph.
+
+    metropolis_weights validates the graph first."""
     wm = metropolis_weights(graph)
     w = scale_weights(wm, *scale) if scale is not None else wm
     return NetworkModel(graph=graph, weights=w, spec=spectrum(w), meta=dict(meta or {}))
