@@ -339,25 +339,6 @@ class TestRandGradient:
         )
         assert np.allclose(out, saddle.x_bullet[:3], atol=1e-14)
 
-    def test_sequential_replay_oracle(self, geo10_net, quad10_stack):
-        stack, net = quad10_stack, geo10_net
-        rho = 1.0
-        beta = 1.0 / (stack.h_max + rho)
-        cfg = AlgorithmConfig(
-            variant="rand_gradient", alpha=0.1, rho=rho, tau=1, beta=beta
-        )
-        sched = [PoissonSchedule(nodes=np.arange(10))]
-        x0 = np.tile(np.array([2.0, -1.0, 0.5]), 10)
-        tr = run_rand_gradient(stack, net, cfg, 1, x0=x0, schedule=sched)
-        x = x0.copy()
-        for i in range(10):
-            xbar = net.weights_apply(x, 3)
-            sl = slice(3 * i, 3 * i + 3)
-            x[sl] = gradient_step_local(stack.costs[i], x[sl], xbar[sl], np.zeros(3), beta, rho)
-        mu = cfg.alpha * (x - net.weights_apply(x, 3))
-        assert np.allclose(tr.xs[1], x, atol=1e-12)
-        assert np.allclose(tr.mus[1], mu, atol=1e-12)
-
     def test_seed_reproducibility(self, geo10_net, quad10_stack):
         beta = 1.0 / (quad10_stack.h_max + 1.0)
         cfg = AlgorithmConfig(
@@ -366,6 +347,50 @@ class TestRandGradient:
         a = run_rand_gradient(quad10_stack, geo10_net, cfg, 5)
         b = run_rand_gradient(quad10_stack, geo10_net, cfg, 5)
         assert all(np.array_equal(x, y) for x, y in zip(a.xs, b.xs))
+
+
+class TestSequentialReplay:
+    """Both randomized runners against a node-by-node replay through the
+    per-node oracles (prox_local_info for rand_gauss_seidel,
+    gradient_step_local for rand_gradient), with the neighbor averages
+    recomputed as (W (x) I) x before every tick."""
+
+    @pytest.mark.parametrize("kind", ["quadratic", "logistic"])
+    @pytest.mark.parametrize("variant", ["rand_gauss_seidel", "rand_gradient"])
+    def test_sequential_replay_oracle(self, geo10_net, quad10_stack, variant, kind):
+        if kind == "quadratic":
+            stack = quad10_stack
+        else:
+            stack = generate_logistic_data(10, 3, reg=0.5, seed=6)
+        net, rho, d = geo10_net, 1.0, 3
+        beta = 1.0 / (stack.h_max + rho)
+        cfg = AlgorithmConfig(variant=variant, alpha=0.1, rho=rho, tau=1, beta=beta,
+                              epsilon=1e-9)
+        sched = [PoissonSchedule(nodes=np.arange(10)),
+                 PoissonSchedule(nodes=np.array([3, 3, 7, 0, 9, 3, 1]))]
+        x0 = np.tile(np.array([2.0, -1.0, 0.5]), 10)
+        runner = run_rand_gauss_seidel if variant == "rand_gauss_seidel" else run_rand_gradient
+        tr = runner(stack, net, cfg, 2, x0=x0, schedule=sched)
+        x, mu = x0.copy(), np.zeros(10 * d)
+        tx = grads = 0
+        for k, s in enumerate(sched, start=1):
+            for i in s.nodes:
+                xbar = net.weights_apply(x, d)
+                sl = slice(d * i, d * i + d)
+                cost = stack.costs[i]
+                if variant == "rand_gauss_seidel":
+                    p = ProxProblem(cost=cost, rho=rho, linear_term=mu[sl] - rho * xbar[sl])
+                    budget = SolverBudget(warm_start=x[sl], epsilon=cfg.epsilon)
+                    x[sl], g = prox_local_info(p, budget)
+                else:
+                    x[sl], g = gradient_step_local(cost, x[sl], xbar[sl], mu[sl], beta, rho), 1
+                tx += 1
+                grads += g
+            mu = mu + cfg.alpha * (x - net.weights_apply(x, d))
+            assert tr.transmissions[k] == tx
+            assert tr.grad_evals[k] == grads
+            assert np.abs(tr.xs[k] - x).max() <= 1e-12
+            assert np.abs(tr.mus[k] - mu).max() <= 1e-12
 
 
 class TestInexactAlDriver:

@@ -11,6 +11,8 @@ from dalopt.local_solve import (
     exact_al_minimizer,
     exact_al_minimizer_direct,
     gradient_step_local,
+    node_gradient_step,
+    node_prox_solver,
     prox_local,
     prox_local_batch,
     prox_local_info,
@@ -122,6 +124,101 @@ class TestProxLocalBatch:
         y, grads = prox_local_batch(stack, 1.0, np.zeros((2, 1)), np.zeros((2, 1)), 1e-8)
         assert y[0, 0] == 0.0 and grads[0] == 1
         assert grads[1] > 1
+
+
+class TestNodeProxSolver:
+    """node_prox_solver against prox_local_info, node by node, on a
+    logistic and a quadratic stack."""
+
+    @staticmethod
+    def stacks(quad5_stack):
+        return quad5_stack, generate_logistic_data(7, 4, reg=0.5, seed=3)
+
+    @staticmethod
+    def solve_all(stack, rho, v, x0, epsilon, max_iterations=200_000):
+        solve = node_prox_solver(stack, rho, epsilon, max_iterations)
+        out = [solve(i, v[i], x0[i]) for i in range(stack.n_nodes)]
+        return np.array([y for y, _ in out]), np.array([g for _, g in out])
+
+    def check(self, stack, rho, v, x0, epsilon, tol=1e-12):
+        y, grads = self.solve_all(stack, rho, v, x0, epsilon)
+        y_ref, grads_ref = per_node_prox(stack, rho, v, x0, epsilon)
+        assert np.all(np.isfinite(y))
+        assert np.abs(y - y_ref).max() <= tol
+        assert grads.tolist() == grads_ref.tolist()
+        return grads
+
+    @pytest.mark.parametrize("rho, epsilon", [(0.8, 1e-9), (0.1, 1e-5), (3.0, 1e-12)])
+    def test_matches_prox_local_info(self, rng, quad5_stack, rho, epsilon):
+        for stack in self.stacks(quad5_stack):
+            n, d = stack.n_nodes, stack.dimension
+            self.check(stack, rho, rng.standard_normal((n, d)), rng.standard_normal((n, d)),
+                       epsilon)
+
+    def test_polish_rounds_match(self, quad5_stack):
+        from dalopt.local_solve import _planned_iterations
+
+        # v nearly cancels the distance estimate at x0, which then understates
+        # the distance to the solution: every node's planned steps fall short
+        rho, eps = 0.8, 1e-9
+        for stack in self.stacks(quad5_stack):
+            n, d = stack.n_nodes, stack.dimension
+            nu = stack.node_h_min + rho
+            lip = stack.node_h_max + stack.node_h_min + rho
+            x0 = np.tile(np.linspace(-2.0, 2.0, d), (n, 1))
+            v = -(stack.node_grads(x0) + nu[:, None] * x0) + 1e-3
+            grads = self.check(stack, rho, v, x0, eps)
+            for i in range(n):
+                r_dist = np.linalg.norm(stack.node_grad(i, x0[i]) + nu[i] * x0[i] + v[i]) / nu[i]
+                planned = _planned_iterations(eps, r_dist, lip[i], nu[i] / lip[i])
+                assert grads[i] > planned + 2  # the initial gradient, planned steps, one check
+
+    def test_optimal_warm_start_short_circuits(self):
+        stack = ObjectiveStack((scalar_quadratic(0.0), scalar_quadratic(3.0)))
+        solve = node_prox_solver(stack, 1.0, 1e-8)
+        x0 = np.zeros(1)
+        y, grads = solve(0, np.zeros(1), x0)
+        assert grads == 1 and y[0] == 0.0 and y is not x0
+        assert solve(1, np.zeros(1), x0)[1] > 1
+
+    def test_iteration_cap_raises_like_prox_local_info(self, quad5_stack, rng):
+        for stack in self.stacks(quad5_stack):
+            n, d = stack.n_nodes, stack.dimension
+            v = 10.0 * rng.standard_normal((n, d))
+            x0 = np.zeros((n, d))
+            with pytest.raises(SolverError, match="exceeded 3 iterations"):
+                per_node_prox(stack, 1.0, v, x0, 1e-14, max_iterations=3)
+            with pytest.raises(SolverError, match="at node 0 exceeded 3 iterations"):
+                self.solve_all(stack, 1.0, v, x0, 1e-14, max_iterations=3)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_large_arguments_stay_finite(self, quad5_stack, sign):
+        # c'x0 and v reach the hundreds, where exp(-c'y) overflows unless the
+        # logistic sigmoid is taken in its stable branch
+        for stack in self.stacks(quad5_stack):
+            n, d = stack.n_nodes, stack.dimension
+            x0 = np.full((n, d), 500.0 * sign)
+            v = np.full((n, d), -500.0 * sign)
+            self.check(stack, 0.5, v, x0, 1e-6, tol=1e-12 * 500.0)
+
+
+class TestNodeGradientStep:
+    @pytest.mark.parametrize("scale", [1.0, 500.0])
+    def test_matches_gradient_step_local(self, rng, quad5_stack, scale):
+        beta, rho = 0.05, 1.3
+        for stack in TestNodeProxSolver.stacks(quad5_stack):
+            n, d = stack.n_nodes, stack.dimension
+            x, xbar, mu = (scale * rng.standard_normal((n, d)) for _ in range(3))
+            step = node_gradient_step(stack, beta, rho)
+            for i in range(n):
+                out = step(i, x[i], xbar[i], mu[i])
+                ref = gradient_step_local(stack.costs[i], x[i], xbar[i], mu[i], beta, rho)
+                assert np.all(np.isfinite(out))
+                assert np.abs(out - ref).max() <= 1e-13 * scale
+
+    def test_rejects_nonpositive_beta(self, quad5_stack):
+        with pytest.raises(ValueError, match="beta"):
+            node_gradient_step(quad5_stack, 0.0, 1.0)
 
 
 class TestGradientStepLocal:
