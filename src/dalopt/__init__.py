@@ -26,7 +26,7 @@ from .harness import (
     relative_cost_error,
     run_experiment,
 )
-from .local_solve import ProxProblem, SolverBudget, exact_al_minimizer, prox_local
+from .local_solve import exact_al_minimizer
 from .network import (
     Graph,
     LaplacianSpectrum,
@@ -45,8 +45,6 @@ from .objective import (
     NodeCost,
     ObjectiveStack,
     QuadraticCost,
-    condition_number,
-    eval_stack,
     grad_stack,
 )
 from .theory import (

@@ -111,7 +111,6 @@ class RunTrace:
     transmissions: list = field(default_factory=list)
     grad_evals: list = field(default_factory=list)
     wall_clock: list = field(default_factory=list)
-    config: AlgorithmConfig | None = None
     n_nodes: int = 0
 
     def record(self, x, mu, tx, ge, t):
@@ -144,26 +143,19 @@ def _check_variant(cfg: AlgorithmConfig, stack: ObjectiveStack, variant):
     check_beta(cfg, stack)
 
 
-def _neighbor_averages(net, x, xbar, n, d):
-    """xbar as an (N, d) array, computed as (W (x) I) x when not given."""
-    if xbar is None:
-        xbar = net.weights_apply(x, d)
-    return np.asarray(xbar, dtype=float).reshape(n, d)
-
-
-def jacobi_sweeps(stack, net, x, mu, rho, tau, epsilon, xbar=None):
+def jacobi_sweeps(stack, net, x, mu, rho, tau, epsilon, xbar):
     """tau synchronized Jacobi sweeps: every node solves its prox problem
     warm-started at its current block, then neighbor averages refresh.
 
-    Returns (x_new, xbar_new, gradient_evaluations). xbar, if given, must
-    be (W (x) I) x; the outer loop passes the one it holds. Within one
-    sweep the per-node solves read only the previous sweep's state, so
-    they are order-independent and run as one batched solve.
+    xbar must be (W (x) I) x; the outer loop passes the one it holds.
+    Returns (x_new, xbar_new, gradient_evaluations). Within one sweep the
+    per-node solves read only the previous sweep's state, so they are
+    order-independent and run as one batched solve.
     """
     n, d = stack.n_nodes, stack.dimension
     x = np.asarray(x, dtype=float).reshape(n, d)
     mu = np.asarray(mu, dtype=float).reshape(n, d)
-    xbar = _neighbor_averages(net, x, xbar, n, d)
+    xbar = np.asarray(xbar, dtype=float).reshape(n, d)
     grads = 0
     for _ in range(tau):
         x, g = prox_local_batch(stack, rho, mu - rho * xbar, x, epsilon)
@@ -172,14 +164,14 @@ def jacobi_sweeps(stack, net, x, mu, rho, tau, epsilon, xbar=None):
     return x.reshape(-1), xbar.reshape(-1), grads
 
 
-def gradient_sweeps(stack, net, x, mu, rho, tau, beta, xbar=None):
+def gradient_sweeps(stack, net, x, mu, rho, tau, beta, xbar):
     """tau synchronized gradient sweeps; one gradient evaluation per node
     per sweep. Returns (x_new, xbar_new, gradient_evaluations); xbar is as
     in jacobi_sweeps."""
     n, d = stack.n_nodes, stack.dimension
     x = np.asarray(x, dtype=float).reshape(n, d)
     mu = np.asarray(mu, dtype=float).reshape(n, d)
-    xbar = _neighbor_averages(net, x, xbar, n, d)
+    xbar = np.asarray(xbar, dtype=float).reshape(n, d)
     for _ in range(tau):
         x = gradient_step(x, xbar, mu, stack.node_grads(x), beta, rho)
         xbar = net.weights_apply(x, d).reshape(n, d)
@@ -203,7 +195,7 @@ def _outer_loop(stack, net, cfg, k_max, inner, x0=None, stop=None) -> RunTrace:
         raise ConfigError("primal initialization must be equal across nodes")
     mu = np.zeros(n * d)
     xbar = net.weights_apply(x, d)
-    trace = RunTrace(config=cfg, n_nodes=n)
+    trace = RunTrace(n_nodes=n)
     tx = ge = 0
     t0 = time.perf_counter()
     trace.record(x, mu, tx, ge, 0.0)

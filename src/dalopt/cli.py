@@ -17,7 +17,7 @@ import sys
 
 from .almethods import check_beta
 from .harness import ExperimentConfig, StageError, build_problem, run_experiment, stage
-from .network import NetworkError, load_network
+from .network import load_network
 from .theory import certificate
 
 
@@ -43,7 +43,7 @@ def _cmd_certify(args):
 def _cmd_spectrum(args):
     try:
         net = load_network(args.network)
-    except (OSError, ValueError, KeyError, NetworkError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         raise StageError("network", f"cannot load {args.network}: {exc}") from exc
     print(f"nodes: {net.node_count}")
     print(f"links: {net.graph.link_count}")

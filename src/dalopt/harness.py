@@ -13,6 +13,7 @@ import json
 import math
 import numbers
 import os
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -30,7 +31,7 @@ from .network import (
 )
 from .objective import LogisticCost, ObjectiveStack, QuadraticCost, save_dataset
 from .svgplot import semilog_svg
-from .theory import certificate, lyapunov_value, saddle_point
+from .theory import certificate, lyapunov_value, resolve_recipe, saddle_point
 
 __all__ = [
     "ExperimentConfig",
@@ -80,11 +81,12 @@ class ExperimentConfig:
               "radius": float, "seed": int}
     objective: {"type": "logistic"|"quadratic", "d": int, "reg": float,
                 "seed": int}
-    algorithms: list of entries, each either {"recipe": <name>, ...} or an
-        explicit {"variant", "alpha", "rho", "tau", "beta"} set; every
-        entry may carry "label", "seed", "epsilon", and recipe entries may
-        override "tau".
-    stop_rel_cost: optional early-stop threshold on the relative cost
+    algorithms: non-empty list of entries, each either {"recipe": <name>,
+        ...} or an explicit {"variant", "alpha", "rho", "tau", "beta"} set;
+        every entry may carry "label" (letters, digits, "_", "." and "-";
+        it names the run's files), "seed", "epsilon", and recipe entries
+        may override "tau".
+    stop_rel_cost: optional early-stop threshold > 0 on the relative cost
         error (runs end once they cross it).
     """
 
@@ -99,9 +101,18 @@ class ExperimentConfig:
     def __post_init__(self):
         _check_config("k_max", self.k_max, _is_count, "an integer >= 1")
         _check_config("epsilon", self.epsilon, _is_positive, "a finite number > 0")
+        _check_config("stop_rel_cost", self.stop_rel_cost,
+                      lambda v: v is None or _is_positive(v), "a finite number > 0")
+        _check_config("output_dir", self.output_dir,
+                      lambda v: isinstance(v, (str, os.PathLike)), "a path string")
+        _check_config("algorithms", self.algorithms,
+                      lambda v: isinstance(v, list) and v, "a non-empty list")
         for i, entry in enumerate(self.algorithms):
             if not isinstance(entry, dict):
                 raise StageError("config", f"algorithms[{i}] must be an object")
+            if "label" in entry:
+                _check_config(f"algorithms[{i}].label", entry["label"], _is_label,
+                              "letters, digits, '_', '.' or '-'")
             if "tau" in entry:
                 _check_config(f"algorithms[{i}].tau", entry["tau"], _is_count,
                               "an integer >= 1")
@@ -111,6 +122,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc):
+        _check_config("the config's top level", doc, lambda v: isinstance(v, dict),
+                      "a JSON object")
         known = {"network", "objective", "algorithms", "k_max", "epsilon",
                  "stop_rel_cost", "output_dir"}
         extra = set(doc) - known
@@ -138,6 +151,10 @@ def _is_count(v):
 def _is_positive(v):
     return (isinstance(v, numbers.Real) and not isinstance(v, bool)
             and math.isfinite(v) and v > 0)
+
+
+def _is_label(v):
+    return isinstance(v, str) and re.fullmatch(r"[A-Za-z0-9_.-]+", v) is not None
 
 
 def _check_config(key, value, ok, need):
@@ -256,8 +273,6 @@ def resolve_algorithm(entry, stack, net, default_epsilon=1e-5) -> AlgorithmConfi
     seed = entry.pop("seed", 0)
     epsilon = entry.pop("epsilon", default_epsilon)
     if "recipe" in entry:
-        from .theory import resolve_recipe
-
         recipe = entry.pop("recipe")
         variant, alpha, rho, beta, tau = resolve_recipe(
             recipe, stack.h_min, stack.h_max, net.lambda2, stack.n_nodes

@@ -4,14 +4,15 @@ Three pieces: the per-node proximal problem solved by an accelerated
 gradient method with a precomputed iteration budget, the single gradient
 step used by the gradient-type algorithm variants, and a high-accuracy
 minimizer of the full augmented objective used as a test oracle. The
-first two also come as array-form kernels: all nodes at once for the
-synchronized sweeps, one node at a time for the randomized ticks.
+runs use array-form kernels of the first two: all nodes at once for the
+synchronized sweeps, one node at a time for the randomized ticks. The
+per-node forms, prox_local_info and gradient_step_local, are the
+kernels' reference oracles.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,10 +20,7 @@ from .network import NetworkModel
 from .objective import NodeCost, ObjectiveStack, grad_stack
 
 __all__ = [
-    "ProxProblem",
-    "SolverBudget",
     "SolverError",
-    "prox_local",
     "prox_local_info",
     "prox_local_batch",
     "node_prox_solver",
@@ -41,51 +39,6 @@ class SolverError(RuntimeError):
     """Inner solver exceeded its iteration cap."""
 
 
-@dataclass(frozen=True, eq=False)
-class ProxProblem:
-    """min_y f_i(y) + v'y + (rho/2)||y||^2.
-
-    The linear term is v = mu_i(k) - rho * xbar_i(k,s) inside the
-    algorithms; the objective is (h_min_i + rho)-strongly convex.
-    """
-
-    cost: NodeCost
-    rho: float
-    linear_term: np.ndarray
-
-    def __post_init__(self):
-        if self.rho < 0:
-            raise ValueError("rho must be >= 0")
-        v = np.asarray(self.linear_term, dtype=float)
-        if v.size != self.cost.dimension:
-            raise ValueError("linear term dimension mismatch")
-        object.__setattr__(self, "linear_term", v)
-
-    def value(self, y):
-        y = np.asarray(y, dtype=float)
-        return self.cost.value(y) + float(self.linear_term @ y) + 0.5 * self.rho * float(y @ y)
-
-    def grad(self, y):
-        y = np.asarray(y, dtype=float)
-        return self.cost.grad(y) + self.linear_term + self.rho * y
-
-
-@dataclass(frozen=True, eq=False)
-class SolverBudget:
-    """Target optimality gap and iteration cap for one prox solve."""
-
-    warm_start: np.ndarray
-    epsilon: float = 1e-5
-    max_iterations: int = MAX_ITERATIONS
-
-    def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        object.__setattr__(
-            self, "warm_start", np.asarray(self.warm_start, dtype=float)
-        )
-
-
 def _planned_iterations(eps, r_dist, lip, q):
     """ceil(|log(2 eps / (R'^2 L')) / log(1 - sqrt(nu'/L'))|).
 
@@ -100,64 +53,63 @@ def _planned_iterations(eps, r_dist, lip, q):
     return int(math.ceil(abs(math.log(arg) / math.log(1.0 - math.sqrt(q)))))
 
 
-def prox_local_info(p: ProxProblem, budget: SolverBudget):
-    """Accelerated gradient solve of the prox problem from the warm start.
+def prox_local_info(cost: NodeCost, rho, v, x0, epsilon=1e-5, max_iterations=MAX_ITERATIONS):
+    """Accelerated gradient solve of min_y f(y) + v'y + (rho/2)||y||^2 from
+    the warm start x0.
 
-    Returns (y, gradient_evaluations). The iteration count is planned from
-    the distance estimate R' at the warm start; afterwards the gradient
-    norm is polished below sqrt(2 nu' epsilon), which certifies an
-    optimality gap <= epsilon by strong convexity. Raises SolverError at
-    the iteration cap.
+    Inside the algorithms v = mu_i - rho * xbar_i; the objective is
+    (h_min + rho)-strongly convex. Returns (y, gradient_evaluations). The
+    iteration count is planned from the distance estimate R' at the warm
+    start; afterwards the gradient norm is polished below
+    sqrt(2 nu' epsilon), which certifies an optimality gap <= epsilon by
+    strong convexity. Raises SolverError at the iteration cap.
     """
-    cost, rho, v = p.cost, p.rho, p.linear_term
+    if rho < 0:
+        raise ValueError("rho must be >= 0")
+    if epsilon <= 0:
+        raise ValueError("epsilon must be positive")
+    v = np.asarray(v, dtype=float)
+    x0 = np.asarray(x0, dtype=float)
     nu = cost.h_min + rho
     lip = cost.h_max + cost.h_min + rho  # mirrors the harness Lipschitz recipe
-    x0 = budget.warm_start
-    grads = 0
 
-    gf0 = cost.grad(x0)
-    grads += 1
+    def grad(y):
+        return cost.grad(y) + v + rho * y
+
+    grads = 1
     # distance-to-solution estimate from the warm start
-    r_dist = float(np.linalg.norm(gf0 + nu * x0 + v)) / nu
+    r_dist = float(np.linalg.norm(cost.grad(x0) + nu * x0 + v)) / nu
     if r_dist == 0.0:
         return x0.copy(), grads
 
-    planned = min(
-        _planned_iterations(budget.epsilon, r_dist, lip, nu / lip),
-        budget.max_iterations,
-    )
+    planned = min(_planned_iterations(epsilon, r_dist, lip, nu / lip), max_iterations)
 
     sq = math.sqrt(nu / lip)
     momentum = (1.0 - sq) / (1.0 + sq)
-    target = math.sqrt(2.0 * nu * budget.epsilon)
+    target = math.sqrt(2.0 * nu * epsilon)
 
     x = x0.copy()
     y = x0.copy()
     it = 0
     while True:
         for _ in range(planned):
-            g = p.grad(y)
+            g = grad(y)
             grads += 1
             x_new = y - g / lip
             y = x_new + momentum * (x_new - x)
             x = x_new
             it += 1
         # strong-convexity certificate: gap <= ||grad||^2 / (2 nu)
-        gn = float(np.linalg.norm(p.grad(x)))
+        gn = float(np.linalg.norm(grad(x)))
         grads += 1
         if gn <= target:
             return x, grads
-        if it >= budget.max_iterations:
+        if it >= max_iterations:
             raise SolverError(
-                f"prox solve exceeded {budget.max_iterations} iterations "
+                f"prox solve exceeded {max_iterations} iterations "
                 f"(gradient norm {gn:.3e} > {target:.3e}); Hessian bounds suspect"
             )
-        planned = min(max(planned, 8), budget.max_iterations - it)
-
-
-def prox_local(p: ProxProblem, budget: SolverBudget) -> np.ndarray:
-    y, _ = prox_local_info(p, budget)
-    return y
+        planned = min(max(planned, 8), max_iterations - it)
 
 
 def prox_local_batch(stack: ObjectiveStack, rho, v, x0, epsilon, max_iterations=MAX_ITERATIONS):

@@ -17,11 +17,8 @@ __all__ = [
     "QuadraticCost",
     "LogisticCost",
     "ObjectiveStack",
-    "eval_stack",
     "grad_stack",
-    "condition_number",
     "save_dataset",
-    "load_dataset",
 ]
 
 
@@ -264,28 +261,13 @@ class ObjectiveStack:
         return self.node_grads(x).sum(axis=0)
 
 
-def _blocks(stack, x):
+def grad_stack(stack: ObjectiveStack, x) -> np.ndarray:
+    """Block-stacked gradient (grad f_1(x_1), ..., grad f_N(x_N))."""
     x = np.asarray(x, dtype=float)
     n, d = stack.n_nodes, stack.dimension
     if x.size != n * d:
         raise ValueError(f"expected stacked vector of size {n * d}, got {x.size}")
-    return x.reshape(n, d)
-
-
-def eval_stack(stack: ObjectiveStack, x) -> float:
-    """F(x) = sum_i f_i(x_i) for stacked x in R^{Nd}."""
-    xb = _blocks(stack, x)
-    return sum(c.value(xi) for c, xi in zip(stack.costs, xb))
-
-
-def grad_stack(stack: ObjectiveStack, x) -> np.ndarray:
-    """Block-stacked gradient (grad f_1(x_1), ..., grad f_N(x_N))."""
-    return stack.node_grads(_blocks(stack, x)).reshape(-1)
-
-
-def condition_number(stack: ObjectiveStack) -> float:
-    """gamma = h_max / h_min >= 1 across the stack."""
-    return stack.h_max / stack.h_min
+    return stack.node_grads(x.reshape(n, d)).reshape(-1)
 
 
 def save_dataset(stack: ObjectiveStack, path):
@@ -302,17 +284,3 @@ def save_dataset(stack: ObjectiveStack, path):
             row = [f"{c.label:d}"] + [f"{v:.17g}" for v in c.feature]
             fh.write(",".join(row) + "\n")
 
-
-def load_dataset(path, reg=1.0) -> ObjectiveStack:
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            rows.append((int(parts[0]), np.array([float(v) for v in parts[1:]])))
-    n = len(rows)
-    return ObjectiveStack(
-        tuple(LogisticCost(feature=a, label=b, reg=reg, n_nodes=n) for b, a in rows)
-    )

@@ -22,8 +22,6 @@ from dalopt.almethods import (
 )
 from dalopt.harness import generate_logistic_data, generate_quadratic_stack
 from dalopt.local_solve import (
-    ProxProblem,
-    SolverBudget,
     exact_al_minimizer_direct,
     gradient_step_local,
     prox_local_info,
@@ -123,13 +121,10 @@ class TestDetJacobi:
         rho, eps = 0.7, 1e-10
         x = rng.standard_normal(40)
         mu = rng.standard_normal(40)
-        out, xbar, grads = jacobi_sweeps(stack, net, x, mu, rho, 1, eps)
+        out, xbar, grads = jacobi_sweeps(stack, net, x, mu, rho, 1, eps, net.weights_apply(x, 4))
         v = mu - rho * net.weights_apply(x, 4)
         solves = [
-            prox_local_info(
-                ProxProblem(cost=c, rho=rho, linear_term=v[4 * i : 4 * i + 4]),
-                SolverBudget(warm_start=x[4 * i : 4 * i + 4], epsilon=eps),
-            )
+            prox_local_info(c, rho, v[4 * i : 4 * i + 4], x[4 * i : 4 * i + 4], eps)
             for i, c in enumerate(stack.costs)
         ]
         assert np.abs(out - np.concatenate([y for y, _ in solves])).max() <= 1e-12
@@ -153,7 +148,8 @@ class TestDetGradient:
         saddle = saddle_point(quad5_stack, quad5_ref.x_star)
         beta = 1.0 / (quad5_stack.h_max + 1.0)
         x, xbar, _ = gradient_sweeps(
-            quad5_stack, chain5_net, saddle.x_bullet, saddle.mu_bullet, 1.0, 3, beta
+            quad5_stack, chain5_net, saddle.x_bullet, saddle.mu_bullet, 1.0, 3, beta,
+            chain5_net.weights_apply(saddle.x_bullet, 3),
         )
         assert np.allclose(x, saddle.x_bullet, atol=1e-12)
         assert np.allclose(x - xbar, 0.0, atol=1e-12)
@@ -165,7 +161,7 @@ class TestDetGradient:
         x = np.tile(rng.standard_normal(3), 5)
         mu = rng.standard_normal(15)
         rho, beta = 1.2, 1.0 / (stack.h_max + 1.2)
-        out, _, _ = gradient_sweeps(stack, net, x, mu, rho, 1, beta)
+        out, _, _ = gradient_sweeps(stack, net, x, mu, rho, 1, beta, net.weights_apply(x, 3))
         oracle = x - beta * al_objective_grad(stack, net, x, mu, rho)
         assert np.allclose(out, oracle, atol=1e-12)
 
@@ -178,7 +174,8 @@ class TestDetGradient:
         x = rng.standard_normal(15)
         x_prime = exact_al_minimizer_direct(stack, net, mu, rho)
         for _ in range(5):
-            x_new, _, _ = gradient_sweeps(stack, net, x, mu, rho, 1, beta)
+            x_new, _, _ = gradient_sweeps(stack, net, x, mu, rho, 1, beta,
+                                          net.weights_apply(x, 3))
             num = np.linalg.norm(x_new - x_prime)
             den = np.linalg.norm(x - x_prime)
             assert num <= (1 - beta * stack.h_min) * den + 1e-12
@@ -261,14 +258,20 @@ class TestSweepsReuseXbar:
         assert all(np.array_equal(a, b) for a, b in zip(tr.mus, expected.mus, strict=True))
 
     def test_given_xbar_matches_recomputed(self, chain5_net, quad5_stack, rng):
+        # the xbar a sweep call returns is (W (x) I) x of its result, so
+        # feeding it to the next call equals recomputing it, and both equal
+        # one call with both sweeps
+        net, stack = chain5_net, quad5_stack
         x, mu = rng.standard_normal(15), rng.standard_normal(15)
-        xbar = chain5_net.weights_apply(x, 3)
-        beta = 1.0 / (quad5_stack.h_max + 1.0)
+        beta = 1.0 / (stack.h_max + 1.0)
         for sweeps, last in ((jacobi_sweeps, 1e-9), (gradient_sweeps, beta)):
-            own = sweeps(quad5_stack, chain5_net, x, mu, 1.0, 2, last)
-            given = sweeps(quad5_stack, chain5_net, x, mu, 1.0, 2, last, xbar)
-            assert all(np.array_equal(a, b) for a, b in zip(own[:2], given[:2]))
-            assert own[2] == given[2]
+            both = sweeps(stack, net, x, mu, 1.0, 2, last, net.weights_apply(x, 3))
+            x1, xbar1, g1 = sweeps(stack, net, x, mu, 1.0, 1, last, net.weights_apply(x, 3))
+            assert np.array_equal(xbar1, net.weights_apply(x1, 3))
+            for xbar in (xbar1, net.weights_apply(x1, 3)):
+                second = sweeps(stack, net, x1, mu, 1.0, 1, last, xbar)
+                assert all(np.array_equal(a, b) for a, b in zip(both[:2], second[:2]))
+                assert g1 + second[2] == both[2]
 
 
 class TestRandGaussSeidel:
@@ -379,9 +382,8 @@ class TestSequentialReplay:
                 sl = slice(d * i, d * i + d)
                 cost = stack.costs[i]
                 if variant == "rand_gauss_seidel":
-                    p = ProxProblem(cost=cost, rho=rho, linear_term=mu[sl] - rho * xbar[sl])
-                    budget = SolverBudget(warm_start=x[sl], epsilon=cfg.epsilon)
-                    x[sl], g = prox_local_info(p, budget)
+                    x[sl], g = prox_local_info(cost, rho, mu[sl] - rho * xbar[sl], x[sl],
+                                               cfg.epsilon)
                 else:
                     x[sl], g = gradient_step_local(cost, x[sl], xbar[sl], mu[sl], beta, rho), 1
                 tx += 1
@@ -421,7 +423,8 @@ class TestInexactAlDriver:
         cfg = AlgorithmConfig(variant="det_jacobi", alpha=0.8, rho=1.0, tau=1, epsilon=1e-10)
 
         def policy(x, mu):
-            return jacobi_sweeps(stack, net, x, mu, cfg.rho, 1, cfg.epsilon)[0]
+            return jacobi_sweeps(stack, net, x, mu, cfg.rho, 1, cfg.epsilon,
+                                 net.weights_apply(x, stack.dimension))[0]
 
         a = run_inexact_al(stack, net, cfg, policy, 10)
         b = run_det_jacobi(stack, net, cfg, 10)

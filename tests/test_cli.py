@@ -58,32 +58,51 @@ class TestBadConfig:
     """run and certify build the problem in one stage and fail alike."""
 
     @pytest.mark.parametrize("command", ["run", "certify"])
-    @pytest.mark.parametrize("change, stage", [
-        ({"objective": {"type": "quadratic", "d": 2, "n": 5}}, "objective"),
+    @pytest.mark.parametrize("change, stage, names", [
+        ({"objective": {"type": "quadratic", "d": 2, "n": 5}}, "objective", "node count"),
         ({"algorithms": [{"recipe": "section4_jacobi", "label": "a"},
-                         {"recipe": "section5_jacobi", "label": "a"}]}, "config"),
+                         {"recipe": "section5_jacobi", "label": "a"}]}, "config",
+         "duplicate algorithm labels"),
         ({"algorithms": [{"variant": "nope", "alpha": 1.0, "rho": 1.0, "tau": 1}]},
-         "config"),
+         "config", "nope"),
         ({"algorithms": [{"recipe": "section5_gradient", "beta": 100, "label": "steep"}]},
-         "{command}:steep"),
+         "{command}:steep", "beta"),
         # below 1/h_min, so the certificate's formulas hold, but above 1/(h_max+rho)
         ({"algorithms": [{"recipe": "section5_gradient", "beta": 0.6, "label": "mild"}]},
-         "{command}:mild"),
+         "{command}:mild", "beta"),
+        # a change that is not an object is the whole config document
+        (5, "config", "top level"),
+        (None, "config", "top level"),
+        ([["network", 1]], "config", "top level"),
+        ({"output_dir": 5}, "config", "output_dir"),
+        ({"stop_rel_cost": -1}, "config", "stop_rel_cost"),
+        ({"stop_rel_cost": float("inf")}, "config", "stop_rel_cost"),
+        ({"stop_rel_cost": "x"}, "config", "stop_rel_cost"),
+        ({"algorithms": []}, "config", "algorithms"),
+        ({"algorithms": [{"recipe": "section4_jacobi", "label": "a/b"}]}, "config",
+         "algorithms[0].label"),
     ], ids=["node_count", "duplicate_labels", "unknown_variant", "beta_too_large",
-            "beta_above_contraction_limit"])
-    def test_fails_with_stage(self, tmp_path, capsys, command, change, stage):
+            "beta_above_contraction_limit", "top_level_number", "top_level_null",
+            "top_level_pairs", "output_dir_number", "stop_rel_cost_negative",
+            "stop_rel_cost_infinite", "stop_rel_cost_string", "no_algorithms",
+            "label_with_slash"])
+    def test_fails_with_stage(self, tmp_path, capsys, command, change, stage, names):
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({
-            "network": {"type": "chain", "n": 3},
-            "objective": {"type": "quadratic", "d": 2, "h_lo": 1.0, "h_hi": 2.0},
-            "algorithms": [{"recipe": "section4_jacobi"}],
-            "k_max": 5,
-            "output_dir": str(tmp_path / "out"),
-            **change,
-        }))
+        doc = change
+        if isinstance(change, dict):
+            doc = {
+                "network": {"type": "chain", "n": 3},
+                "objective": {"type": "quadratic", "d": 2, "h_lo": 1.0, "h_hi": 2.0},
+                "algorithms": [{"recipe": "section4_jacobi"}],
+                "k_max": 5,
+                "output_dir": str(tmp_path / "out"),
+                **change,
+            }
+        path.write_text(json.dumps(doc))
         assert main([command, str(path)]) == 1
         err = capsys.readouterr().err
         assert f"error [{stage.format(command=command)}]" in err
+        assert names in err
         assert "Traceback" not in err
 
 
@@ -101,3 +120,13 @@ class TestSpectrum:
     def test_missing_file(self, tmp_path, capsys):
         assert main(["spectrum", str(tmp_path / "nope.json")]) == 1
         assert "error [network]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc", [[], {"node_count": "x", "edges": [], "weights": []}],
+                             ids=["top_level_list", "node_count_string"])
+    def test_malformed_file(self, tmp_path, capsys, doc):
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(doc))
+        assert main(["spectrum", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "error [network]" in err
+        assert "Traceback" not in err

@@ -19,7 +19,7 @@ from dalopt.harness import (
     trace_metrics,
 )
 from dalopt.network import build_chain_graph, build_network
-from dalopt.objective import ObjectiveStack, QuadraticCost, eval_stack
+from dalopt.objective import ObjectiveStack, QuadraticCost
 
 
 def scalar_quadratic(center, curvature=1.0):

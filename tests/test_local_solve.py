@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from dalopt.local_solve import (
-    ProxProblem,
-    SolverBudget,
     SolverError,
     al_objective_grad,
     exact_al_minimizer,
@@ -13,7 +11,6 @@ from dalopt.local_solve import (
     gradient_step_local,
     node_gradient_step,
     node_prox_solver,
-    prox_local,
     prox_local_batch,
     prox_local_info,
 )
@@ -28,17 +25,15 @@ def scalar_quadratic(center, curvature=1.0):
 
 class TestProxLocal:
     def test_already_optimal_short_circuits(self):
-        p = ProxProblem(cost=scalar_quadratic(0.0), rho=1.0, linear_term=np.zeros(1))
-        y, grads = prox_local_info(p, SolverBudget(warm_start=np.zeros(1)))
+        y, grads = prox_local_info(scalar_quadratic(0.0), 1.0, np.zeros(1), np.zeros(1))
         assert y == pytest.approx(0.0)
         assert grads == 1  # only the distance-estimate evaluation
 
     def test_quadratic_closed_form(self):
         # min 0.5 (y-3)^2 + 0.5 y^2 -> y = 3/2
-        p = ProxProblem(cost=scalar_quadratic(3.0), rho=1.0, linear_term=np.zeros(1))
-        eps = 1e-8
-        y = prox_local(p, SolverBudget(warm_start=np.zeros(1), epsilon=eps))
-        nu = p.cost.h_min + p.rho
+        cost, rho, eps = scalar_quadratic(3.0), 1.0, 1e-8
+        y, _ = prox_local_info(cost, rho, np.zeros(1), np.zeros(1), epsilon=eps)
+        nu = cost.h_min + rho
         assert abs(float(y[0]) - 1.5) <= np.sqrt(2 * eps / nu)
 
     def test_matches_linear_solve_oracle(self, rng):
@@ -46,8 +41,7 @@ class TestProxLocal:
         cost = QuadraticCost(matrix=a, linear=rng.standard_normal(2))
         v = rng.standard_normal(2)
         rho = 0.7
-        p = ProxProblem(cost=cost, rho=rho, linear_term=v)
-        y = prox_local(p, SolverBudget(warm_start=np.zeros(2), epsilon=1e-12))
+        y, _ = prox_local_info(cost, rho, v, np.zeros(2), epsilon=1e-12)
         oracle = np.linalg.solve(a + rho * np.eye(2), -(cost.linear + v))
         assert np.allclose(y, oracle, atol=1e-5)
 
@@ -56,26 +50,25 @@ class TestProxLocal:
         v = rng.standard_normal(5)
         rho = 0.5
         eps = 1e-6
-        p = ProxProblem(cost=cost, rho=rho, linear_term=v)
-        y = prox_local(p, SolverBudget(warm_start=np.zeros(5), epsilon=eps))
+        y, _ = prox_local_info(cost, rho, v, np.zeros(5), epsilon=eps)
         gn = np.linalg.norm(cost.grad(y) + v + rho * y)
         assert gn <= np.sqrt(2 * (cost.h_max + rho) * eps)
 
     def test_iteration_cap_raises(self):
-        from dalopt.local_solve import SolverError
-
-        p = ProxProblem(cost=scalar_quadratic(100.0), rho=0.0, linear_term=np.zeros(1))
         with pytest.raises(SolverError, match="exceeded"):
-            prox_local(p, SolverBudget(warm_start=np.zeros(1), epsilon=1e-14, max_iterations=2))
+            prox_local_info(scalar_quadratic(100.0), 0.0, np.zeros(1), np.zeros(1),
+                            epsilon=1e-14, max_iterations=2)
+
+    @pytest.mark.parametrize("rho, epsilon, match", [(-1.0, 1e-5, "rho"), (1.0, 0.0, "epsilon")])
+    def test_rejects_bad_parameters(self, rho, epsilon, match):
+        with pytest.raises(ValueError, match=match):
+            prox_local_info(scalar_quadratic(0.0), rho, np.zeros(1), np.ones(1), epsilon)
 
 
 def per_node_prox(stack, rho, v, x0, epsilon, max_iterations=200_000):
     """prox_local_info node by node: the oracle of prox_local_batch."""
     out = [
-        prox_local_info(
-            ProxProblem(cost=c, rho=rho, linear_term=vi),
-            SolverBudget(warm_start=xi, epsilon=epsilon, max_iterations=max_iterations),
-        )
+        prox_local_info(c, rho, vi, xi, epsilon, max_iterations)
         for c, vi, xi in zip(stack.costs, v, x0)
     ]
     return np.array([y for y, _ in out]), np.array([g for _, g in out])
@@ -306,7 +299,7 @@ class TestJacobiSweepContraction:
         x = rng.standard_normal(d)
         x = np.tile(x, n) + rng.standard_normal(n * d)
         x_prime = exact_al_minimizer_direct(stack, net, mu, rho)
-        x_new, _, _ = jacobi_sweeps(stack, net, x, mu, rho, tau=1, epsilon=eps)
+        x_new, _, _ = jacobi_sweeps(stack, net, x, mu, rho, 1, eps, net.weights_apply(x, d))
         delta = rho / (rho + stack.h_min)
         c_slack = 2 * np.sqrt(2 * (stack.h_max + rho)) / (stack.h_min + rho)
         num = np.linalg.norm(x_new - x_prime)

