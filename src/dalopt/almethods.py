@@ -257,46 +257,50 @@ def _poisson_ticks(n, tau, seed):
         yield rng.integers(0, n, size=ticks)
 
 
-def _tick_phase(stack, net, cfg, k_max, tick, schedule, check_xbar):
+def _tick_phase(stack, net, cfg, k_max, offset, ticks, schedule, check_xbar):
     """The primal phase of the randomized variants: the ticks of outer
     iteration k in order, from schedule[k - 1] or, without a schedule,
-    drawn as sample_poisson_schedule would when the loop reaches k. A
-    ticking node i takes the block tick(i, x, xbar, mu) -> (block,
-    grad_evals), on (N, d) views, and broadcasts it; only the averages in
-    its neighborhood change."""
+    drawn as sample_poisson_schedule would when the loop reaches k.
+
+    On (N, d) views, the phase builds its state offset(x, xbar, mu), which
+    holds what the ticks read of the neighbor averages, and
+    ticks(nodes, x, state, mu) -> grad_evals runs the ticks in place: a
+    ticking node broadcasts its block, and only the state in its
+    neighborhood changes. The phase then sets xbar = (W (x) I) x, so the
+    rounding of the per-tick updates never reaches the dual step. With
+    check_xbar, the state is first compared with offset(x, xbar, mu)."""
     n, d = stack.n_nodes, stack.dimension
     if schedule is None:
-        ticks = _poisson_ticks(n, cfg.tau, cfg.seed)
+        draws = _poisson_ticks(n, cfg.tau, cfg.seed)
     elif len(schedule) < k_max:
         raise ConfigError("schedule shorter than k_max")
     else:
-        ticks = (s.nodes for s in schedule)
-    # columns[i]: W's column i on i's neighborhood and 0 elsewhere, as (N, 1)
-    columns = np.where(net.graph.adjacency, net.weights.entries, 0.0).T[:, :, None].copy()
+        draws = (s.nodes for s in schedule)
 
     def inner(k, x, mu, xbar):
-        # (N, d) views of the stacked vectors; x and xbar are updated in place
-        xs, xbars, mus = x.reshape(n, d), xbar.reshape(n, d), mu.reshape(n, d)
-        nodes = next(ticks).tolist()
-        grads = 0
-        for i in nodes:
-            block, g = tick(i, xs, xbars, mus)
-            delta = block - xs[i]
-            xs[i] = block
-            xbars += columns[i] * delta
-            grads += g
+        # (N, d) views of the stacked vectors; x is updated in place
+        xs, mus = x.reshape(n, d), mu.reshape(n, d)
+        nodes = next(draws).tolist()
+        state = offset(xs, xbar.reshape(n, d), mus)
+        grads = ticks(nodes, xs, state, mus)
+        xbar = net.weights_apply(x, d)
         if check_xbar:
-            full = net.weights_apply(x, d)
-            deviation = float(np.max(np.abs(full - xbar)))
+            full = offset(xs, xbar.reshape(n, d), mus)
+            deviation = float(np.max(np.abs(full - state)))
             if deviation > 1e-12 * max(1.0, float(np.max(np.abs(full)))):
                 raise RuntimeError(
                     f"incremental neighbor averages drifted at outer iteration k={k}: "
                     f"largest deviation from (W (x) I) x is {deviation:.3e}"
                 )
-            xbar = full
         return x, xbar, len(nodes), grads
 
     return inner
+
+
+def _tick_weights(net):
+    """W on the graph's links and self-loops, 0 elsewhere: a tick at node i
+    refreshes the neighbor averages of i's neighborhood only."""
+    return np.where(net.graph.adjacency, net.weights.entries, 0.0)
 
 
 def run_rand_gauss_seidel(
@@ -306,11 +310,22 @@ def run_rand_gauss_seidel(
     _check_variant(cfg, stack, "rand_gauss_seidel")
 
     solve = node_prox_solver(stack, cfg.rho, cfg.epsilon)
+    columns = _tick_weights(net).T[:, :, None].copy()  # columns[i]: W[:, i] as (N, 1)
 
-    def tick(i, x, xbar, mu):
-        return solve(i, mu[i] - cfg.rho * xbar[i], x[i])
+    def offset(x, xbar, mu):
+        return xbar  # the ticks refresh the neighbor averages themselves
 
-    inner = _tick_phase(stack, net, cfg, k_max, tick, schedule, check_xbar)
+    def ticks(nodes, x, xbar, mu):
+        grads = 0
+        for i in nodes:
+            block, g = solve(i, mu[i] - cfg.rho * xbar[i], x[i])
+            delta = block - x[i]
+            x[i] = block
+            xbar += columns[i] * delta
+            grads += g
+        return grads
+
+    inner = _tick_phase(stack, net, cfg, k_max, offset, ticks, schedule, check_xbar)
     return _outer_loop(stack, net, cfg, k_max, inner, x0, stop)
 
 
@@ -320,12 +335,13 @@ def run_rand_gradient(
     """Randomized AL: the ticking node takes one gradient step."""
     _check_variant(cfg, stack, "rand_gradient")
 
-    step = node_gradient_step(stack, cfg.beta, cfg.rho)
+    offset, gradient_ticks = node_gradient_step(stack, _tick_weights(net), cfg.beta, cfg.rho)
 
-    def tick(i, x, xbar, mu):
-        return step(i, x[i], xbar[i], mu[i]), 1
+    def ticks(nodes, x, v, mu):
+        gradient_ticks(nodes, x, v)  # v already holds mu
+        return len(nodes)  # one gradient evaluation per tick
 
-    inner = _tick_phase(stack, net, cfg, k_max, tick, schedule, check_xbar)
+    inner = _tick_phase(stack, net, cfg, k_max, offset, ticks, schedule, check_xbar)
     return _outer_loop(stack, net, cfg, k_max, inner, x0, stop)
 
 

@@ -85,7 +85,8 @@ class ExperimentConfig:
         ...} or an explicit {"variant", "alpha", "rho", "tau", "beta"} set;
         every entry may carry "label" (letters, digits, "_", "." and "-";
         it names the run's files), "seed", "epsilon", and recipe entries
-        may override "tau".
+        may override "tau", "alpha", "rho" and "beta". Every "seed" is an
+        integer >= 0; alpha > 0, rho >= 0 and beta > 0 are finite.
     stop_rel_cost: optional early-stop threshold > 0 on the relative cost
         error (runs end once they cross it).
     """
@@ -107,9 +108,21 @@ class ExperimentConfig:
                       lambda v: isinstance(v, (str, os.PathLike)), "a path string")
         _check_config("algorithms", self.algorithms,
                       lambda v: isinstance(v, list) and v, "a non-empty list")
+        for key in ("network", "objective"):
+            spec = getattr(self, key)
+            if isinstance(spec, dict) and "seed" in spec:
+                _check_config(f"{key}.seed", spec["seed"], _is_seed, "an integer >= 0")
         for i, entry in enumerate(self.algorithms):
             if not isinstance(entry, dict):
                 raise StageError("config", f"algorithms[{i}] must be an object")
+            if "seed" in entry:
+                _check_config(f"algorithms[{i}].seed", entry["seed"], _is_seed,
+                              "an integer >= 0")
+            for key, ok, need in (("alpha", _is_positive, "a finite number > 0"),
+                                  ("rho", _is_nonnegative, "a finite number >= 0"),
+                                  ("beta", _is_positive, "a finite number > 0")):
+                if key in entry:
+                    _check_config(f"algorithms[{i}].{key}", entry[key], ok, need)
             if "label" in entry:
                 _check_config(f"algorithms[{i}].label", entry["label"], _is_label,
                               "letters, digits, '_', '.' or '-'")
@@ -148,9 +161,17 @@ def _is_count(v):
     return isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 1
 
 
-def _is_positive(v):
+def _is_seed(v):
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 0
+
+
+def _is_nonnegative(v):
     return (isinstance(v, numbers.Real) and not isinstance(v, bool)
-            and math.isfinite(v) and v > 0)
+            and math.isfinite(v) and v >= 0)
+
+
+def _is_positive(v):
+    return _is_nonnegative(v) and v > 0
 
 
 def _is_label(v):

@@ -280,36 +280,66 @@ def node_prox_solver(stack: ObjectiveStack, rho, epsilon, max_iterations=MAX_ITE
     return solve
 
 
-def node_gradient_step(stack: ObjectiveStack, beta, rho):
-    """gradient_step for one node of the stack at a time, fused into one
-    affine map per node built once here.
+def node_gradient_step(stack: ObjectiveStack, weights, beta, rho):
+    """gradient_step for one node of the stack at a time, as the update of
+    an offset that lasts a whole tick phase.
 
-    Returns step(i, x_i, xbar_i, mu_i) -> x_i's next block:
+    weights is the (N, N) W the ticks refresh: W's entries on the graph's
+    links and self-loops, 0 elsewhere. Within a phase mu is fixed, so node
+    i's step changes x_i by delta = v_i + beta sigma(-c_i'x_i) c_i on a
+    logistic node and by delta = v_i on a quadratic one, where v is the
+    (N, d) offset
 
-    - logistic: a_i x_i + beta rho xbar_i - beta mu_i + beta sigma(-c_i'x_i) c_i,
-      with a_i = 1 - beta (reg_i + rho);
-    - quadratic: P_i x_i + beta rho xbar_i - beta (mu_i + b_i), with
-      P_i = (1 - beta rho) I - beta A_i.
+    - logistic: v = beta rho xbar - beta mu + (a - 1) x, with
+      a_i = 1 - beta (reg_i + rho);
+    - quadratic: v = beta rho xbar - beta (mu + b) + (P - I) x, with
+      P_i = (1 - beta rho) I - beta A_i, computed row by row.
+
+    After the step v changes by K_i delta, where K_i is beta rho times W's
+    column i, plus (a_i - 1) e_i on a logistic node; on a quadratic node v_i
+    changes by (P_i - I) delta as well. xbar is not kept: v never yields it
+    back, since rho may be 0.
+
+    Returns (offset, ticks). offset(x, xbar, mu) -> v builds the offset at
+    the start of a phase; ticks(nodes, x, v) runs the ticks of nodes in
+    order, in place on the (N, d) arrays x and v.
     """
     if beta <= 0:
         raise ValueError("beta must be positive")
     beta_rho = beta * rho
-    if stack.kind == "logistic":
-        samples = stack.samples
-        a = (1.0 - beta * (stack.node_reg + rho)).tolist()
-
-        def step(i, x, xbar, mu):
-            c = samples[i]
-            s = beta * _sigmoid(-float(c @ x))
-            return a[i] * x + beta_rho * xbar - beta * mu + s * c
+    logistic = stack.kind == "logistic"
+    kernels = np.ascontiguousarray(beta_rho * np.asarray(weights, dtype=float).T)  # rows: K_i
+    if logistic:
+        shift = -beta * (stack.node_reg + rho)  # a - 1
+        kernels[np.diag_indices_from(kernels)] += shift
+        sample_rows = list(stack.samples)
     else:
-        p = (1.0 - beta_rho) * np.eye(stack.dimension) - beta * stack.matrices
+        shift = -beta_rho * np.eye(stack.dimension) - beta * stack.matrices  # P - I
         linears = stack.linears
+        shift_rows = list(shift)
+    kernel_rows = list(kernels[:, :, None])  # K_i as (N, 1)
 
-        def step(i, x, xbar, mu):
-            return p[i] @ x + beta_rho * xbar - beta * (mu + linears[i])
+    def offset(x, xbar, mu):
+        if logistic:
+            return beta_rho * xbar - beta * mu + shift[:, None] * x
+        return beta_rho * xbar - beta * (mu + linears) + np.matmul(shift, x[:, :, None])[:, :, 0]
 
-    return step
+    def ticks(nodes, x, v):
+        # row views, listed once per phase: indexing a list is cheaper than an array
+        x_rows, v_rows = list(x), list(v)
+        for i in nodes:
+            x_i = x_rows[i]
+            if logistic:
+                c = sample_rows[i]
+                delta = v_rows[i] + (beta * _sigmoid(-c.dot(x_i))) * c
+            else:
+                delta = v_rows[i].copy()
+            x_i += delta
+            v += kernel_rows[i] * delta
+            if not logistic:
+                v_rows[i] += shift_rows[i] @ delta
+
+    return offset, ticks
 
 
 def gradient_step(x, xbar, mu, grad, beta, rho):

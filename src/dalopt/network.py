@@ -288,16 +288,29 @@ def build_network(graph: Graph, scale=(1.1 / 2.0, 0.9 / 2.0), meta=None) -> Netw
 
 
 def save_network(net: NetworkModel, path):
-    """Serialize node positions, edge list, and W entries to a JSON file."""
+    """Serialize node positions, edge list, and W entries to a JSON file.
+
+    The file is byte for byte what json.dump(doc, fh, indent=1,
+    sort_keys=True) writes. "weights" is the last key, so everything before
+    it is one json.dumps, and the N x N weights follow one row at a time,
+    each float as its repr, as json writes it: the pure-Python encoder that
+    indent selects is several times slower, and the whole matrix as one
+    string would cost its size in memory.
+    """
     doc = {
         "node_count": net.node_count,
         "positions": net.graph.positions,
         "edges": sorted(list(e) for e in net.graph.edges),
-        "weights": net.weights.entries.tolist(),
         "meta": net.meta,
     }
+    head = json.dumps(doc, indent=1, sort_keys=True)
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
+        fh.write(head[:-2])  # the closing "\n}"
+        fh.write(',\n "weights": [')
+        for k, row in enumerate(net.weights.entries):
+            fh.write(("," if k else "") + "\n  [\n   " + ",\n   ".join(map(repr, row.tolist()))
+                     + "\n  ]")
+        fh.write("\n ]\n}")
 
 
 def load_network(path) -> NetworkModel:

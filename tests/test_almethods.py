@@ -274,6 +274,28 @@ class TestSweepsReuseXbar:
                 assert g1 + second[2] == both[2]
 
 
+class TestTicksResyncXbar:
+    """A randomized run applies W once at the start and once per outer
+    iteration, after its ticks; check_xbar adds no call and changes no bit."""
+
+    @pytest.mark.parametrize("variant", ["rand_gauss_seidel", "rand_gradient"])
+    def test_one_weights_apply_per_outer_iteration(self, geo10_net, quad10_stack, monkeypatch,
+                                                   variant):
+        beta = 1.0 / (quad10_stack.h_max + 1.0) if variant == "rand_gradient" else None
+        cfg = AlgorithmConfig(variant=variant, alpha=0.5, rho=1.0, tau=2, beta=beta, seed=5)
+        runner = run_rand_gauss_seidel if variant == "rand_gauss_seidel" else run_rand_gradient
+        expected = runner(quad10_stack, geo10_net, cfg, 6)
+        original = NetworkModel.weights_apply
+        for check_xbar in (False, True):
+            calls = []
+            monkeypatch.setattr(NetworkModel, "weights_apply",
+                                lambda net, x, d: calls.append(1) or original(net, x, d))
+            tr = runner(quad10_stack, geo10_net, cfg, 6, check_xbar=check_xbar)
+            assert len(calls) == 1 + 6
+            assert all(np.array_equal(a, b) for a, b in zip(tr.xs, expected.xs, strict=True))
+            assert all(np.array_equal(a, b) for a, b in zip(tr.mus, expected.mus, strict=True))
+
+
 class TestRandGaussSeidel:
     def test_empty_schedule_holds_primal_updates_dual(self, geo10_net, quad10_stack):
         cfg = AlgorithmConfig(variant="rand_gauss_seidel", alpha=0.5, rho=1.0, tau=1)
@@ -356,7 +378,9 @@ class TestSequentialReplay:
     """Both randomized runners against a node-by-node replay through the
     per-node oracles (prox_local_info for rand_gauss_seidel,
     gradient_step_local for rand_gradient), with the neighbor averages
-    recomputed as (W (x) I) x before every tick."""
+    recomputed as (W (x) I) x before every tick. The schedule repeats
+    nodes within and across four outer iterations; rho = 0 leaves the
+    averages out of the primal steps."""
 
     @pytest.mark.parametrize("kind", ["quadratic", "logistic"])
     @pytest.mark.parametrize("variant", ["rand_gauss_seidel", "rand_gradient"])
@@ -365,34 +389,38 @@ class TestSequentialReplay:
             stack = quad10_stack
         else:
             stack = generate_logistic_data(10, 3, reg=0.5, seed=6)
-        net, rho, d = geo10_net, 1.0, 3
-        beta = 1.0 / (stack.h_max + rho)
-        cfg = AlgorithmConfig(variant=variant, alpha=0.1, rho=rho, tau=1, beta=beta,
-                              epsilon=1e-9)
+        net, d = geo10_net, 3
         sched = [PoissonSchedule(nodes=np.arange(10)),
-                 PoissonSchedule(nodes=np.array([3, 3, 7, 0, 9, 3, 1]))]
+                 PoissonSchedule(nodes=np.array([3, 3, 7, 0, 9, 3, 1])),
+                 PoissonSchedule(nodes=np.array([5, 5, 5, 2, 3])),
+                 PoissonSchedule(nodes=np.array([8, 0, 0, 6, 3, 3, 9]))]
         x0 = np.tile(np.array([2.0, -1.0, 0.5]), 10)
         runner = run_rand_gauss_seidel if variant == "rand_gauss_seidel" else run_rand_gradient
-        tr = runner(stack, net, cfg, 2, x0=x0, schedule=sched)
-        x, mu = x0.copy(), np.zeros(10 * d)
-        tx = grads = 0
-        for k, s in enumerate(sched, start=1):
-            for i in s.nodes:
-                xbar = net.weights_apply(x, d)
-                sl = slice(d * i, d * i + d)
-                cost = stack.costs[i]
-                if variant == "rand_gauss_seidel":
-                    x[sl], g = prox_local_info(cost, rho, mu[sl] - rho * xbar[sl], x[sl],
-                                               cfg.epsilon)
-                else:
-                    x[sl], g = gradient_step_local(cost, x[sl], xbar[sl], mu[sl], beta, rho), 1
-                tx += 1
-                grads += g
-            mu = mu + cfg.alpha * (x - net.weights_apply(x, d))
-            assert tr.transmissions[k] == tx
-            assert tr.grad_evals[k] == grads
-            assert np.abs(tr.xs[k] - x).max() <= 1e-12
-            assert np.abs(tr.mus[k] - mu).max() <= 1e-12
+        for rho in (1.0, 0.0):
+            beta = 1.0 / (stack.h_max + rho)
+            cfg = AlgorithmConfig(variant=variant, alpha=0.1, rho=rho, tau=1, beta=beta,
+                                  epsilon=1e-9)
+            tr = runner(stack, net, cfg, len(sched), x0=x0, schedule=sched)
+            x, mu = x0.copy(), np.zeros(10 * d)
+            tx = grads = 0
+            for k, s in enumerate(sched, start=1):
+                for i in s.nodes:
+                    xbar = net.weights_apply(x, d)
+                    sl = slice(d * i, d * i + d)
+                    cost = stack.costs[i]
+                    if variant == "rand_gauss_seidel":
+                        x[sl], g = prox_local_info(cost, rho, mu[sl] - rho * xbar[sl], x[sl],
+                                                   cfg.epsilon)
+                    else:
+                        x[sl], g = gradient_step_local(cost, x[sl], xbar[sl], mu[sl], beta,
+                                                       rho), 1
+                    tx += 1
+                    grads += g
+                mu = mu + cfg.alpha * (x - net.weights_apply(x, d))
+                assert tr.transmissions[k] == tx
+                assert tr.grad_evals[k] == grads
+                assert np.abs(tr.xs[k] - x).max() <= 1e-12
+                assert np.abs(tr.mus[k] - mu).max() <= 1e-12
 
 
 class TestInexactAlDriver:
@@ -445,6 +473,24 @@ class TestDualSumInvariant:
             s = np.linalg.norm(mu.reshape(10, 3).sum(axis=0))
             scale = max(1.0, np.linalg.norm(mu))
             assert s <= 1e-10 * scale
+
+
+    def test_randomized_runs_at_the_deterministic_level(self, geo10_net):
+        # the randomized runs resynchronize xbar = (W (x) I) x after each
+        # tick phase, so hundreds of incremental updates per outer iteration
+        # leave no more rounding in the dual's block sum than the sweeps do
+        stack = generate_logistic_data(10, 3, reg=0.5, seed=6)
+        beta = 1.0 / (stack.h_max + 1.0)
+        level = {}
+        for variant in ("det_jacobi", "det_gradient", "rand_gauss_seidel", "rand_gradient"):
+            cfg = AlgorithmConfig(variant=variant, alpha=0.5, rho=1.0, tau=50,
+                                  beta=beta if "gradient" in variant else None, seed=3)
+            tr = run_variant(stack, geo10_net, cfg, 20)
+            level[variant] = max(np.linalg.norm(mu.reshape(10, 3).sum(axis=0)) for mu in tr.mus)
+        deterministic = max(level["det_jacobi"], level["det_gradient"])
+        assert 0.0 < deterministic < 1e-13
+        assert level["rand_gauss_seidel"] <= 4.0 * deterministic
+        assert level["rand_gradient"] <= 4.0 * deterministic
 
 
 class TestTraceCsv:

@@ -54,6 +54,10 @@ class TestCertify:
         assert "r " in out or "r  " in out
 
 
+BAD_VALUES = {"string": "a", "negative": -1, "fraction": 1.5, "true": True,
+              "inf": float("inf"), "nan": float("nan")}
+
+
 class TestBadConfig:
     """run and certify build the problem in one stage and fail alike."""
 
@@ -104,6 +108,32 @@ class TestBadConfig:
         assert f"error [{stage.format(command=command)}]" in err
         assert names in err
         assert "Traceback" not in err
+
+
+    @pytest.mark.parametrize("key, value", [
+        pytest.param(key, value, id=f"{key.replace('[0]', '')}={name}")
+        for key in ("network.seed", "objective.seed", "algorithms[0].seed",
+                    "algorithms[0].alpha", "algorithms[0].rho", "algorithms[0].beta")
+        for name, value in BAD_VALUES.items()
+        if key.endswith("seed") or name != "fraction"  # 1.5 is a valid step parameter
+    ])
+    def test_clock_and_step_parameters(self, tmp_path, capsys, key, value):
+        doc = {
+            "network": {"type": "chain", "n": 3},
+            "objective": {"type": "quadratic", "d": 2, "h_lo": 1.0, "h_hi": 2.0},
+            "algorithms": [{"recipe": "section5_gradient"}],
+            "k_max": 5,
+            "output_dir": str(tmp_path / "out"),
+        }
+        where, _, name = key.replace("[0]", "").partition(".")
+        spec = doc[where][0] if where == "algorithms" else doc[where]
+        spec[name] = value
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert main(["run", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert f"error [config] {key} must be" in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestSpectrum:

@@ -15,6 +15,7 @@ from dalopt.local_solve import (
     prox_local_info,
 )
 from dalopt.harness import generate_logistic_data
+from dalopt.network import build_chain_graph, build_network
 from dalopt.objective import LogisticCost, ObjectiveStack, QuadraticCost, grad_stack
 from dalopt.theory import saddle_point
 
@@ -196,22 +197,34 @@ class TestNodeProxSolver:
 
 
 class TestNodeGradientStep:
+    """node_gradient_step's ticks against gradient_step_local, one tick at a
+    time, with the neighbor averages recomputed as W x before every tick."""
+
     @pytest.mark.parametrize("scale", [1.0, 500.0])
     def test_matches_gradient_step_local(self, rng, quad5_stack, scale):
         beta, rho = 0.05, 1.3
         for stack in TestNodeProxSolver.stacks(quad5_stack):
             n, d = stack.n_nodes, stack.dimension
-            x, xbar, mu = (scale * rng.standard_normal((n, d)) for _ in range(3))
-            step = node_gradient_step(stack, beta, rho)
-            for i in range(n):
-                out = step(i, x[i], xbar[i], mu[i])
-                ref = gradient_step_local(stack.costs[i], x[i], xbar[i], mu[i], beta, rho)
-                assert np.all(np.isfinite(out))
-                assert np.abs(out - ref).max() <= 1e-13 * scale
+            w = build_network(build_chain_graph(n)).weights.entries
+            x0, mu = (scale * rng.standard_normal((n, d)) for _ in range(2))
+            offset, ticks = node_gradient_step(stack, w, beta, rho)
+            nodes = [*range(n), 2, 2, 0, n - 1, 2]
+            x, ref, v = x0.copy(), x0.copy(), offset(x0, w @ x0, mu)
+            for i in nodes:
+                ticks([i], x, v)
+                ref[i] = gradient_step_local(stack.costs[i], ref[i], (w @ ref)[i], mu[i],
+                                             beta, rho)
+                assert np.all(np.isfinite(x))
+                assert np.abs(x - ref).max() <= 1e-13 * scale
+                assert np.abs(v - offset(ref, w @ ref, mu)).max() <= 1e-13 * scale
+            # one call with every tick does what one call per tick did
+            x_all, v_all = x0.copy(), offset(x0, w @ x0, mu)
+            ticks(nodes, x_all, v_all)
+            assert np.array_equal(x_all, x) and np.array_equal(v_all, v)
 
-    def test_rejects_nonpositive_beta(self, quad5_stack):
+    def test_rejects_nonpositive_beta(self, chain5_net, quad5_stack):
         with pytest.raises(ValueError, match="beta"):
-            node_gradient_step(quad5_stack, 0.0, 1.0)
+            node_gradient_step(quad5_stack, chain5_net.weights.entries, 0.0, 1.0)
 
 
 class TestGradientStepLocal:

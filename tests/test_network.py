@@ -1,5 +1,6 @@
 """Graphs, weight matrices, Laplacian spectra."""
 
+import json
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from dalopt.network import (
     Graph,
     NetworkError,
+    NetworkModel,
     WeightMatrix,
     build_chain_graph,
     build_complete_graph,
@@ -206,6 +208,30 @@ class TestSerialization:
         assert np.allclose(loaded.weights.entries, net.weights.entries, atol=0)
         assert loaded.lambda2 == pytest.approx(net.lambda2, abs=1e-14)
         assert loaded.meta == {"seed": 2}
+
+
+    @pytest.mark.parametrize("make", [
+        lambda: build_network(build_chain_graph(6), meta={"type": "chain"}),
+        lambda: build_network(build_complete_graph(4)),
+        lambda: build_network(build_geometric_graph(9, radius=0.6, rng_seed=4)[0],
+                              meta={"radius": 0.6, "seed": 4}),
+        lambda: NetworkModel(graph=Graph(node_count=1, edges=frozenset({(0, 0)})),
+                             weights=WeightMatrix(np.ones((1, 1))), spec=None),
+    ], ids=["chain", "complete", "geometric", "single_node"])
+    def test_same_bytes_as_json_dump(self, tmp_path, make):
+        net = make()
+        path = tmp_path / "net.json"
+        save_network(net, path)
+        doc = {
+            "node_count": net.node_count,
+            "positions": net.graph.positions,
+            "edges": sorted(list(e) for e in net.graph.edges),
+            "weights": net.weights.entries.tolist(),
+            "meta": net.meta,
+        }
+        with open(tmp_path / "dump.json", "w") as fh:
+            json.dump(doc, fh, indent=1, sort_keys=True)
+        assert path.read_bytes() == (tmp_path / "dump.json").read_bytes()
 
 
 def metropolis_oracle(g):
