@@ -9,11 +9,7 @@ from .almethods import (
     AlgorithmConfig,
     PoissonSchedule,
     RunTrace,
-    run_det_gradient,
-    run_det_jacobi,
     run_inexact_al,
-    run_rand_gauss_seidel,
-    run_rand_gradient,
     run_variant,
     sample_poisson_schedule,
 )

@@ -4,7 +4,8 @@ Every variant runs one outer loop, the paper's template: an inexact primal
 phase, then the dual ascent step mu <- mu + alpha (L (x) I) x. Four primal
 phases are provided: synchronized Jacobi sweeps, synchronized gradient
 sweeps, and their randomized single-node counterparts driven by a Poisson
-tick schedule. run_inexact_al runs the same loop with any other policy.
+tick schedule. run_variant runs the variant an AlgorithmConfig names;
+run_inexact_al runs the same loop with any other policy.
 """
 
 from __future__ import annotations
@@ -34,10 +35,6 @@ __all__ = [
     "jacobi_sweeps",
     "gradient_sweeps",
     "sample_poisson_schedule",
-    "run_det_jacobi",
-    "run_det_gradient",
-    "run_rand_gauss_seidel",
-    "run_rand_gradient",
     "run_inexact_al",
     "run_variant",
     "write_trace_csv",
@@ -136,13 +133,6 @@ def check_beta(cfg: AlgorithmConfig, stack: ObjectiveStack):
             )
 
 
-def _check_variant(cfg: AlgorithmConfig, stack: ObjectiveStack, variant):
-    """Reject a config of another variant, or a step beta check_beta rejects."""
-    if cfg.variant != variant:
-        raise ConfigError("config variant mismatch")
-    check_beta(cfg, stack)
-
-
 def jacobi_sweeps(stack, net, x, mu, rho, tau, epsilon, xbar):
     """tau synchronized Jacobi sweeps: every node solves its prox problem
     warm-started at its current block, then neighbor averages refresh.
@@ -212,28 +202,6 @@ def _outer_loop(stack, net, cfg, k_max, inner, x0=None, stop=None) -> RunTrace:
     return trace
 
 
-def run_det_jacobi(stack, net, cfg: AlgorithmConfig, k_max, x0=None, stop=None) -> RunTrace:
-    """Deterministic AL with Jacobi primal updates."""
-    _check_variant(cfg, stack, "det_jacobi")
-
-    def inner(k, x, mu, xbar):
-        x, xbar, grads = jacobi_sweeps(stack, net, x, mu, cfg.rho, cfg.tau, cfg.epsilon, xbar)
-        return x, xbar, stack.n_nodes * cfg.tau, grads  # one broadcast per node per sweep
-
-    return _outer_loop(stack, net, cfg, k_max, inner, x0, stop)
-
-
-def run_det_gradient(stack, net, cfg: AlgorithmConfig, k_max, x0=None, stop=None) -> RunTrace:
-    """Deterministic AL with gradient primal updates."""
-    _check_variant(cfg, stack, "det_gradient")
-
-    def inner(k, x, mu, xbar):
-        x, xbar, grads = gradient_sweeps(stack, net, x, mu, cfg.rho, cfg.tau, cfg.beta, xbar)
-        return x, xbar, stack.n_nodes * cfg.tau, grads  # one broadcast per node per sweep
-
-    return _outer_loop(stack, net, cfg, k_max, inner, x0, stop)
-
-
 def sample_poisson_schedule(n, tau, k_max, seed) -> list[PoissonSchedule]:
     """k_max outer iterations of Poisson ticks.
 
@@ -257,18 +225,19 @@ def _poisson_ticks(n, tau, seed):
         yield rng.integers(0, n, size=ticks)
 
 
-def _tick_phase(stack, net, cfg, k_max, offset, ticks, schedule, check_xbar):
+def _tick_phase(stack, net, cfg, k_max, schedule):
     """The primal phase of the randomized variants: the ticks of outer
     iteration k in order, from schedule[k - 1] or, without a schedule,
     drawn as sample_poisson_schedule would when the loop reaches k.
 
-    On (N, d) views, the phase builds its state offset(x, xbar, mu), which
-    holds what the ticks read of the neighbor averages, and
-    ticks(nodes, x, state, mu) -> grad_evals runs the ticks in place: a
-    ticking node broadcasts its block, and only the state in its
-    neighborhood changes. The phase then sets xbar = (W (x) I) x, so the
-    rounding of the per-tick updates never reaches the dual step. With
-    check_xbar, the state is first compared with offset(x, xbar, mu)."""
+    A ticking node broadcasts its block, and only the neighbor averages of
+    its neighborhood change: the ticks refresh W's entries on the graph's
+    links and self-loops. On (N, d) views, the phase builds its state
+    offset(x, xbar, mu), which holds what the ticks read of the neighbor
+    averages, and ticks(nodes, x, state, mu) -> grad_evals runs the ticks
+    in place. The phase then sets xbar = (W (x) I) x, so the rounding of
+    the per-tick updates never reaches the dual step, and raises if the
+    state has drifted from offset(x, xbar, mu) by more than rounding."""
     n, d = stack.n_nodes, stack.dimension
     if schedule is None:
         draws = _poisson_ticks(n, cfg.tau, cfg.seed)
@@ -276,6 +245,29 @@ def _tick_phase(stack, net, cfg, k_max, offset, ticks, schedule, check_xbar):
         raise ConfigError("schedule shorter than k_max")
     else:
         draws = (s.nodes for s in schedule)
+    weights = np.where(net.graph.adjacency, net.weights.entries, 0.0)
+    if cfg.variant == "rand_gradient":
+        offset, gradient_ticks = node_gradient_step(stack, weights, cfg.beta, cfg.rho)
+
+        def ticks(nodes, x, v, mu):
+            gradient_ticks(nodes, x, v)  # v already holds mu
+            return len(nodes)  # one gradient evaluation per tick
+    else:
+        solve = node_prox_solver(stack, cfg.rho, cfg.epsilon)
+        columns = weights.T[:, :, None].copy()  # columns[i]: W[:, i] as (N, 1)
+
+        def offset(x, xbar, mu):
+            return xbar  # the ticks refresh the neighbor averages themselves
+
+        def ticks(nodes, x, xbar, mu):
+            grads = 0
+            for i in nodes:
+                block, g = solve(i, mu[i] - cfg.rho * xbar[i], x[i])
+                delta = block - x[i]
+                x[i] = block
+                xbar += columns[i] * delta
+                grads += g
+            return grads
 
     def inner(k, x, mu, xbar):
         # (N, d) views of the stacked vectors; x is updated in place
@@ -284,65 +276,16 @@ def _tick_phase(stack, net, cfg, k_max, offset, ticks, schedule, check_xbar):
         state = offset(xs, xbar.reshape(n, d), mus)
         grads = ticks(nodes, xs, state, mus)
         xbar = net.weights_apply(x, d)
-        if check_xbar:
-            full = offset(xs, xbar.reshape(n, d), mus)
-            deviation = float(np.max(np.abs(full - state)))
-            if deviation > 1e-12 * max(1.0, float(np.max(np.abs(full)))):
-                raise RuntimeError(
-                    f"incremental neighbor averages drifted at outer iteration k={k}: "
-                    f"largest deviation from (W (x) I) x is {deviation:.3e}"
-                )
+        full = offset(xs, xbar.reshape(n, d), mus)
+        deviation = float(np.max(np.abs(full - state)))
+        if deviation > 1e-12 * max(1.0, float(np.max(np.abs(full)))):
+            raise RuntimeError(
+                f"incremental neighbor averages drifted at outer iteration k={k}: "
+                f"largest deviation from (W (x) I) x is {deviation:.3e}"
+            )
         return x, xbar, len(nodes), grads
 
     return inner
-
-
-def _tick_weights(net):
-    """W on the graph's links and self-loops, 0 elsewhere: a tick at node i
-    refreshes the neighbor averages of i's neighborhood only."""
-    return np.where(net.graph.adjacency, net.weights.entries, 0.0)
-
-
-def run_rand_gauss_seidel(
-    stack, net, cfg: AlgorithmConfig, k_max, x0=None, schedule=None, check_xbar=False, stop=None
-) -> RunTrace:
-    """Randomized AL: the ticking node solves its prox problem in place."""
-    _check_variant(cfg, stack, "rand_gauss_seidel")
-
-    solve = node_prox_solver(stack, cfg.rho, cfg.epsilon)
-    columns = _tick_weights(net).T[:, :, None].copy()  # columns[i]: W[:, i] as (N, 1)
-
-    def offset(x, xbar, mu):
-        return xbar  # the ticks refresh the neighbor averages themselves
-
-    def ticks(nodes, x, xbar, mu):
-        grads = 0
-        for i in nodes:
-            block, g = solve(i, mu[i] - cfg.rho * xbar[i], x[i])
-            delta = block - x[i]
-            x[i] = block
-            xbar += columns[i] * delta
-            grads += g
-        return grads
-
-    inner = _tick_phase(stack, net, cfg, k_max, offset, ticks, schedule, check_xbar)
-    return _outer_loop(stack, net, cfg, k_max, inner, x0, stop)
-
-
-def run_rand_gradient(
-    stack, net, cfg: AlgorithmConfig, k_max, x0=None, schedule=None, check_xbar=False, stop=None
-) -> RunTrace:
-    """Randomized AL: the ticking node takes one gradient step."""
-    _check_variant(cfg, stack, "rand_gradient")
-
-    offset, gradient_ticks = node_gradient_step(stack, _tick_weights(net), cfg.beta, cfg.rho)
-
-    def ticks(nodes, x, v, mu):
-        gradient_ticks(nodes, x, v)  # v already holds mu
-        return len(nodes)  # one gradient evaluation per tick
-
-    inner = _tick_phase(stack, net, cfg, k_max, offset, ticks, schedule, check_xbar)
-    return _outer_loop(stack, net, cfg, k_max, inner, x0, stop)
 
 
 def run_inexact_al(stack, net, cfg: AlgorithmConfig, inner_policy, k_max, x0=None) -> RunTrace:
@@ -361,17 +304,31 @@ def run_inexact_al(stack, net, cfg: AlgorithmConfig, inner_policy, k_max, x0=Non
     return _outer_loop(stack, net, cfg, k_max, inner, x0)
 
 
-_RUNNERS = {
-    "det_jacobi": run_det_jacobi,
-    "det_gradient": run_det_gradient,
-    "rand_gauss_seidel": run_rand_gauss_seidel,
-    "rand_gradient": run_rand_gradient,
-}
+def run_variant(stack, net, cfg: AlgorithmConfig, k_max, x0=None, stop=None,
+                schedule=None) -> RunTrace:
+    """Run cfg.variant: its primal phase and the dual step, k_max times.
 
+    The deterministic variants run tau synchronized sweeps per outer
+    iteration; each node broadcasts once per sweep. The randomized ones
+    run the Poisson ticks of the iteration, from schedule when one is
+    given (a list of at least k_max PoissonSchedule); only they take one.
+    """
+    check_beta(cfg, stack)
+    if cfg.variant.startswith("rand_"):
+        inner = _tick_phase(stack, net, cfg, k_max, schedule)
+    elif schedule is not None:
+        raise ConfigError(f"{cfg.variant} takes no tick schedule")
+    else:
+        if cfg.variant == "det_jacobi":
+            sweeps, step = jacobi_sweeps, cfg.epsilon
+        else:
+            sweeps, step = gradient_sweeps, cfg.beta
 
-def run_variant(stack, net, cfg: AlgorithmConfig, k_max, x0=None, stop=None) -> RunTrace:
-    """Dispatch on cfg.variant."""
-    return _RUNNERS[cfg.variant](stack, net, cfg, k_max, x0=x0, stop=stop)
+        def inner(k, x, mu, xbar):
+            x, xbar, grads = sweeps(stack, net, x, mu, cfg.rho, cfg.tau, step, xbar)
+            return x, xbar, stack.n_nodes * cfg.tau, grads
+
+    return _outer_loop(stack, net, cfg, k_max, inner, x0, stop)
 
 
 def write_trace_csv(path, trace: RunTrace, rel_cost_error, primal_error_norm, lyapunov_value):

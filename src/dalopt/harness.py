@@ -79,8 +79,9 @@ class ExperimentConfig:
 
     network: {"type": "geometric"|"chain"|"complete", "n": int,
               "radius": float, "seed": int}
-    objective: {"type": "logistic"|"quadratic", "d": int, "reg": float,
-                "seed": int}
+    objective: {"type": "logistic"|"quadratic", "n": int, "d": int,
+                "reg": float, "seed": int, "h_lo": float, "h_hi": float}
+        Any other key in network or objective is rejected.
     algorithms: non-empty list of entries, each either {"recipe": <name>,
         ...} or an explicit {"variant", "alpha", "rho", "tau", "beta"} set;
         every entry may carry "label" (letters, digits, "_", "." and "-";
@@ -108,9 +109,15 @@ class ExperimentConfig:
                       lambda v: isinstance(v, (str, os.PathLike)), "a path string")
         _check_config("algorithms", self.algorithms,
                       lambda v: isinstance(v, list) and v, "a non-empty list")
-        for key in ("network", "objective"):
+        for key, known in (("network", {"type", "n", "radius", "seed"}),
+                           ("objective", {"type", "n", "d", "reg", "seed", "h_lo", "h_hi"})):
             spec = getattr(self, key)
-            if isinstance(spec, dict) and "seed" in spec:
+            _check_config(key, spec, lambda v: isinstance(v, dict), "an object")
+            extra = sorted(set(spec) - known)
+            if extra:
+                names = [f"{key}.{k}" for k in extra]
+                raise StageError("config", f"unknown config keys: {names}")
+            if "seed" in spec:
                 _check_config(f"{key}.seed", spec["seed"], _is_seed, "an integer >= 0")
         for i, entry in enumerate(self.algorithms):
             if not isinstance(entry, dict):

@@ -291,21 +291,20 @@ def save_network(net: NetworkModel, path):
     """Serialize node positions, edge list, and W entries to a JSON file.
 
     The file is byte for byte what json.dump(doc, fh, indent=1,
-    sort_keys=True) writes. "weights" is the last key, so everything before
-    it is one json.dumps, and the N x N weights follow one row at a time,
-    each float as its repr, as json writes it: the pure-Python encoder that
-    indent selects is several times slower, and the whole matrix as one
-    string would cost its size in memory.
+    sort_keys=True) writes. "edges" is the first key and "weights" the
+    last: the pairs (i <= j, sorted) and the N x N weights go out one row
+    at a time, each float as its repr, as json writes it, and the keys
+    between them are one json.dumps. The pure-Python encoder that indent
+    selects is several times slower, and the whole document as one string
+    would cost its size in memory.
     """
-    doc = {
-        "node_count": net.node_count,
-        "positions": net.graph.positions,
-        "edges": sorted(list(e) for e in net.graph.edges),
-        "meta": net.meta,
-    }
-    head = json.dumps(doc, indent=1, sort_keys=True)
+    head = json.dumps({"meta": net.meta, "node_count": net.node_count,
+                       "positions": net.graph.positions}, indent=1, sort_keys=True)
     with open(path, "w") as fh:
-        fh.write(head[:-2])  # the closing "\n}"
+        fh.write('{\n "edges": [')
+        for k, (i, j) in enumerate(np.argwhere(np.triu(net.graph.adjacency)).tolist()):
+            fh.write(("," if k else "") + f"\n  [\n   {i},\n   {j}\n  ]")
+        fh.write("\n ],\n" + head[2:-2])  # head without its "{\n" and "\n}"
         fh.write(',\n "weights": [')
         for k, row in enumerate(net.weights.entries):
             fh.write(("," if k else "") + "\n  [\n   " + ",\n   ".join(map(repr, row.tolist()))

@@ -11,11 +11,7 @@ from dalopt.almethods import (
     gradient_sweeps,
     jacobi_sweeps,
     read_trace_csv,
-    run_det_gradient,
-    run_det_jacobi,
     run_inexact_al,
-    run_rand_gauss_seidel,
-    run_rand_gradient,
     run_variant,
     sample_poisson_schedule,
     write_trace_csv,
@@ -88,7 +84,7 @@ class TestDetJacobi:
         net = build_network(build_chain_graph(3))
         stack = ObjectiveStack(tuple(scalar_quadratic(2.5) for _ in range(3)))
         cfg = AlgorithmConfig(variant="det_jacobi", alpha=1.0, rho=1.0, tau=2)
-        tr = run_det_jacobi(stack, net, cfg, 4, x0=np.full(3, 2.5))
+        tr = run_variant(stack, net, cfg, 4, x0=np.full(3, 2.5))
         for x, mu in zip(tr.xs, tr.mus):
             assert np.array_equal(x, np.full(3, 2.5))
             assert np.array_equal(mu, np.zeros(3))
@@ -102,7 +98,7 @@ class TestDetJacobi:
 
         tau = select_tau("section4_jacobi", stack.h_max / stack.h_min, net.lambda2)
         cfg = AlgorithmConfig(variant="det_jacobi", alpha=alpha, rho=rho, tau=tau, epsilon=1e-12)
-        tr = run_det_jacobi(stack, net, cfg, 100)
+        tr = run_variant(stack, net, cfg, 100)
         x_star = 3.0  # mean of the centers for identical curvatures
         errs = np.array([np.linalg.norm(x - x_star) for x in tr.xs])
         assert errs[-1] <= 1e-8 * errs[0]
@@ -113,7 +109,7 @@ class TestDetJacobi:
         net = build_network(build_chain_graph(3))
         stack = ObjectiveStack(tuple(scalar_quadratic(c) for c in (1.0, -2.0, 5.0)))
         cfg = AlgorithmConfig(variant="det_jacobi", alpha=0.5, rho=0.0, tau=1, epsilon=1e-14)
-        tr = run_det_jacobi(stack, net, cfg, 1)
+        tr = run_variant(stack, net, cfg, 1)
         assert np.allclose(tr.xs[1], [1.0, -2.0, 5.0], atol=1e-6)
 
     def test_one_sweep_matches_per_node_solves(self, geo10_net, rng):
@@ -133,14 +129,21 @@ class TestDetJacobi:
 
     def test_transmission_counter(self, chain5_net, quad5_stack):
         cfg = AlgorithmConfig(variant="det_jacobi", alpha=0.5, rho=1.0, tau=3)
-        tr = run_det_jacobi(quad5_stack, chain5_net, cfg, 4)
+        tr = run_variant(quad5_stack, chain5_net, cfg, 4)
         assert tr.transmissions == [0, 15, 30, 45, 60]
 
     def test_unequal_initialization_rejected(self, chain5_net, quad5_stack):
         cfg = AlgorithmConfig(variant="det_jacobi", alpha=0.5, rho=1.0, tau=1)
         bad = np.arange(15.0)
         with pytest.raises(ConfigError, match="equal"):
-            run_det_jacobi(quad5_stack, chain5_net, cfg, 1, x0=bad)
+            run_variant(quad5_stack, chain5_net, cfg, 1, x0=bad)
+
+    def test_schedule_rejected(self, chain5_net, quad5_stack):
+        # tick schedules drive the randomized variants only
+        cfg = AlgorithmConfig(variant="det_jacobi", alpha=0.5, rho=1.0, tau=1)
+        sched = [PoissonSchedule(nodes=np.array([0]))]
+        with pytest.raises(ConfigError, match="det_jacobi takes no tick schedule"):
+            run_variant(quad5_stack, chain5_net, cfg, 1, schedule=sched)
 
 
 class TestDetGradient:
@@ -184,7 +187,7 @@ class TestDetGradient:
     def test_beta_out_of_range_rejected(self, chain5_net, quad5_stack):
         cfg = AlgorithmConfig(variant="det_gradient", alpha=0.5, rho=1.0, tau=1, beta=10.0)
         with pytest.raises(ConfigError, match="beta"):
-            run_det_gradient(quad5_stack, chain5_net, cfg, 1)
+            run_variant(quad5_stack, chain5_net, cfg, 1)
 
 
 class TestAlgorithmConfig:
@@ -228,9 +231,8 @@ class TestLazyTicks:
         k_max = 8
         stop = None if stop_at is None else (lambda x, mu, k: k == stop_at)
         sched = sample_poisson_schedule(10, cfg.tau, k_max, cfg.seed)
-        runner = run_rand_gauss_seidel if variant == "rand_gauss_seidel" else run_rand_gradient
-        lazy = runner(quad10_stack, geo10_net, cfg, k_max, stop=stop)
-        given = runner(quad10_stack, geo10_net, cfg, k_max, schedule=sched, stop=stop)
+        lazy = run_variant(quad10_stack, geo10_net, cfg, k_max, stop=stop)
+        given = run_variant(quad10_stack, geo10_net, cfg, k_max, schedule=sched, stop=stop)
         assert lazy.outer_iterations == (stop_at or k_max)
         assert all(np.array_equal(a, b) for a, b in zip(lazy.xs, given.xs, strict=True))
         assert all(np.array_equal(a, b) for a, b in zip(lazy.mus, given.mus, strict=True))
@@ -239,20 +241,19 @@ class TestLazyTicks:
 
 
 class TestSweepsReuseXbar:
-    """The deterministic runners hand the loop's xbar to the sweeps, so an
+    """The deterministic variants hand the loop's xbar to the sweeps, so an
     outer iteration applies W once per sweep and the run once more at start."""
 
     @pytest.mark.parametrize("variant", ["det_jacobi", "det_gradient"])
     def test_one_weights_apply_per_sweep(self, chain5_net, quad5_stack, monkeypatch, variant):
         beta = 1.0 / (quad5_stack.h_max + 1.0) if variant == "det_gradient" else None
         cfg = AlgorithmConfig(variant=variant, alpha=0.5, rho=1.0, tau=3, beta=beta)
-        runner = run_det_jacobi if variant == "det_jacobi" else run_det_gradient
-        expected = runner(quad5_stack, chain5_net, cfg, 4)
+        expected = run_variant(quad5_stack, chain5_net, cfg, 4)
         calls = []
         original = NetworkModel.weights_apply
         monkeypatch.setattr(NetworkModel, "weights_apply",
                             lambda net, x, d: calls.append(1) or original(net, x, d))
-        tr = runner(quad5_stack, chain5_net, cfg, 4)
+        tr = run_variant(quad5_stack, chain5_net, cfg, 4)
         assert len(calls) == 1 + 4 * cfg.tau
         assert all(np.array_equal(a, b) for a, b in zip(tr.xs, expected.xs, strict=True))
         assert all(np.array_equal(a, b) for a, b in zip(tr.mus, expected.mus, strict=True))
@@ -276,24 +277,22 @@ class TestSweepsReuseXbar:
 
 class TestTicksResyncXbar:
     """A randomized run applies W once at the start and once per outer
-    iteration, after its ticks; check_xbar adds no call and changes no bit."""
+    iteration, after its ticks; the drift check adds no call."""
 
     @pytest.mark.parametrize("variant", ["rand_gauss_seidel", "rand_gradient"])
     def test_one_weights_apply_per_outer_iteration(self, geo10_net, quad10_stack, monkeypatch,
                                                    variant):
         beta = 1.0 / (quad10_stack.h_max + 1.0) if variant == "rand_gradient" else None
         cfg = AlgorithmConfig(variant=variant, alpha=0.5, rho=1.0, tau=2, beta=beta, seed=5)
-        runner = run_rand_gauss_seidel if variant == "rand_gauss_seidel" else run_rand_gradient
-        expected = runner(quad10_stack, geo10_net, cfg, 6)
+        expected = run_variant(quad10_stack, geo10_net, cfg, 6)
         original = NetworkModel.weights_apply
-        for check_xbar in (False, True):
-            calls = []
-            monkeypatch.setattr(NetworkModel, "weights_apply",
-                                lambda net, x, d: calls.append(1) or original(net, x, d))
-            tr = runner(quad10_stack, geo10_net, cfg, 6, check_xbar=check_xbar)
-            assert len(calls) == 1 + 6
-            assert all(np.array_equal(a, b) for a, b in zip(tr.xs, expected.xs, strict=True))
-            assert all(np.array_equal(a, b) for a, b in zip(tr.mus, expected.mus, strict=True))
+        calls = []
+        monkeypatch.setattr(NetworkModel, "weights_apply",
+                            lambda net, x, d: calls.append(1) or original(net, x, d))
+        tr = run_variant(quad10_stack, geo10_net, cfg, 6)
+        assert len(calls) == 1 + 6
+        assert all(np.array_equal(a, b) for a, b in zip(tr.xs, expected.xs, strict=True))
+        assert all(np.array_equal(a, b) for a, b in zip(tr.mus, expected.mus, strict=True))
 
 
 class TestRandGaussSeidel:
@@ -304,7 +303,7 @@ class TestRandGaussSeidel:
             PoissonSchedule(nodes=np.array([2, 5, 7])),
             PoissonSchedule(nodes=np.array([], dtype=int)),
         ]
-        tr = run_rand_gauss_seidel(quad10_stack, geo10_net, cfg, 2, x0=x0, schedule=sched)
+        tr = run_variant(quad10_stack, geo10_net, cfg, 2, x0=x0, schedule=sched)
         # empty second interval: primal frozen, dual still advances
         assert np.array_equal(tr.xs[2], tr.xs[1])
         expected_mu = tr.mus[1] + 0.5 * geo10_net.laplacian_apply(tr.xs[1], 3)
@@ -316,24 +315,22 @@ class TestRandGaussSeidel:
         cfg = AlgorithmConfig(variant="rand_gauss_seidel", alpha=0.5, rho=1.0, tau=1)
         x0 = np.tile(np.ones(3), 10)
         sched = [PoissonSchedule(nodes=np.array([4]))]
-        tr = run_rand_gauss_seidel(
-            quad10_stack, geo10_net, cfg, 1, x0=x0, schedule=sched, check_xbar=True
-        )
+        tr = run_variant(quad10_stack, geo10_net, cfg, 1, x0=x0, schedule=sched)
         changed = np.abs(tr.xs[1] - x0).reshape(10, 3).sum(axis=1) > 0
         assert changed[4] and changed.sum() == 1
         assert tr.transmissions == [0, 1]
 
     def test_seed_reproducibility(self, geo10_net, quad10_stack):
         cfg = AlgorithmConfig(variant="rand_gauss_seidel", alpha=0.5, rho=1.0, tau=2, seed=9)
-        a = run_rand_gauss_seidel(quad10_stack, geo10_net, cfg, 5)
-        b = run_rand_gauss_seidel(quad10_stack, geo10_net, cfg, 5)
+        a = run_variant(quad10_stack, geo10_net, cfg, 5)
+        b = run_variant(quad10_stack, geo10_net, cfg, 5)
         assert all(np.array_equal(x, y) for x, y in zip(a.xs, b.xs))
         assert all(np.array_equal(x, y) for x, y in zip(a.mus, b.mus))
         assert a.transmissions == b.transmissions
 
     def test_incremental_xbar_matches_recompute(self, geo10_net, quad10_stack):
         cfg = AlgorithmConfig(variant="rand_gauss_seidel", alpha=0.5, rho=1.0, tau=3, seed=2)
-        run_rand_gauss_seidel(quad10_stack, geo10_net, cfg, 10, check_xbar=True)
+        run_variant(quad10_stack, geo10_net, cfg, 10)
 
     def test_xbar_check_names_iteration_and_deviation(self, quad5_stack):
         # ticks refresh chain neighborhoods, but the weights are the complete
@@ -344,7 +341,7 @@ class TestRandGaussSeidel:
         cfg = AlgorithmConfig(variant="rand_gauss_seidel", alpha=0.5, rho=1.0, tau=1)
         sched = [PoissonSchedule(nodes=np.array([0]))]
         with pytest.raises(RuntimeError, match=r"k=1: largest deviation .* is \d"):
-            run_rand_gauss_seidel(quad5_stack, net, cfg, 1, schedule=sched, check_xbar=True)
+            run_variant(quad5_stack, net, cfg, 1, schedule=sched)
 
 
 class TestRandGradient:
@@ -369,13 +366,13 @@ class TestRandGradient:
         cfg = AlgorithmConfig(
             variant="rand_gradient", alpha=0.3, rho=1.0, tau=2, beta=beta, seed=4
         )
-        a = run_rand_gradient(quad10_stack, geo10_net, cfg, 5)
-        b = run_rand_gradient(quad10_stack, geo10_net, cfg, 5)
+        a = run_variant(quad10_stack, geo10_net, cfg, 5)
+        b = run_variant(quad10_stack, geo10_net, cfg, 5)
         assert all(np.array_equal(x, y) for x, y in zip(a.xs, b.xs))
 
 
 class TestSequentialReplay:
-    """Both randomized runners against a node-by-node replay through the
+    """Both randomized variants against a node-by-node replay through the
     per-node oracles (prox_local_info for rand_gauss_seidel,
     gradient_step_local for rand_gradient), with the neighbor averages
     recomputed as (W (x) I) x before every tick. The schedule repeats
@@ -395,12 +392,11 @@ class TestSequentialReplay:
                  PoissonSchedule(nodes=np.array([5, 5, 5, 2, 3])),
                  PoissonSchedule(nodes=np.array([8, 0, 0, 6, 3, 3, 9]))]
         x0 = np.tile(np.array([2.0, -1.0, 0.5]), 10)
-        runner = run_rand_gauss_seidel if variant == "rand_gauss_seidel" else run_rand_gradient
         for rho in (1.0, 0.0):
             beta = 1.0 / (stack.h_max + rho)
             cfg = AlgorithmConfig(variant=variant, alpha=0.1, rho=rho, tau=1, beta=beta,
                                   epsilon=1e-9)
-            tr = runner(stack, net, cfg, len(sched), x0=x0, schedule=sched)
+            tr = run_variant(stack, net, cfg, len(sched), x0=x0, schedule=sched)
             x, mu = x0.copy(), np.zeros(10 * d)
             tx = grads = 0
             for k, s in enumerate(sched, start=1):
@@ -455,7 +451,7 @@ class TestInexactAlDriver:
                                  net.weights_apply(x, stack.dimension))[0]
 
         a = run_inexact_al(stack, net, cfg, policy, 10)
-        b = run_det_jacobi(stack, net, cfg, 10)
+        b = run_variant(stack, net, cfg, 10)
         for xa, xb in zip(a.xs, b.xs):
             assert np.array_equal(xa, xb)
         for ma, mb in zip(a.mus, b.mus):
@@ -496,7 +492,7 @@ class TestDualSumInvariant:
 class TestTraceCsv:
     def test_roundtrip(self, tmp_path, chain5_net, quad5_stack):
         cfg = AlgorithmConfig(variant="det_jacobi", alpha=0.5, rho=1.0, tau=1)
-        tr = run_det_jacobi(quad5_stack, chain5_net, cfg, 3)
+        tr = run_variant(quad5_stack, chain5_net, cfg, 3)
         n = len(tr.xs)
         rel = np.linspace(1.0, 0.1, n)
         prim = np.linspace(2.0, 0.2, n)
@@ -511,7 +507,7 @@ class TestTraceCsv:
 
     def test_non_finite_metric_rejected(self, tmp_path, chain5_net, quad5_stack):
         cfg = AlgorithmConfig(variant="det_jacobi", alpha=0.5, rho=1.0, tau=1)
-        tr = run_det_jacobi(quad5_stack, chain5_net, cfg, 3)
+        tr = run_variant(quad5_stack, chain5_net, cfg, 3)
         lyap = np.array([3.0, 2.0, np.inf, np.nan])
         rel = np.array([1.0, 0.5, 0.2, np.nan])
         path = tmp_path / "trace.csv"

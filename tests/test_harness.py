@@ -1,6 +1,7 @@
 """Data generation, reference solver, metrics, pipeline orchestration."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -234,6 +235,20 @@ class TestExperimentConfig:
                                                        "epsilon": epsilon}]
         with pytest.raises(StageError, match=r"\[config\] algorithms\[1\]\.epsilon must be"):
             minimal_config(tmp_path, algorithms=algorithms)
+
+    @pytest.mark.parametrize("change, message", [
+        ({"network": {"type": "chain", "n": 4, "foo": 1}},
+         "unknown config keys: ['network.foo']"),
+        ({"network": {"type": "geometric", "n": 4, "raduis": 0.5}},
+         "unknown config keys: ['network.raduis']"),
+        ({"objective": {"type": "quadratic", "d": 2, "h_low": 1.0, "reg2": 0}},
+         "unknown config keys: ['objective.h_low', 'objective.reg2']"),
+        ({"network": 5}, "network must be an object, got 5"),
+        ({"objective": ["type", "quadratic"]}, "objective must be an object"),
+    ], ids=["network_key", "network_typo", "objective_keys", "network_number", "objective_list"])
+    def test_bad_network_or_objective_rejected(self, tmp_path, change, message):
+        with pytest.raises(StageError, match=re.escape(f"[config] {message}")):
+            minimal_config(tmp_path, **change)
 
     def test_from_file_bad_json(self, tmp_path):
         path = tmp_path / "bad.json"
