@@ -11,18 +11,14 @@ run_inexact_al runs the same loop with any other policy.
 from __future__ import annotations
 
 import itertools
+import math
 import numbers
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .local_solve import (
-    gradient_step,
-    node_gradient_step,
-    node_prox_solver,
-    prox_local_batch,
-)
+from .local_solve import gradient_step, node_gradient_step, node_prox_solver
 from .objective import ObjectiveStack
 
 __all__ = [
@@ -60,7 +56,8 @@ class AlgorithmConfig:
 
     tau is the exact inner-iteration count for deterministic variants and
     the expected per-node tick count (Poisson rate multiplier) for the
-    randomized ones.
+    randomized ones. alpha > 0, rho >= 0 and a given beta are finite, and
+    epsilon is finite and > 0; ConfigError names the parameter otherwise.
     """
 
     variant: str
@@ -77,6 +74,12 @@ class AlgorithmConfig:
             raise ConfigError(f"unknown variant {self.variant!r}")
         if not isinstance(self.tau, numbers.Integral) or isinstance(self.tau, bool):
             raise ConfigError(f"tau must be an integer, got {self.tau!r}")
+        for name in ("alpha", "rho", "beta", "epsilon"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value!r}")
+        if self.epsilon <= 0:
+            raise ConfigError(f"epsilon must be > 0, got {self.epsilon!r}")
         if self.alpha <= 0 or self.rho < 0 or self.tau < 1:
             raise ConfigError("need alpha > 0, rho >= 0, tau >= 1")
         if self.variant in ("det_gradient", "rand_gradient"):
@@ -140,16 +143,20 @@ def jacobi_sweeps(stack, net, x, mu, rho, tau, epsilon, xbar):
     xbar must be (W (x) I) x; the outer loop passes the one it holds.
     Returns (x_new, xbar_new, gradient_evaluations). Within one sweep the
     per-node solves read only the previous sweep's state, so they are
-    order-independent and run as one batched solve.
+    order-independent; each runs on node_prox_solver, the kernel of the
+    Gauss-Seidel ticks.
     """
     n, d = stack.n_nodes, stack.dimension
-    x = np.asarray(x, dtype=float).reshape(n, d)
+    solve = node_prox_solver(stack, rho, epsilon)
+    x = np.array(x, dtype=float).reshape(n, d)  # a copy, updated in place
     mu = np.asarray(mu, dtype=float).reshape(n, d)
     xbar = np.asarray(xbar, dtype=float).reshape(n, d)
     grads = 0
     for _ in range(tau):
-        x, g = prox_local_batch(stack, rho, mu - rho * xbar, x, epsilon)
-        grads += int(g.sum())
+        v = mu - rho * xbar
+        for i in range(n):
+            x[i], g = solve(i, v[i], x[i])
+            grads += g
         xbar = net.weights_apply(x, d).reshape(n, d)
     return x.reshape(-1), xbar.reshape(-1), grads
 

@@ -81,7 +81,9 @@ class ExperimentConfig:
               "radius": float, "seed": int}
     objective: {"type": "logistic"|"quadratic", "n": int, "d": int,
                 "reg": float, "seed": int, "h_lo": float, "h_hi": float}
-        Any other key in network or objective is rejected.
+        n and d are integers >= 1; radius, reg, h_lo and h_hi are finite
+        and > 0, with h_lo <= h_hi. Another type, or any other key in
+        network or objective, is rejected.
     algorithms: non-empty list of entries, each either {"recipe": <name>,
         ...} or an explicit {"variant", "alpha", "rho", "tau", "beta"} set;
         every entry may carry "label" (letters, digits, "_", "." and "-";
@@ -109,36 +111,23 @@ class ExperimentConfig:
                       lambda v: isinstance(v, (str, os.PathLike)), "a path string")
         _check_config("algorithms", self.algorithms,
                       lambda v: isinstance(v, list) and v, "a non-empty list")
-        for key, known in (("network", {"type", "n", "radius", "seed"}),
-                           ("objective", {"type", "n", "d", "reg", "seed", "h_lo", "h_hi"})):
+        for key in ("network", "objective"):
             spec = getattr(self, key)
             _check_config(key, spec, lambda v: isinstance(v, dict), "an object")
-            extra = sorted(set(spec) - known)
+            extra = sorted(f"{key}.{k}" for k in spec if k not in _VALUES[key])
             if extra:
-                names = [f"{key}.{k}" for k in extra]
-                raise StageError("config", f"unknown config keys: {names}")
-            if "seed" in spec:
-                _check_config(f"{key}.seed", spec["seed"], _is_seed, "an integer >= 0")
+                raise StageError("config", f"unknown config keys: {extra}")
+            for name, value in spec.items():
+                _check_config(f"{key}.{name}", value, *_VALUES[key][name])
+        h_hi = self.objective.get("h_hi", 5.0)  # with h_lo, _build_objective's defaults
+        _check_config("objective.h_lo", self.objective.get("h_lo", 0.5), lambda v: v <= h_hi,
+                      f"<= objective.h_hi = {h_hi!r}")
         for i, entry in enumerate(self.algorithms):
             if not isinstance(entry, dict):
                 raise StageError("config", f"algorithms[{i}] must be an object")
-            if "seed" in entry:
-                _check_config(f"algorithms[{i}].seed", entry["seed"], _is_seed,
-                              "an integer >= 0")
-            for key, ok, need in (("alpha", _is_positive, "a finite number > 0"),
-                                  ("rho", _is_nonnegative, "a finite number >= 0"),
-                                  ("beta", _is_positive, "a finite number > 0")):
-                if key in entry:
-                    _check_config(f"algorithms[{i}].{key}", entry[key], ok, need)
-            if "label" in entry:
-                _check_config(f"algorithms[{i}].label", entry["label"], _is_label,
-                              "letters, digits, '_', '.' or '-'")
-            if "tau" in entry:
-                _check_config(f"algorithms[{i}].tau", entry["tau"], _is_count,
-                              "an integer >= 1")
-            if "epsilon" in entry:
-                _check_config(f"algorithms[{i}].epsilon", entry["epsilon"], _is_positive,
-                              "a finite number > 0")
+            for name, value in entry.items():
+                if name in _VALUES["algorithms"]:
+                    _check_config(f"algorithms[{i}].{name}", value, *_VALUES["algorithms"][name])
 
     @classmethod
     def from_dict(cls, doc):
@@ -188,6 +177,25 @@ def _is_label(v):
 def _check_config(key, value, ok, need):
     if not ok(value):
         raise StageError("config", f"{key} must be {need}, got {value!r}")
+
+
+_COUNT = (_is_count, "an integer >= 1")
+_POSITIVE = (_is_positive, "a finite number > 0")
+_SEED = (_is_seed, "an integer >= 0")
+# (predicate, what the value must be) of every key of network and
+# objective, and of the checked keys of an algorithm entry
+_VALUES = {
+    "network": {"type": (lambda v: v in ("geometric", "chain", "complete"),
+                         "'geometric', 'chain' or 'complete'"),
+                "n": _COUNT, "radius": _POSITIVE, "seed": _SEED},
+    "objective": {"type": (lambda v: v in ("logistic", "quadratic"), "'logistic' or 'quadratic'"),
+                  "n": _COUNT, "d": _COUNT, "reg": _POSITIVE, "seed": _SEED,
+                  "h_lo": _POSITIVE, "h_hi": _POSITIVE},
+    "algorithms": {"seed": _SEED, "alpha": _POSITIVE,
+                   "rho": (_is_nonnegative, "a finite number >= 0"), "beta": _POSITIVE,
+                   "label": (_is_label, "letters, digits, '_', '.' or '-'"),
+                   "tau": _COUNT, "epsilon": _POSITIVE},
+}
 
 
 @dataclass(frozen=True, eq=False)
@@ -330,31 +338,27 @@ def _build_graph(spec):
     kind = spec.get("type", "geometric")
     n = spec["n"]
     meta = {"type": kind, "n": n}
-    if kind == "geometric":
-        radius = spec.get("radius", 0.45)
-        seed = spec.get("seed", 0)
-        g, attempts = build_geometric_graph(n, radius=radius, rng_seed=seed)
-        meta.update(radius=radius, seed=seed, attempts=attempts)
-        return g, meta
     if kind == "chain":
         return build_chain_graph(n), meta
     if kind == "complete":
         return build_complete_graph(n), meta
-    raise StageError("network", f"unknown network type {kind!r}")
+    radius = spec.get("radius", 0.45)
+    seed = spec.get("seed", 0)
+    g, attempts = build_geometric_graph(n, radius=radius, rng_seed=seed)
+    meta.update(radius=radius, seed=seed, attempts=attempts)
+    return g, meta
 
 
 def _build_objective(spec):
     kind = spec.get("type", "logistic")
     n, d = spec["n"], spec.get("d", 15)
     seed = spec.get("seed", 0)
-    if kind == "logistic":
-        return generate_logistic_data(n, d, reg=spec.get("reg", 1.0), seed=seed)
     if kind == "quadratic":
         return generate_quadratic_stack(
             n, d, seed=seed,
             h_lo=spec.get("h_lo", 0.5), h_hi=spec.get("h_hi", 5.0),
         )
-    raise StageError("objective", f"unknown objective type {kind!r}")
+    return generate_logistic_data(n, d, reg=spec.get("reg", 1.0), seed=seed)
 
 
 def render_plots(out_dir):

@@ -4,10 +4,12 @@ Three pieces: the per-node proximal problem solved by an accelerated
 gradient method with a precomputed iteration budget, the single gradient
 step used by the gradient-type algorithm variants, and a high-accuracy
 minimizer of the full augmented objective used as a test oracle. The
-runs use array-form kernels of the first two: all nodes at once for the
-synchronized sweeps, one node at a time for the randomized ticks. The
-per-node forms, prox_local_info and gradient_step_local, are the
-kernels' reference oracles.
+runs use array-form kernels of the first two. One prox kernel,
+node_prox_solver, solves one node at a time for both the Jacobi sweeps
+and the Gauss-Seidel ticks. The gradient step runs on all nodes at once
+for the synchronized sweeps and one node at a time for the randomized
+ticks. The per-node forms, prox_local_info and gradient_step_local, are
+the kernels' reference oracles.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from .objective import NodeCost, ObjectiveStack, grad_stack
 __all__ = [
     "SolverError",
     "prox_local_info",
-    "prox_local_batch",
     "node_prox_solver",
     "node_gradient_step",
     "gradient_step",
@@ -112,77 +113,6 @@ def prox_local_info(cost: NodeCost, rho, v, x0, epsilon=1e-5, max_iterations=MAX
         planned = min(max(planned, 8), max_iterations - it)
 
 
-def prox_local_batch(stack: ObjectiveStack, rho, v, x0, epsilon, max_iterations=MAX_ITERATIONS):
-    """prox_local_info for every node of the stack at once.
-
-    Node i solves min_y f_i(y) + v_i'y + (rho/2)||y||^2 from the warm start
-    x0_i (v and x0 are (N, d)). Each node runs prox_local_info's schedule:
-    its own planned step count, then polish rounds of max(planned, 8)
-    steps until its gradient-norm check passes. All nodes step together
-    until the next pending check; a node's result is taken when it passes,
-    and its later steps are neither used nor counted. Returns (y, gradient
-    evaluations per node); raises SolverError when a node reaches the
-    iteration cap.
-    """
-    nu = stack.node_h_min + rho
-    lip = stack.node_h_max + stack.node_h_min + rho  # as in prox_local_info
-    x0 = np.asarray(x0, dtype=float)
-
-    def grad(y):
-        return stack.node_grads(y) + v + rho * y
-
-    grads = np.ones(stack.n_nodes, dtype=np.int64)
-    r_dist = np.linalg.norm(stack.node_grads(x0) + nu[:, None] * x0 + v, axis=1) / nu
-    active = r_dist != 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        arg = 2.0 * epsilon / (r_dist * r_dist * lip)
-        q = nu / lip
-        steps = np.ceil(np.abs(np.log(arg) / np.log(1.0 - np.sqrt(q))))
-    planned = np.where((arg >= 1.0) | (q >= 1.0), 1, steps)
-    planned = np.minimum(planned, max_iterations).astype(np.int64)
-
-    sq = np.sqrt(q)
-    momentum = ((1.0 - sq) / (1.0 + sq))[:, None]
-    target = np.sqrt(2.0 * nu * epsilon)
-    lip = lip[:, None]
-
-    out = x0.copy()
-    x = x0.copy()
-    y = x0.copy()
-    left = planned.copy()  # steps before the node's next check
-    done = np.zeros_like(planned)  # steps taken
-    while active.any():
-        k = int(left[active].min())
-        for _ in range(k):
-            g = grad(y)
-            x_new = y - g / lip
-            y = x_new + momentum * (x_new - x)
-            x = x_new
-        taken = k * active
-        grads += taken
-        left -= taken
-        done += taken
-        # strong-convexity certificate: gap <= ||grad||^2 / (2 nu)
-        check = active & (left == 0)
-        gn = np.linalg.norm(grad(x), axis=1)
-        grads += check
-        passed = check & (gn <= target)
-        out[passed] = x[passed]
-        active &= ~passed
-        again = check & ~passed
-        capped = again & (done >= max_iterations)
-        if capped.any():
-            i = int(np.argmax(capped))
-            raise SolverError(
-                f"prox solve at node {i} exceeded {max_iterations} iterations "
-                f"(gradient norm {gn[i]:.3e} > {target[i]:.3e}); Hessian bounds suspect"
-            )
-        planned = np.where(again, np.minimum(np.maximum(planned, 8), max_iterations - done),
-                           planned)
-        left = np.where(again, planned, left)
-    return out, grads
-
-
 def _sigmoid(z):
     """1 / (1 + exp(-z)) on a float, overflow-free. Unlike objective's
     np.exp form it returns a float, which keeps the per-step arithmetic of
@@ -194,61 +124,100 @@ def _sigmoid(z):
 
 
 def node_prox_solver(stack: ObjectiveStack, rho, epsilon, max_iterations=MAX_ITERATIONS):
-    """prox_local_info for one node of the stack at a time, from its array form.
+    """The prox kernel of the Jacobi sweeps and of the Gauss-Seidel ticks:
+    prox_local_info for one node of the stack at a time, from its array form.
 
     Returns solve(i, v, x0) -> (y, gradient evaluations): node i's prox
     problem min_y f_i(y) + v'y + (rho/2)||y||^2 solved from the warm start
     x0 on prox_local_info's schedule (R' from the warm start, the planned
-    step count, polish rounds of max(planned, 8) steps, SolverError at the
-    iteration cap). Each Nesterov step y -> y - g(y)/L_i is one affine map
-    built once here, with a_i = 1 - (reg_i + rho)/L_i and
+    step count, polish rounds of max(planned, 8) steps, SolverError naming
+    the node at the iteration cap). Each Nesterov step y -> y - g(y)/L_i is
+    one affine map built once here, with a_i = 1 - (reg_i + rho)/L_i and
     M_i = I - (A_i + rho I)/L_i:
 
     - logistic: y -> a_i y - v/L_i + (sigma(-c_i'y)/L_i) c_i. Every iterate
-      is p x0 + q v/L_i + r c_i, so the steps run on (p, q, r) as float
-      arithmetic, with c_i'y from c_i'x0, c_i'v/L_i and c_i'c_i;
-    - quadratic: y -> M_i y - (b_i + v)/L_i.
+      is p x0 + q v/L_i + r c_i, with c_i'y from c_i'x0, c_i'v/L_i and
+      c_i'c_i. p and q depend on the node alone, so they are computed once
+      per node and shared by its solves; a step updates r in float
+      arithmetic;
+    - quadratic: y -> M_i y - (b_i + v)/L_i. On [x - x0; y - x0; 1], a
+      step and its momentum update are one (2d+1)-square homogeneous map
+      T_i whose last column holds g/L_i, g the prox gradient at x0, so a
+      node at its optimum stays there exactly. T_i is built here but for
+      that column, which each solve fills in, and the n steps between two
+      checks are one product with T_i^n.
     """
     nu = stack.node_h_min + rho
     lip = stack.node_h_max + stack.node_h_min + rho  # as in prox_local_info
     q = nu / lip
     sq = np.sqrt(q)
-    momentum = ((1.0 - sq) / (1.0 + sq)).tolist()
+    momentum = (1.0 - sq) / (1.0 + sq)
     target = np.sqrt(2.0 * nu * epsilon).tolist()
     if stack.kind == "logistic":
         samples = stack.samples
         a = (1.0 - (stack.node_reg + rho) / lip).tolist()
         cc = (samples * samples).sum(axis=1).tolist()
+        walks = {}  # node -> rows p_y, q_y, p_x, q_x after 0, 1, ... steps
+
+        def walk(i, n, mom):
+            """p and q of node i's iterates after up to n steps. They do not
+            depend on v or x0, so every solve of the node shares them."""
+            rows = walks.get(i)
+            if rows is None or rows.shape[1] <= n:
+                # recomputed from step 0, at least doubling, so the cost amortizes
+                steps = n if rows is None else max(n, 2 * rows.shape[1])
+                a_i = a[i]
+                px = py = 1.0
+                qx = qy = 0.0
+                seq = [py, qy, px, qx]  # flat: a list of tuples costs more peak memory
+                for _ in range(steps):
+                    pn, qn = a_i * py, a_i * qy - 1.0
+                    py, qy = pn + mom * (pn - px), qn + mom * (qn - qx)
+                    px, qx = pn, qn
+                    seq += py, qy, px, qx
+                rows = walks[i] = np.array(seq).reshape(-1, 4).T
+            return rows
 
         def path(i, v, x0, lip_i, mom):
             a_i, c, w = a[i], samples[i], v / lip_i
             cx0, cw, cc_i = float(c @ x0), float(c @ w), cc[i]
-            px = py = 1.0
-            qx = qy = rx = ry = 0.0
+            k, rx, ry = 0, 0.0, 0.0
             n = yield
             while True:
-                for _ in range(n):
-                    s = _sigmoid(-(py * cx0 + qy * cw + ry * cc_i)) / lip_i
-                    pn, qn, rn = a_i * py, a_i * qy - 1.0, a_i * ry + s
-                    py, qy, ry = pn + mom * (pn - px), qn + mom * (qn - qx), rn + mom * (rn - rx)
-                    px, qx, rx = pn, qn, rn
-                n = yield px * x0 + qx * w + rx * c
+                py, qy, px, qx = walk(i, k + n, mom)
+                for z in (py[k:k + n] * cx0 + qy[k:k + n] * cw).tolist():
+                    rn = a_i * ry + _sigmoid(-(z + ry * cc_i)) / lip_i
+                    ry = rn + mom * (rn - rx)
+                    rx = rn
+                k += n
+                n = yield px[k] * x0 + qx[k] * w + rx * c
     else:
-        eye = np.eye(stack.dimension)
+        d = stack.dimension
+        eye = np.eye(d)
         m = eye - (stack.matrices + rho * eye) / lip[:, None, None]
-        linears = stack.linears
+        # x <- M y - g/L, y <- (1 + m)(M y - g/L) - m x
+        maps = np.zeros((stack.n_nodes, 2 * d + 1, 2 * d + 1))
+        maps[:, :d, d:-1] = m
+        maps[:, d:-1, :d] = -momentum[:, None, None] * eye
+        maps[:, d:-1, d:-1] = (1.0 + momentum[:, None, None]) * m
+        maps[:, -1, -1] = 1.0
+        matrices, linears = stack.matrices, stack.linears
 
         def path(i, v, x0, lip_i, mom):
-            m_i, w = m[i], (linears[i] + v) / lip_i
-            x = y = x0
+            t = maps[i].copy()
+            step = (matrices[i] @ x0 + linears[i] + v + rho * x0) / lip_i  # g(x0)/L_i
+            t[:d, -1] = -step
+            t[d:-1, -1] = -(1.0 + mom) * step
+            z = np.zeros(2 * d + 1)
+            z[-1] = 1.0
+            powers = {}  # T_i^n by n: the polish rounds repeat one n
             n = yield
             while True:
-                for _ in range(n):
-                    x_new = m_i @ y - w
-                    y = x_new + mom * (x_new - x)
-                    x = x_new
-                n = yield x
-    nu, lip, q = nu.tolist(), lip.tolist(), q.tolist()
+                if n not in powers:
+                    powers[n] = np.linalg.matrix_power(t, n)
+                z = powers[n] @ z
+                n = yield x0 + z[:d]
+    nu, lip, q, momentum = nu.tolist(), lip.tolist(), q.tolist(), momentum.tolist()
     node_grad = stack.node_grad
 
     def solve(i, v, x0):

@@ -195,6 +195,27 @@ class TestAlgorithmConfig:
         with pytest.raises(ConfigError, match="tau must be an integer"):
             AlgorithmConfig(variant="det_jacobi", alpha=0.5, rho=1.0, tau=2.7)
 
+    @pytest.mark.parametrize("name, value, match", [
+        ("alpha", float("nan"), "alpha must be finite"),
+        ("alpha", float("inf"), "alpha must be finite"),
+        ("rho", float("nan"), "rho must be finite"),
+        ("rho", float("inf"), "rho must be finite"),
+        ("beta", float("nan"), "beta must be finite"),
+        ("beta", float("-inf"), "beta must be finite"),
+        ("epsilon", float("nan"), "epsilon must be finite"),
+        ("epsilon", float("inf"), "epsilon must be finite"),
+        ("epsilon", 0.0, "epsilon must be > 0"),
+        ("epsilon", -1e-5, "epsilon must be > 0"),
+    ], ids=["alpha=nan", "alpha=inf", "rho=nan", "rho=inf", "beta=nan", "beta=-inf",
+            "epsilon=nan", "epsilon=inf", "epsilon=0", "epsilon=negative"])
+    def test_bad_numeric_parameter_rejected(self, name, value, match):
+        # unchecked, these fail late: a nan rho in a cast, epsilon = 0 after 200,000 steps
+        params = dict(variant="rand_gradient", alpha=0.5, rho=1.0, tau=1, beta=0.1,
+                      epsilon=1e-5)
+        params[name] = value
+        with pytest.raises(ConfigError, match=match):
+            AlgorithmConfig(**params)
+
 
 class TestPoissonSchedule:
     def test_empirical_mean(self):
@@ -417,6 +438,58 @@ class TestSequentialReplay:
                 assert tr.grad_evals[k] == grads
                 assert np.abs(tr.xs[k] - x).max() <= 1e-12
                 assert np.abs(tr.mus[k] - mu).max() <= 1e-12
+
+
+class TestJacobiReplay:
+    """det_jacobi against a sweep-by-sweep replay through prox_local_info,
+    node by node: each sweep's prox problems take mu_i - rho xbar_i from the
+    previous sweep's state. Three sweeps per outer iteration, four outer
+    iterations; rho = 0 leaves the averages out of the prox problems. In the
+    polish case node 0 starts where its distance estimate nearly vanishes, so
+    its first solve needs polish rounds: more than one T_i^n product."""
+
+    @pytest.mark.parametrize("kind", ["quadratic", "logistic", "quadratic_polish"])
+    def test_sweep_replay_oracle(self, geo10_net, quad10_stack, kind):
+        from dalopt.local_solve import _planned_iterations
+
+        net, tau, k_max = geo10_net, 3, 4
+        if kind == "quadratic":
+            stack, x0 = quad10_stack, np.tile(np.array([2.0, -1.0, 0.5]), 10)
+        elif kind == "logistic":
+            stack = generate_logistic_data(10, 3, reg=0.5, seed=6)
+            x0 = np.tile(np.array([2.0, -1.0, 0.5]), 10)
+        else:
+            # f_0 = (y - c)^2 / 2 with c = 2 x0 + 1e-3: R' = |2 x0 - c| / (1 + rho)
+            centers = [2.0 + 1e-3, -3.0, 0.5, 4.0, -1.0, 2.5, 0.0, -2.0, 1.5, 3.0]
+            stack, x0 = ObjectiveStack(tuple(scalar_quadratic(c) for c in centers)), np.ones(10)
+        d = stack.dimension
+        for rho in (1.0, 0.0):
+            cfg = AlgorithmConfig(variant="det_jacobi", alpha=0.1, rho=rho, tau=tau,
+                                  epsilon=1e-9)
+            tr = run_variant(stack, net, cfg, k_max, x0=x0)
+            x, mu = x0.copy(), np.zeros(10 * d)
+            tx = grads = polished = 0
+            for k in range(1, k_max + 1):
+                for _ in range(tau):
+                    v = mu - rho * net.weights_apply(x, d)
+                    x_next = x.copy()
+                    for i, cost in enumerate(stack.costs):
+                        sl = slice(d * i, d * i + d)
+                        x_next[sl], g = prox_local_info(cost, rho, v[sl], x[sl], cfg.epsilon)
+                        nu, lip = cost.h_min + rho, cost.h_max + cost.h_min + rho
+                        r_dist = np.linalg.norm(cost.grad(x[sl]) + nu * x[sl] + v[sl]) / nu
+                        planned = _planned_iterations(cfg.epsilon, r_dist, lip, nu / lip)
+                        polished += r_dist > 0 and g > planned + 2
+                        grads += g
+                    x = x_next
+                    tx += 10
+                mu = mu + cfg.alpha * (x - net.weights_apply(x, d))
+                assert tr.transmissions[k] == tx
+                assert tr.grad_evals[k] == grads
+                assert np.abs(tr.xs[k] - x).max() <= 1e-12
+                assert np.abs(tr.mus[k] - mu).max() <= 1e-12
+            if kind == "quadratic_polish":
+                assert polished > 0
 
 
 class TestInexactAlDriver:

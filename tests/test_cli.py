@@ -85,11 +85,18 @@ class TestBadConfig:
         ({"algorithms": []}, "config", "algorithms"),
         ({"algorithms": [{"recipe": "section4_jacobi", "label": "a/b"}]}, "config",
          "algorithms[0].label"),
+        ({"network": {"type": "chain", "n": "3"}}, "config", "network.n must be"),
+        ({"network": {"type": "chain", "n": 2.5}}, "config", "network.n must be"),
+        ({"network": {"type": "ring", "n": 3}}, "config", "network.type must be"),
+        ({"objective": {"type": "quadratic", "d": 0}}, "config", "objective.d must be"),
+        ({"objective": {"type": "quadratic", "d": 2, "h_lo": 3, "h_hi": 1}}, "config",
+         "objective.h_lo must be <= objective.h_hi"),
     ], ids=["node_count", "duplicate_labels", "unknown_variant", "beta_too_large",
             "beta_above_contraction_limit", "top_level_number", "top_level_null",
             "top_level_pairs", "output_dir_number", "stop_rel_cost_negative",
             "stop_rel_cost_infinite", "stop_rel_cost_string", "no_algorithms",
-            "label_with_slash"])
+            "label_with_slash", "network_n_string", "network_n_fraction", "network_type",
+            "objective_d_zero", "objective_h_lo_above_h_hi"])
     def test_fails_with_stage(self, tmp_path, capsys, command, change, stage, names):
         path = tmp_path / "cfg.json"
         doc = change

@@ -245,7 +245,28 @@ class TestExperimentConfig:
          "unknown config keys: ['objective.h_low', 'objective.reg2']"),
         ({"network": 5}, "network must be an object, got 5"),
         ({"objective": ["type", "quadratic"]}, "objective must be an object"),
-    ], ids=["network_key", "network_typo", "objective_keys", "network_number", "objective_list"])
+        ({"network": {"type": "chain", "n": 0}}, "network.n must be an integer >= 1, got 0"),
+        ({"network": {"type": "geometric", "n": 4, "radius": "x"}},
+         "network.radius must be a finite number > 0, got 'x'"),
+        ({"network": {"type": "geometric", "n": 4, "radius": float("inf")}},
+         "network.radius must be a finite number > 0, got inf"),
+        ({"objective": {"type": "quadratic", "d": "2"}}, "objective.d must be an integer >= 1"),
+        ({"objective": {"type": "quadratic", "d": 2, "n": True}},
+         "objective.n must be an integer >= 1, got True"),
+        ({"objective": {"type": "logistic", "d": 2, "reg": 0}},
+         "objective.reg must be a finite number > 0, got 0"),
+        ({"objective": {"type": "quadratic", "d": 2, "h_lo": float("nan")}},
+         "objective.h_lo must be a finite number > 0, got nan"),
+        ({"objective": {"type": "quadratic", "d": 2, "h_hi": -1.0}},
+         "objective.h_hi must be a finite number > 0, got -1.0"),
+        ({"objective": {"type": "quadratic", "d": 2, "h_lo": 6.0}},
+         "objective.h_lo must be <= objective.h_hi = 5.0, got 6.0"),
+        ({"objective": {"type": "linear", "d": 2}},
+         "objective.type must be 'logistic' or 'quadratic', got 'linear'"),
+    ], ids=["network_key", "network_typo", "objective_keys", "network_number", "objective_list",
+            "n_zero", "radius_string", "radius_infinite", "d_string", "objective_n_bool",
+            "reg_zero", "h_lo_nan", "h_hi_negative", "h_lo_above_default_h_hi",
+            "objective_type"])
     def test_bad_network_or_objective_rejected(self, tmp_path, change, message):
         with pytest.raises(StageError, match=re.escape(f"[config] {message}")):
             minimal_config(tmp_path, **change)
@@ -295,8 +316,10 @@ class TestRunExperiment:
             run_experiment(cfg)
 
     def test_stage_named_on_network_failure(self, tmp_path):
-        cfg = minimal_config(tmp_path, network={"type": "mystery", "n": 2})
-        with pytest.raises(StageError, match=r"\[network\]"):
+        # a valid config whose graph cannot be built (an unknown type now
+        # fails earlier, at [config])
+        cfg = minimal_config(tmp_path, network={"type": "geometric", "n": 8, "radius": 0.01})
+        with pytest.raises(StageError, match=r"\[network\] no connected geometric graph"):
             run_experiment(cfg)
 
     def test_stop_rel_cost_truncates(self, tmp_path):

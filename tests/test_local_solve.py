@@ -11,9 +11,9 @@ from dalopt.local_solve import (
     gradient_step_local,
     node_gradient_step,
     node_prox_solver,
-    prox_local_batch,
     prox_local_info,
 )
+from dalopt.almethods import jacobi_sweeps
 from dalopt.harness import generate_logistic_data
 from dalopt.network import build_chain_graph, build_network
 from dalopt.objective import LogisticCost, ObjectiveStack, QuadraticCost, grad_stack
@@ -67,7 +67,8 @@ class TestProxLocal:
 
 
 def per_node_prox(stack, rho, v, x0, epsilon, max_iterations=200_000):
-    """prox_local_info node by node: the oracle of prox_local_batch."""
+    """prox_local_info node by node: the oracle of node_prox_solver and of
+    the Jacobi sweeps."""
     out = [
         prox_local_info(c, rho, vi, xi, epsilon, max_iterations)
         for c, vi, xi in zip(stack.costs, v, x0)
@@ -75,16 +76,31 @@ def per_node_prox(stack, rho, v, x0, epsilon, max_iterations=200_000):
     return np.array([y for y, _ in out]), np.array([g for _, g in out])
 
 
-class TestProxLocalBatch:
+def jacobi_sweep(stack, rho, v, x0, epsilon):
+    """One sweep of jacobi_sweeps on a chain of the stack's nodes, with mu
+    set so that node i's linear term mu_i - rho xbar_i is v_i up to
+    rounding (exactly, when v is 0). Returns (y, gradient evaluations, the
+    linear terms the sweep used), y and the terms as (N, d)."""
+    n, d = stack.n_nodes, stack.dimension
+    net = build_network(build_chain_graph(n))
+    xbar = net.weights_apply(x0.reshape(-1), d)
+    mu = v.reshape(-1) + rho * xbar
+    y, _, grads = jacobi_sweeps(stack, net, x0.reshape(-1), mu, rho, 1, epsilon, xbar)
+    return y.reshape(n, d), grads, (mu - rho * xbar).reshape(n, d)
+
+
+class TestJacobiSweepSolves:
+    """A Jacobi sweep solves every node's prox problem on node_prox_solver,
+    as prox_local_info would, node by node."""
+
     def test_matches_per_node_solves(self, rng, quad5_stack):
         for stack in (quad5_stack, generate_logistic_data(7, 4, reg=0.5, seed=3)):
             n, d = stack.n_nodes, stack.dimension
-            v = rng.standard_normal((n, d))
             x0 = rng.standard_normal((n, d))
-            y, grads = prox_local_batch(stack, 0.8, v, x0, 1e-9)
+            y, grads, v = jacobi_sweep(stack, 0.8, rng.standard_normal((n, d)), x0, 1e-9)
             y_ref, grads_ref = per_node_prox(stack, 0.8, v, x0, 1e-9)
             assert np.abs(y - y_ref).max() <= 1e-12
-            assert grads.tolist() == grads_ref.tolist()
+            assert grads == grads_ref.sum()
 
     def test_polish_round_counts_match(self):
         from dalopt.local_solve import _planned_iterations
@@ -95,10 +111,13 @@ class TestProxLocalBatch:
         rho, eps = 0.1, 1e-3
         v = np.zeros((3, 1))
         x0 = np.array([[0.5], [0.0], [1.0]])
-        y, grads = prox_local_batch(stack, rho, v, x0, eps)
+        y, total, v_used = jacobi_sweep(stack, rho, v, x0, eps)
+        assert np.array_equal(v_used, v)
         y_ref, grads_ref = per_node_prox(stack, rho, v, x0, eps)
         assert np.abs(y - y_ref).max() <= 1e-12
-        assert grads.tolist() == grads_ref.tolist()
+        solve = node_prox_solver(stack, rho, eps)
+        grads = [solve(i, v[i], x0[i])[1] for i in range(3)]
+        assert grads == grads_ref.tolist() and total == sum(grads)
         nu, lip = 1.0 + rho, 2.0 + rho
         r_dist = abs(float(stack.costs[0].grad(x0[0])[0]) + nu * 0.5) / nu
         planned = _planned_iterations(eps, r_dist, lip, nu / lip)
@@ -110,14 +129,18 @@ class TestProxLocalBatch:
         x0 = np.zeros((n, d))
         with pytest.raises(SolverError, match="exceeded 3 iterations"):
             per_node_prox(quad5_stack, 1.0, v, x0, 1e-14, max_iterations=3)
-        with pytest.raises(SolverError, match="exceeded 3 iterations"):
-            prox_local_batch(quad5_stack, 1.0, v, x0, 1e-14, max_iterations=3)
+        # no gradient norm reaches sqrt(2 nu 1e-300): the sweep's solve of
+        # node 0 runs into the default cap
+        with pytest.raises(SolverError, match="at node 0 exceeded 200000 iterations"):
+            jacobi_sweep(quad5_stack, 1.0, v, x0, 1e-300)
 
     def test_node_at_its_optimum_costs_one_gradient(self):
         stack = ObjectiveStack((scalar_quadratic(0.0), scalar_quadratic(3.0)))
-        y, grads = prox_local_batch(stack, 1.0, np.zeros((2, 1)), np.zeros((2, 1)), 1e-8)
-        assert y[0, 0] == 0.0 and grads[0] == 1
-        assert grads[1] > 1
+        v, x0 = np.zeros((2, 1)), np.zeros((2, 1))
+        y, grads, _ = jacobi_sweep(stack, 1.0, v, x0, 1e-8)
+        _, grads_1 = prox_local_info(stack.costs[1], 1.0, v[1], x0[1], 1e-8)
+        assert y[0, 0] == 0.0 and grads == 1 + grads_1
+        assert grads_1 > 1
 
 
 class TestNodeProxSolver:
