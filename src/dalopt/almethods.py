@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .local_solve import gradient_step, node_gradient_step, node_prox_solver
+from .network import NetworkError
 from .objective import ObjectiveStack
 
 __all__ = [
@@ -237,14 +238,13 @@ def _tick_phase(stack, net, cfg, k_max, schedule):
     iteration k in order, from schedule[k - 1] or, without a schedule,
     drawn as sample_poisson_schedule would when the loop reaches k.
 
-    A ticking node broadcasts its block, and only the neighbor averages of
-    its neighborhood change: the ticks refresh W's entries on the graph's
-    links and self-loops. On (N, d) views, the phase builds its state
-    offset(x, xbar, mu), which holds what the ticks read of the neighbor
-    averages, and ticks(nodes, x, state, mu) -> grad_evals runs the ticks
-    in place. The phase then sets xbar = (W (x) I) x, so the rounding of
-    the per-tick updates never reaches the dual step, and raises if the
-    state has drifted from offset(x, xbar, mu) by more than rounding."""
+    A ticking node reads its neighbors' current blocks and updates its own:
+    ticks(nodes, x, mu) -> grad_evals runs the ticks in place on (N, d)
+    views, each reading (W x)_i from x as it stands, so no neighbor
+    averages are kept between ticks. A Gauss-Seidel tick solves its prox
+    problem with v_i = mu_i - (rho W)_i x. Since a node reads only its
+    neighbors, W must vanish off the graph; that is checked once here. The
+    phase returns xbar = (W (x) I) x for the dual step."""
     n, d = stack.n_nodes, stack.dimension
     if schedule is None:
         draws = _poisson_ticks(n, cfg.tau, cfg.seed)
@@ -252,45 +252,35 @@ def _tick_phase(stack, net, cfg, k_max, schedule):
         raise ConfigError("schedule shorter than k_max")
     else:
         draws = (s.nodes for s in schedule)
-    weights = np.where(net.graph.adjacency, net.weights.entries, 0.0)
+    weights = net.weights.entries
+    off_graph = np.argwhere((weights != 0) & ~net.graph.adjacency)
+    if off_graph.size:
+        i, j = off_graph[0].tolist()
+        raise NetworkError(
+            f"W[{i}, {j}] = {float(weights[i, j])!r} but ({i}, {j}) is not a link of the graph: "
+            f"a ticking node reads only its neighbors' blocks"
+        )
     if cfg.variant == "rand_gradient":
-        offset, gradient_ticks = node_gradient_step(stack, weights, cfg.beta, cfg.rho)
+        gradient_ticks = node_gradient_step(stack, weights, cfg.beta, cfg.rho)
 
-        def ticks(nodes, x, v, mu):
-            gradient_ticks(nodes, x, v)  # v already holds mu
+        def ticks(nodes, x, mu):
+            gradient_ticks(nodes, x, mu)
             return len(nodes)  # one gradient evaluation per tick
     else:
         solve = node_prox_solver(stack, cfg.rho, cfg.epsilon)
-        columns = weights.T[:, :, None].copy()  # columns[i]: W[:, i] as (N, 1)
+        rho_weights = list(cfg.rho * weights)  # rows (rho W)_i
 
-        def offset(x, xbar, mu):
-            return xbar  # the ticks refresh the neighbor averages themselves
-
-        def ticks(nodes, x, xbar, mu):
+        def ticks(nodes, x, mu):
             grads = 0
             for i in nodes:
-                block, g = solve(i, mu[i] - cfg.rho * xbar[i], x[i])
-                delta = block - x[i]
-                x[i] = block
-                xbar += columns[i] * delta
+                x[i], g = solve(i, mu[i] - rho_weights[i].dot(x), x[i])
                 grads += g
             return grads
 
     def inner(k, x, mu, xbar):
-        # (N, d) views of the stacked vectors; x is updated in place
-        xs, mus = x.reshape(n, d), mu.reshape(n, d)
         nodes = next(draws).tolist()
-        state = offset(xs, xbar.reshape(n, d), mus)
-        grads = ticks(nodes, xs, state, mus)
-        xbar = net.weights_apply(x, d)
-        full = offset(xs, xbar.reshape(n, d), mus)
-        deviation = float(np.max(np.abs(full - state)))
-        if deviation > 1e-12 * max(1.0, float(np.max(np.abs(full)))):
-            raise RuntimeError(
-                f"incremental neighbor averages drifted at outer iteration k={k}: "
-                f"largest deviation from (W (x) I) x is {deviation:.3e}"
-            )
-        return x, xbar, len(nodes), grads
+        grads = ticks(nodes, x.reshape(n, d), mu.reshape(n, d))  # x updated in place
+        return x, net.weights_apply(x, d), len(nodes), grads
 
     return inner
 

@@ -81,7 +81,8 @@ class ExperimentConfig:
               "radius": float, "seed": int}
     objective: {"type": "logistic"|"quadratic", "n": int, "d": int,
                 "reg": float, "seed": int, "h_lo": float, "h_hi": float}
-        n and d are integers >= 1; radius, reg, h_lo and h_hi are finite
+        n is an integer >= 2, d one >= 1 (>= 2 for the default logistic
+        type, features plus intercept); radius, reg, h_lo and h_hi are finite
         and > 0, with h_lo <= h_hi. Another type, or any other key in
         network or objective, is rejected.
     algorithms: non-empty list of entries, each either {"recipe": <name>,
@@ -122,6 +123,9 @@ class ExperimentConfig:
         h_hi = self.objective.get("h_hi", 5.0)  # with h_lo, _build_objective's defaults
         _check_config("objective.h_lo", self.objective.get("h_lo", 0.5), lambda v: v <= h_hi,
                       f"<= objective.h_hi = {h_hi!r}")
+        if self.objective.get("type", "logistic") == "logistic":  # features plus intercept
+            _check_config("objective.d", self.objective.get("d", 15), lambda v: v >= 2,
+                          ">= 2 for a logistic objective")
         for i, entry in enumerate(self.algorithms):
             if not isinstance(entry, dict):
                 raise StageError("config", f"algorithms[{i}] must be an object")
@@ -180,6 +184,7 @@ def _check_config(key, value, ok, need):
 
 
 _COUNT = (_is_count, "an integer >= 1")
+_NODES = (lambda v: _is_count(v) and v >= 2, "an integer >= 2")
 _POSITIVE = (_is_positive, "a finite number > 0")
 _SEED = (_is_seed, "an integer >= 0")
 # (predicate, what the value must be) of every key of network and
@@ -187,9 +192,9 @@ _SEED = (_is_seed, "an integer >= 0")
 _VALUES = {
     "network": {"type": (lambda v: v in ("geometric", "chain", "complete"),
                          "'geometric', 'chain' or 'complete'"),
-                "n": _COUNT, "radius": _POSITIVE, "seed": _SEED},
+                "n": _NODES, "radius": _POSITIVE, "seed": _SEED},
     "objective": {"type": (lambda v: v in ("logistic", "quadratic"), "'logistic' or 'quadratic'"),
-                  "n": _COUNT, "d": _COUNT, "reg": _POSITIVE, "seed": _SEED,
+                  "n": _NODES, "d": _COUNT, "reg": _POSITIVE, "seed": _SEED,
                   "h_lo": _POSITIVE, "h_hi": _POSITIVE},
     "algorithms": {"seed": _SEED, "alpha": _POSITIVE,
                    "rho": (_is_nonnegative, "a finite number >= 0"), "beta": _POSITIVE,

@@ -8,8 +8,9 @@ runs use array-form kernels of the first two. One prox kernel,
 node_prox_solver, solves one node at a time for both the Jacobi sweeps
 and the Gauss-Seidel ticks. The gradient step runs on all nodes at once
 for the synchronized sweeps and one node at a time for the randomized
-ticks. The per-node forms, prox_local_info and gradient_step_local, are
-the kernels' reference oracles.
+ticks, where a tick is one row product over the current blocks. The
+per-node forms, prox_local_info and gradient_step_local, are the kernels'
+reference oracles.
 """
 
 from __future__ import annotations
@@ -113,16 +114,6 @@ def prox_local_info(cost: NodeCost, rho, v, x0, epsilon=1e-5, max_iterations=MAX
         planned = min(max(planned, 8), max_iterations - it)
 
 
-def _sigmoid(z):
-    """1 / (1 + exp(-z)) on a float, overflow-free. Unlike objective's
-    np.exp form it returns a float, which keeps the per-step arithmetic of
-    the node kernels below in Python floats (3-4x faster than numpy scalars)."""
-    if z >= 0.0:
-        return 1.0 / (1.0 + math.exp(-z))
-    ez = math.exp(z)
-    return ez / (1.0 + ez)
-
-
 def node_prox_solver(stack: ObjectiveStack, rho, epsilon, max_iterations=MAX_ITERATIONS):
     """The prox kernel of the Jacobi sweeps and of the Gauss-Seidel ticks:
     prox_local_info for one node of the stack at a time, from its array form.
@@ -182,11 +173,18 @@ def node_prox_solver(stack: ObjectiveStack, rho, epsilon, max_iterations=MAX_ITE
             a_i, c, w = a[i], samples[i], v / lip_i
             cx0, cw, cc_i = float(c @ x0), float(c @ w), cc[i]
             k, rx, ry = 0, 0.0, 0.0
+            exp = math.exp
             n = yield
             while True:
                 py, qy, px, qx = walk(i, k + n, mom)
                 for z in (py[k:k + n] * cx0 + qy[k:k + n] * cw).tolist():
-                    rn = a_i * ry + _sigmoid(-(z + ry * cc_i)) / lip_i
+                    u = z + ry * cc_i  # c_i'y; sigma(-u) without overflow
+                    if u <= 0.0:
+                        s = 1.0 / (1.0 + exp(u))
+                    else:
+                        e = exp(-u)
+                        s = e / (1.0 + e)
+                    rn = a_i * ry + s / lip_i
                     ry = rn + mom * (rn - rx)
                     rx = rn
                 k += n
@@ -250,65 +248,66 @@ def node_prox_solver(stack: ObjectiveStack, rho, epsilon, max_iterations=MAX_ITE
 
 
 def node_gradient_step(stack: ObjectiveStack, weights, beta, rho):
-    """gradient_step for one node of the stack at a time, as the update of
-    an offset that lasts a whole tick phase.
+    """gradient_step for one node of the stack at a time: a tick gathers
+    what it reads from the current blocks, and keeps no other state.
 
-    weights is the (N, N) W the ticks refresh: W's entries on the graph's
-    links and self-loops, 0 elsewhere. Within a phase mu is fixed, so node
-    i's step changes x_i by delta = v_i + beta sigma(-c_i'x_i) c_i on a
-    logistic node and by delta = v_i on a quadratic one, where v is the
-    (N, d) offset
+    weights is the (N, N) W the ticks read: W's entries on the graph's
+    links and self-loops, 0 elsewhere. Within a tick phase mu is fixed, so
+    node i's step x_i <- (1 - beta rho) x_i + beta rho (W x)_i
+    - beta (mu_i + grad f_i(x_i)) is one row product k_i @ z, with z the
+    array a phase builds and k_i a coefficient row built once here:
 
-    - logistic: v = beta rho xbar - beta mu + (a - 1) x, with
-      a_i = 1 - beta (reg_i + rho);
-    - quadratic: v = beta rho xbar - beta (mu + b) + (P - I) x, with
-      P_i = (1 - beta rho) I - beta A_i, computed row by row.
+    - logistic: z = [x; -beta mu; C] and k_i holds beta rho W_i on the x
+      block plus a_i = 1 - beta (reg_i + rho) at x_i, 1 on node i's offset
+      row, and beta sigma(-c_i'x_i) at c_i, which the tick sets first;
+    - quadratic: z = [x; -beta (mu + b)] and k_i holds beta rho W_i on the
+      x block and 1 on node i's offset row; the tick adds P_i x_i, with
+      P_i = (1 - beta rho) I - beta A_i.
 
-    After the step v changes by K_i delta, where K_i is beta rho times W's
-    column i, plus (a_i - 1) e_i on a logistic node; on a quadratic node v_i
-    changes by (P_i - I) delta as well. xbar is not kept: v never yields it
-    back, since rho may be 0.
-
-    Returns (offset, ticks). offset(x, xbar, mu) -> v builds the offset at
-    the start of a phase; ticks(nodes, x, v) runs the ticks of nodes in
-    order, in place on the (N, d) arrays x and v.
+    Returns ticks(nodes, x, mu): the ticks of nodes in order, in place on
+    the (N, d) blocks x.
     """
     if beta <= 0:
         raise ValueError("beta must be positive")
+    n = stack.n_nodes
     beta_rho = beta * rho
     logistic = stack.kind == "logistic"
-    kernels = np.ascontiguousarray(beta_rho * np.asarray(weights, dtype=float).T)  # rows: K_i
+    rows = np.zeros((n, (3 if logistic else 2) * n))
+    np.multiply(beta_rho, weights, out=rows[:, :n])
+    rows[range(n), range(n, 2 * n)] = 1.0
+    coefficients = list(rows)  # indexing a list is cheaper than an array
     if logistic:
-        shift = -beta * (stack.node_reg + rho)  # a - 1
-        kernels[np.diag_indices_from(kernels)] += shift
-        sample_rows = list(stack.samples)
+        rows[range(n), range(n)] += 1.0 - beta * (stack.node_reg + rho)
+        samples = stack.samples
+        sample_rows = list(samples)
+        exp = math.exp
+
+        def ticks(nodes, x, mu):
+            z = np.concatenate((x, -beta * mu, samples))
+            blocks = list(z[:n])  # row views of z's x block
+            for i in nodes:
+                k_i = coefficients[i]
+                u = float(sample_rows[i].dot(blocks[i]))  # .dot costs less than @ here
+                # k_i's entry at c_i: beta sigma(-u), without overflow
+                if u <= 0.0:
+                    k_i[2 * n + i] = beta * (1.0 / (1.0 + exp(u)))
+                else:
+                    e = exp(-u)
+                    k_i[2 * n + i] = beta * (e / (1.0 + e))
+                z[i] = k_i.dot(z)
+            x[...] = z[:n]
     else:
-        shift = -beta_rho * np.eye(stack.dimension) - beta * stack.matrices  # P - I
         linears = stack.linears
-        shift_rows = list(shift)
-    kernel_rows = list(kernels[:, :, None])  # K_i as (N, 1)
+        maps = list((1.0 - beta_rho) * np.eye(stack.dimension) - beta * stack.matrices)
 
-    def offset(x, xbar, mu):
-        if logistic:
-            return beta_rho * xbar - beta * mu + shift[:, None] * x
-        return beta_rho * xbar - beta * (mu + linears) + np.matmul(shift, x[:, :, None])[:, :, 0]
+        def ticks(nodes, x, mu):
+            z = np.concatenate((x, -beta * (mu + linears)))
+            blocks = list(z[:n])
+            for i in nodes:
+                z[i] = coefficients[i].dot(z) + maps[i].dot(blocks[i])
+            x[...] = z[:n]
 
-    def ticks(nodes, x, v):
-        # row views, listed once per phase: indexing a list is cheaper than an array
-        x_rows, v_rows = list(x), list(v)
-        for i in nodes:
-            x_i = x_rows[i]
-            if logistic:
-                c = sample_rows[i]
-                delta = v_rows[i] + (beta * _sigmoid(-c.dot(x_i))) * c
-            else:
-                delta = v_rows[i].copy()
-            x_i += delta
-            v += kernel_rows[i] * delta
-            if not logistic:
-                v_rows[i] += shift_rows[i] @ delta
-
-    return offset, ticks
+    return ticks
 
 
 def gradient_step(x, xbar, mu, grad, beta, rho):

@@ -27,6 +27,7 @@ from dalopt.network import (
     build_chain_graph,
     build_complete_graph,
     build_geometric_graph,
+    NetworkError,
     build_network,
 )
 from dalopt.objective import ObjectiveStack, QuadraticCost
@@ -298,7 +299,8 @@ class TestSweepsReuseXbar:
 
 class TestTicksResyncXbar:
     """A randomized run applies W once at the start and once per outer
-    iteration, after its ticks; the drift check adds no call."""
+    iteration, after its ticks, for the dual step; the ticks read the
+    current blocks and add no call."""
 
     @pytest.mark.parametrize("variant", ["rand_gauss_seidel", "rand_gradient"])
     def test_one_weights_apply_per_outer_iteration(self, geo10_net, quad10_stack, monkeypatch,
@@ -314,6 +316,23 @@ class TestTicksResyncXbar:
         assert len(calls) == 1 + 6
         assert all(np.array_equal(a, b) for a, b in zip(tr.xs, expected.xs, strict=True))
         assert all(np.array_equal(a, b) for a, b in zip(tr.mus, expected.mus, strict=True))
+
+    @pytest.mark.parametrize("variant", ["rand_gauss_seidel", "rand_gradient"])
+    def test_off_graph_w_fails_once_per_run(self, quad5_stack, monkeypatch, variant):
+        # the ticks read chain neighborhoods, but the weights are the complete
+        # graph's; the run fails naming the first off-graph pair before it
+        # applies W or runs a tick
+        complete = build_network(build_complete_graph(5))
+        net = NetworkModel(graph=build_chain_graph(5), weights=complete.weights,
+                           spec=complete.spec)
+        beta = 1.0 / (quad5_stack.h_max + 1.0) if variant == "rand_gradient" else None
+        cfg = AlgorithmConfig(variant=variant, alpha=0.5, rho=1.0, tau=1, beta=beta)
+        sched = [PoissonSchedule(nodes=np.array([0]))] * 3
+        calls = []
+        monkeypatch.setattr(NetworkModel, "weights_apply", lambda *args: calls.append(1))
+        with pytest.raises(NetworkError, match=r"W\[0, 2\] = 0\.09.* \(0, 2\) is not a link"):
+            run_variant(quad5_stack, net, cfg, 3, schedule=sched)
+        assert calls == []
 
 
 class TestRandGaussSeidel:
@@ -349,21 +368,6 @@ class TestRandGaussSeidel:
         assert all(np.array_equal(x, y) for x, y in zip(a.mus, b.mus))
         assert a.transmissions == b.transmissions
 
-    def test_incremental_xbar_matches_recompute(self, geo10_net, quad10_stack):
-        cfg = AlgorithmConfig(variant="rand_gauss_seidel", alpha=0.5, rho=1.0, tau=3, seed=2)
-        run_variant(quad10_stack, geo10_net, cfg, 10)
-
-    def test_xbar_check_names_iteration_and_deviation(self, quad5_stack):
-        # ticks refresh chain neighborhoods, but the weights are the complete
-        # graph's, so the incremental averages drift from W x at once
-        complete = build_network(build_complete_graph(5))
-        net = NetworkModel(graph=build_chain_graph(5), weights=complete.weights,
-                           spec=complete.spec)
-        cfg = AlgorithmConfig(variant="rand_gauss_seidel", alpha=0.5, rho=1.0, tau=1)
-        sched = [PoissonSchedule(nodes=np.array([0]))]
-        with pytest.raises(RuntimeError, match=r"k=1: largest deviation .* is \d"):
-            run_variant(quad5_stack, net, cfg, 1, schedule=sched)
-
 
 class TestRandGradient:
     def test_stationary_node_block_unchanged(self, geo10_net, quad10_stack, quad5_ref):
@@ -382,6 +386,20 @@ class TestRandGradient:
         )
         assert np.allclose(out, saddle.x_bullet[:3], atol=1e-14)
 
+    @pytest.mark.parametrize("kind", ["quadratic", "logistic"])
+    def test_single_tick_locality(self, geo10_net, quad10_stack, kind):
+        # only the ticking node's block moves, although its tick reads all of
+        # its neighbors' blocks
+        stack = quad10_stack if kind == "quadratic" else generate_logistic_data(10, 3, seed=6)
+        beta = 1.0 / (stack.h_max + 1.0)
+        cfg = AlgorithmConfig(variant="rand_gradient", alpha=0.5, rho=1.0, tau=1, beta=beta)
+        x0 = np.tile(np.array([2.0, -1.0, 0.5]), 10)
+        sched = [PoissonSchedule(nodes=np.array([4]))]
+        tr = run_variant(stack, geo10_net, cfg, 1, x0=x0, schedule=sched)
+        changed = np.abs(tr.xs[1] - x0).reshape(10, 3).sum(axis=1) > 0
+        assert changed[4] and changed.sum() == 1
+        assert tr.transmissions == [0, 1] and tr.grad_evals == [0, 1]
+
     def test_seed_reproducibility(self, geo10_net, quad10_stack):
         beta = 1.0 / (quad10_stack.h_max + 1.0)
         cfg = AlgorithmConfig(
@@ -398,27 +416,33 @@ class TestSequentialReplay:
     gradient_step_local for rand_gradient), with the neighbor averages
     recomputed as (W (x) I) x before every tick. The schedule repeats
     nodes within and across four outer iterations; rho = 0 leaves the
-    averages out of the primal steps."""
+    averages out of the primal steps. The geometric40 case draws its ticks
+    on a 40-node graph at radius 1.5 sqrt(log N / N)."""
 
-    @pytest.mark.parametrize("kind", ["quadratic", "logistic"])
+    @pytest.mark.parametrize("kind", ["quadratic", "logistic", "geometric40"])
     @pytest.mark.parametrize("variant", ["rand_gauss_seidel", "rand_gradient"])
     def test_sequential_replay_oracle(self, geo10_net, quad10_stack, variant, kind):
-        if kind == "quadratic":
-            stack = quad10_stack
-        else:
-            stack = generate_logistic_data(10, 3, reg=0.5, seed=6)
         net, d = geo10_net, 3
         sched = [PoissonSchedule(nodes=np.arange(10)),
                  PoissonSchedule(nodes=np.array([3, 3, 7, 0, 9, 3, 1])),
                  PoissonSchedule(nodes=np.array([5, 5, 5, 2, 3])),
                  PoissonSchedule(nodes=np.array([8, 0, 0, 6, 3, 3, 9]))]
-        x0 = np.tile(np.array([2.0, -1.0, 0.5]), 10)
+        if kind == "quadratic":
+            stack = quad10_stack
+        elif kind == "logistic":
+            stack = generate_logistic_data(10, 3, reg=0.5, seed=6)
+        else:
+            graph, _ = build_geometric_graph(40, radius=1.5 * np.sqrt(np.log(40) / 40), rng_seed=2)
+            net, stack = build_network(graph), generate_logistic_data(40, d, reg=0.5, seed=6)
+            sched = sample_poisson_schedule(40, 1, 4, seed=3)
+        n = stack.n_nodes
+        x0 = np.tile(np.array([2.0, -1.0, 0.5]), n)
         for rho in (1.0, 0.0):
             beta = 1.0 / (stack.h_max + rho)
             cfg = AlgorithmConfig(variant=variant, alpha=0.1, rho=rho, tau=1, beta=beta,
                                   epsilon=1e-9)
             tr = run_variant(stack, net, cfg, len(sched), x0=x0, schedule=sched)
-            x, mu = x0.copy(), np.zeros(10 * d)
+            x, mu = x0.copy(), np.zeros(n * d)
             tx = grads = 0
             for k, s in enumerate(sched, start=1):
                 for i in s.nodes:

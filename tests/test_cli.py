@@ -91,12 +91,19 @@ class TestBadConfig:
         ({"objective": {"type": "quadratic", "d": 0}}, "config", "objective.d must be"),
         ({"objective": {"type": "quadratic", "d": 2, "h_lo": 3, "h_hi": 1}}, "config",
          "objective.h_lo must be <= objective.h_hi"),
+        ({"network": {"type": "chain", "n": 1}}, "config", "network.n must be an integer >= 2"),
+        ({"objective": {"type": "quadratic", "d": 2, "n": 1}}, "config",
+         "objective.n must be an integer >= 2"),
+        ({"objective": {"type": "logistic", "d": 1}}, "config",
+         "objective.d must be >= 2 for a logistic objective, got 1"),
+        ({"objective": {"d": 1}}, "config", "objective.d must be >= 2 for a logistic"),
     ], ids=["node_count", "duplicate_labels", "unknown_variant", "beta_too_large",
             "beta_above_contraction_limit", "top_level_number", "top_level_null",
             "top_level_pairs", "output_dir_number", "stop_rel_cost_negative",
             "stop_rel_cost_infinite", "stop_rel_cost_string", "no_algorithms",
             "label_with_slash", "network_n_string", "network_n_fraction", "network_type",
-            "objective_d_zero", "objective_h_lo_above_h_hi"])
+            "objective_d_zero", "objective_h_lo_above_h_hi", "network_n_one", "objective_n_one",
+            "logistic_d_one", "default_type_d_one"])
     def test_fails_with_stage(self, tmp_path, capsys, command, change, stage, names):
         path = tmp_path / "cfg.json"
         doc = change

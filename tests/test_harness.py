@@ -245,14 +245,14 @@ class TestExperimentConfig:
          "unknown config keys: ['objective.h_low', 'objective.reg2']"),
         ({"network": 5}, "network must be an object, got 5"),
         ({"objective": ["type", "quadratic"]}, "objective must be an object"),
-        ({"network": {"type": "chain", "n": 0}}, "network.n must be an integer >= 1, got 0"),
+        ({"network": {"type": "chain", "n": 0}}, "network.n must be an integer >= 2, got 0"),
         ({"network": {"type": "geometric", "n": 4, "radius": "x"}},
          "network.radius must be a finite number > 0, got 'x'"),
         ({"network": {"type": "geometric", "n": 4, "radius": float("inf")}},
          "network.radius must be a finite number > 0, got inf"),
         ({"objective": {"type": "quadratic", "d": "2"}}, "objective.d must be an integer >= 1"),
         ({"objective": {"type": "quadratic", "d": 2, "n": True}},
-         "objective.n must be an integer >= 1, got True"),
+         "objective.n must be an integer >= 2, got True"),
         ({"objective": {"type": "logistic", "d": 2, "reg": 0}},
          "objective.reg must be a finite number > 0, got 0"),
         ({"objective": {"type": "quadratic", "d": 2, "h_lo": float("nan")}},
