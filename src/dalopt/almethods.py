@@ -137,18 +137,17 @@ def check_beta(cfg: AlgorithmConfig, stack: ObjectiveStack):
             )
 
 
-def jacobi_sweeps(stack, net, x, mu, rho, tau, epsilon, xbar):
+def jacobi_sweeps(stack, net, x, mu, rho, tau, solve, xbar):
     """tau synchronized Jacobi sweeps: every node solves its prox problem
     warm-started at its current block, then neighbor averages refresh.
 
+    solve is node_prox_solver(stack, rho, epsilon), built once per run;
     xbar must be (W (x) I) x; the outer loop passes the one it holds.
     Returns (x_new, xbar_new, gradient_evaluations). Within one sweep the
     per-node solves read only the previous sweep's state, so they are
-    order-independent; each runs on node_prox_solver, the kernel of the
-    Gauss-Seidel ticks.
+    order-independent.
     """
     n, d = stack.n_nodes, stack.dimension
-    solve = node_prox_solver(stack, rho, epsilon)
     x = np.array(x, dtype=float).reshape(n, d)  # a copy, updated in place
     mu = np.asarray(mu, dtype=float).reshape(n, d)
     xbar = np.asarray(xbar, dtype=float).reshape(n, d)
@@ -317,7 +316,7 @@ def run_variant(stack, net, cfg: AlgorithmConfig, k_max, x0=None, stop=None,
         raise ConfigError(f"{cfg.variant} takes no tick schedule")
     else:
         if cfg.variant == "det_jacobi":
-            sweeps, step = jacobi_sweeps, cfg.epsilon
+            sweeps, step = jacobi_sweeps, node_prox_solver(stack, cfg.rho, cfg.epsilon)
         else:
             sweeps, step = gradient_sweeps, cfg.beta
 

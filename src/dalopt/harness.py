@@ -15,12 +15,20 @@ import numbers
 import os
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .almethods import AlgorithmConfig, RunTrace, run_variant, read_trace_csv, write_trace_csv
+from .almethods import (
+    VARIANTS,
+    AlgorithmConfig,
+    RunTrace,
+    read_trace_csv,
+    run_variant,
+    write_trace_csv,
+)
 from .network import (
     NetworkModel,
     build_chain_graph,
@@ -31,7 +39,7 @@ from .network import (
 )
 from .objective import LogisticCost, ObjectiveStack, QuadraticCost, save_dataset
 from .svgplot import semilog_svg
-from .theory import certificate, lyapunov_value, resolve_recipe, saddle_point
+from .theory import RECIPES, certificate, lyapunov_value, resolve_recipe, saddle_point
 
 __all__ = [
     "ExperimentConfig",
@@ -73,79 +81,136 @@ def stage(name):
         raise StageError(name, str(exc)) from exc
 
 
+def _is_int(v):
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _is_real(v):
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _one_of(*names):
+    return lambda v: v in names, ", ".join(map(repr, names[:-1])) + f" or {names[-1]!r}"
+
+
+def _check_config(key, value, ok, need):
+    if not ok(value):
+        raise StageError("config", f"{key} must be {need}, got {value!r}")
+
+
+class _Key(NamedTuple):
+    default: object  # _REQUIRED for a key that must be given
+    ok: Callable  # the check of a given value
+    need: str  # what a given value must be
+
+
+_REQUIRED = object()
+_COUNT = (lambda v: _is_int(v) and v >= 1, "an integer >= 1")
+_NODES = (lambda v: _is_int(v) and v >= 2, "an integer >= 2")
+_SEED = (lambda v: _is_int(v) and v >= 0, "an integer >= 0")
+_POSITIVE = (lambda v: _is_real(v) and v > 0, "a finite number > 0")
+_NONNEGATIVE = (lambda v: _is_real(v) and v >= 0, "a finite number >= 0")
+_OBJECT = (lambda v: isinstance(v, dict), "an object")
+_ENTRY = {"label": _Key(None, lambda v: isinstance(v, str) and re.fullmatch(r"[A-Za-z0-9_.-]+", v),
+                        "letters, digits, '_', '.' or '-'"),
+          "seed": _Key(0, *_SEED), "epsilon": _Key(None, *_POSITIVE)}
+# The config table: level -> key -> _Key. "config" is the top level; an
+# algorithm entry is checked at level "recipe" if it has that key, else at
+# "variant". A default of None leaves the value unset or to be worked out:
+# objective.n is the network's n, an entry's label its recipe or variant
+# name, its epsilon the top-level epsilon, and a recipe entry's alpha, rho,
+# beta and tau are its recipe's.
+_VALUES = {
+    "config": {
+        "network": _Key(_REQUIRED, *_OBJECT),
+        "objective": _Key(_REQUIRED, *_OBJECT),
+        "algorithms": _Key(_REQUIRED, lambda v: isinstance(v, list) and v, "a non-empty list"),
+        "k_max": _Key(300, *_COUNT),
+        "epsilon": _Key(1e-5, *_POSITIVE),
+        "stop_rel_cost": _Key(None, lambda v: v is None or _is_real(v) and v > 0,
+                              "a finite number > 0"),
+        "output_dir": _Key("dalopt_out", lambda v: isinstance(v, (str, os.PathLike)),
+                           "a path string"),
+    },
+    "network": {"type": _Key("geometric", *_one_of("geometric", "chain", "complete")),
+                "n": _Key(_REQUIRED, *_NODES), "radius": _Key(0.45, *_POSITIVE),
+                "seed": _Key(0, *_SEED)},
+    "objective": {"type": _Key("logistic", *_one_of("logistic", "quadratic")),
+                  "n": _Key(None, *_NODES), "d": _Key(15, *_COUNT), "reg": _Key(1.0, *_POSITIVE),
+                  "seed": _Key(0, *_SEED), "h_lo": _Key(0.5, *_POSITIVE),
+                  "h_hi": _Key(5.0, *_POSITIVE)},
+    "recipe": {"recipe": _Key(_REQUIRED, *_one_of(*RECIPES)), "alpha": _Key(None, *_POSITIVE),
+               "rho": _Key(None, *_NONNEGATIVE), "beta": _Key(None, *_POSITIVE),
+               "tau": _Key(None, *_COUNT), **_ENTRY},
+    "variant": {"variant": _Key(_REQUIRED, *_one_of(*VARIANTS)),
+                "alpha": _Key(_REQUIRED, *_POSITIVE), "rho": _Key(_REQUIRED, *_NONNEGATIVE),
+                "beta": _Key(None, *_POSITIVE), "tau": _Key(_REQUIRED, *_COUNT), **_ENTRY},
+}
+_TOP, _OBJECTIVE = _VALUES["config"], _VALUES["objective"]
+
+
+def _complete(level, spec, where):
+    """spec's keys and given values checked against _VALUES[level], and spec
+    with the level's defaults filled in; where prefixes the key names."""
+    table = _VALUES[level]
+    noun = "algorithm" if level in ("recipe", "variant") else "config"
+    extra = sorted(where + name for name in spec if name not in table)
+    if extra:
+        raise StageError("config", f"unknown {noun} keys: {extra}")
+    for name, key in table.items():
+        if name in spec:
+            _check_config(where + name, spec[name], key.ok, key.need)
+        elif key.default is _REQUIRED:
+            raise StageError("config", f"missing {noun} key {where + name!r}")
+    return {name: spec.get(name, key.default) for name, key in table.items()}
+
+
+def _entry_level(entry):
+    return "recipe" if "recipe" in entry else "variant"
+
+
 @dataclass
 class ExperimentConfig:
     """Declarative description of one experiment batch.
 
-    network: {"type": "geometric"|"chain"|"complete", "n": int,
-              "radius": float, "seed": int}
-    objective: {"type": "logistic"|"quadratic", "n": int, "d": int,
-                "reg": float, "seed": int, "h_lo": float, "h_hi": float}
-        n is an integer >= 2, d one >= 1 (>= 2 for the default logistic
-        type, features plus intercept); radius, reg, h_lo and h_hi are finite
-        and > 0, with h_lo <= h_hi. Another type, or any other key in
-        network or objective, is rejected.
-    algorithms: non-empty list of entries, each either {"recipe": <name>,
-        ...} or an explicit {"variant", "alpha", "rho", "tau", "beta"} set;
-        every entry may carry "label" (letters, digits, "_", "." and "-";
-        it names the run's files), "seed", "epsilon", and recipe entries
-        may override "tau", "alpha", "rho" and "beta". Every "seed" is an
-        integer >= 0; alpha > 0, rho >= 0 and beta > 0 are finite.
-    stop_rel_cost: optional early-stop threshold > 0 on the relative cost
-        error (runs end once they cross it).
+    Every key, its default and its check are in harness._VALUES. Making a
+    config fails at [config], naming the key, on every bad input that can
+    be seen without building the problem, duplicate labels included (a
+    label defaults to the entry's recipe or variant). network and objective
+    are kept with their defaults filled in.
     """
 
     network: dict
     objective: dict
     algorithms: list
-    k_max: int = 300
-    epsilon: float = 1e-5
-    stop_rel_cost: float | None = None
-    output_dir: str = "dalopt_out"
+    k_max: int = _TOP["k_max"].default
+    epsilon: float = _TOP["epsilon"].default
+    stop_rel_cost: float | None = _TOP["stop_rel_cost"].default
+    output_dir: str = _TOP["output_dir"].default
 
     def __post_init__(self):
-        _check_config("k_max", self.k_max, _is_count, "an integer >= 1")
-        _check_config("epsilon", self.epsilon, _is_positive, "a finite number > 0")
-        _check_config("stop_rel_cost", self.stop_rel_cost,
-                      lambda v: v is None or _is_positive(v), "a finite number > 0")
-        _check_config("output_dir", self.output_dir,
-                      lambda v: isinstance(v, (str, os.PathLike)), "a path string")
-        _check_config("algorithms", self.algorithms,
-                      lambda v: isinstance(v, list) and v, "a non-empty list")
-        for key in ("network", "objective"):
-            spec = getattr(self, key)
-            _check_config(key, spec, lambda v: isinstance(v, dict), "an object")
-            extra = sorted(f"{key}.{k}" for k in spec if k not in _VALUES[key])
-            if extra:
-                raise StageError("config", f"unknown config keys: {extra}")
-            for name, value in spec.items():
-                _check_config(f"{key}.{name}", value, *_VALUES[key][name])
-        h_hi = self.objective.get("h_hi", 5.0)  # with h_lo, _build_objective's defaults
-        _check_config("objective.h_lo", self.objective.get("h_lo", 0.5), lambda v: v <= h_hi,
-                      f"<= objective.h_hi = {h_hi!r}")
-        if self.objective.get("type", "logistic") == "logistic":  # features plus intercept
-            _check_config("objective.d", self.objective.get("d", 15), lambda v: v >= 2,
+        _complete("config", {name: getattr(self, name) for name in _TOP}, "")
+        self.network = _complete("network", self.network, "network.")
+        self.objective = obj = _complete("objective", self.objective, "objective.")
+        _check_config("objective.h_lo", obj["h_lo"], lambda v: v <= obj["h_hi"],
+                      f"<= objective.h_hi = {obj['h_hi']!r}")
+        if obj["type"] == "logistic":  # features plus intercept
+            _check_config("objective.d", obj["d"], lambda v: v >= 2,
                           ">= 2 for a logistic objective")
+        labels = []
         for i, entry in enumerate(self.algorithms):
-            if not isinstance(entry, dict):
-                raise StageError("config", f"algorithms[{i}] must be an object")
-            for name, value in entry.items():
-                if name in _VALUES["algorithms"]:
-                    _check_config(f"algorithms[{i}].{name}", value, *_VALUES["algorithms"][name])
+            _check_config(f"algorithms[{i}]", entry, *_OBJECT)
+            level = _entry_level(entry)
+            spec = _complete(level, entry, f"algorithms[{i}].")
+            labels.append(spec["label"] or spec[level])
+        if len(set(labels)) != len(labels):
+            raise StageError("config", f"duplicate algorithm labels: {labels}")
 
     @classmethod
     def from_dict(cls, doc):
         _check_config("the config's top level", doc, lambda v: isinstance(v, dict),
                       "a JSON object")
-        known = {"network", "objective", "algorithms", "k_max", "epsilon",
-                 "stop_rel_cost", "output_dir"}
-        extra = set(doc) - known
-        if extra:
-            raise StageError("config", f"unknown config keys: {sorted(extra)}")
-        for key in ("network", "objective", "algorithms"):
-            if key not in doc:
-                raise StageError("config", f"missing config key {key!r}")
-        return cls(**doc)
+        return cls(**_complete("config", doc, ""))
 
     @classmethod
     def from_file(cls, path):
@@ -157,52 +222,6 @@ class ExperimentConfig:
         return cls.from_dict(doc)
 
 
-def _is_count(v):
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 1
-
-
-def _is_seed(v):
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 0
-
-
-def _is_nonnegative(v):
-    return (isinstance(v, numbers.Real) and not isinstance(v, bool)
-            and math.isfinite(v) and v >= 0)
-
-
-def _is_positive(v):
-    return _is_nonnegative(v) and v > 0
-
-
-def _is_label(v):
-    return isinstance(v, str) and re.fullmatch(r"[A-Za-z0-9_.-]+", v) is not None
-
-
-def _check_config(key, value, ok, need):
-    if not ok(value):
-        raise StageError("config", f"{key} must be {need}, got {value!r}")
-
-
-_COUNT = (_is_count, "an integer >= 1")
-_NODES = (lambda v: _is_count(v) and v >= 2, "an integer >= 2")
-_POSITIVE = (_is_positive, "a finite number > 0")
-_SEED = (_is_seed, "an integer >= 0")
-# (predicate, what the value must be) of every key of network and
-# objective, and of the checked keys of an algorithm entry
-_VALUES = {
-    "network": {"type": (lambda v: v in ("geometric", "chain", "complete"),
-                         "'geometric', 'chain' or 'complete'"),
-                "n": _NODES, "radius": _POSITIVE, "seed": _SEED},
-    "objective": {"type": (lambda v: v in ("logistic", "quadratic"), "'logistic' or 'quadratic'"),
-                  "n": _NODES, "d": _COUNT, "reg": _POSITIVE, "seed": _SEED,
-                  "h_lo": _POSITIVE, "h_hi": _POSITIVE},
-    "algorithms": {"seed": _SEED, "alpha": _POSITIVE,
-                   "rho": (_is_nonnegative, "a finite number >= 0"), "beta": _POSITIVE,
-                   "label": (_is_label, "letters, digits, '_', '.' or '-'"),
-                   "tau": _COUNT, "epsilon": _POSITIVE},
-}
-
-
 @dataclass(frozen=True, eq=False)
 class ReferenceSolution:
     """Centralized optimum of the aggregate cost f = sum_i f_i."""
@@ -212,7 +231,8 @@ class ReferenceSolution:
     grad_norm_at_solution: float
 
 
-def generate_logistic_data(n, d, reg=1.0, seed=0) -> ObjectiveStack:
+def generate_logistic_data(n, d, reg=_OBJECTIVE["reg"].default,
+                           seed=_OBJECTIVE["seed"].default) -> ObjectiveStack:
     """One labeled sample per node.
 
     Features and the ground-truth vector are iid standard normal; labels
@@ -232,7 +252,9 @@ def generate_logistic_data(n, d, reg=1.0, seed=0) -> ObjectiveStack:
     return ObjectiveStack(tuple(costs))
 
 
-def generate_quadratic_stack(n, d, seed=0, h_lo=0.5, h_hi=5.0) -> ObjectiveStack:
+def generate_quadratic_stack(n, d, seed=_OBJECTIVE["seed"].default,
+                             h_lo=_OBJECTIVE["h_lo"].default,
+                             h_hi=_OBJECTIVE["h_hi"].default) -> ObjectiveStack:
     """Random strongly convex quadratics with spectra in [h_lo, h_hi]."""
     rng = np.random.default_rng(seed)
     costs = []
@@ -307,63 +329,41 @@ def trace_metrics(stack, net: NetworkModel, ref: ReferenceSolution, trace: RunTr
     return np.array(rel), np.array(prim), np.array(lyap)
 
 
-def resolve_algorithm(entry, stack, net, default_epsilon=1e-5) -> AlgorithmConfig:
-    """Turn one config entry (recipe or explicit) into an AlgorithmConfig."""
-    entry = dict(entry)
-    label = entry.pop("label", None)
-    seed = entry.pop("seed", 0)
-    epsilon = entry.pop("epsilon", default_epsilon)
-    if "recipe" in entry:
-        recipe = entry.pop("recipe")
-        variant, alpha, rho, beta, tau = resolve_recipe(
-            recipe, stack.h_min, stack.h_max, net.lambda2, stack.n_nodes
-        )
-        alpha = entry.pop("alpha", alpha)
-        rho = entry.pop("rho", rho)
-        beta = entry.pop("beta", beta)
-        tau = entry.pop("tau", tau)
-        label = label or recipe
-    else:
-        try:
-            variant = entry.pop("variant")
-            alpha = entry.pop("alpha")
-            rho = entry.pop("rho")
-            tau = entry.pop("tau")
-        except KeyError as exc:
-            raise StageError("config", f"algorithm entry missing {exc}") from exc
-        beta = entry.pop("beta", None)
-        label = label or variant
-    if entry:
-        raise StageError("config", f"unknown algorithm keys: {sorted(entry)}")
-    return AlgorithmConfig(variant=variant, alpha=alpha, rho=rho, tau=tau,
-                           beta=beta, seed=seed, epsilon=epsilon, label=label)
+def resolve_algorithm(entry, stack, net,
+                      default_epsilon=_TOP["epsilon"].default) -> AlgorithmConfig:
+    """Turn one config entry (recipe or explicit) into an AlgorithmConfig.
+
+    An unknown recipe raises resolve_recipe's ValueError; a bad key or
+    value raises StageError at [config], as in ExperimentConfig. Left out, a
+    recipe entry's alpha, rho, beta and tau are the recipe's and an
+    entry's epsilon is default_epsilon.
+    """
+    level = _entry_level(entry)
+    spec = {"epsilon": default_epsilon}
+    if level == "recipe":
+        spec.update(zip(("variant", "alpha", "rho", "beta", "tau"), resolve_recipe(
+            entry["recipe"], stack.h_min, stack.h_max, net.lambda2, stack.n_nodes)))
+    spec.update((k, v) for k, v in _complete(level, entry, "").items() if v is not None)
+    return AlgorithmConfig(variant=spec["variant"], alpha=spec["alpha"], rho=spec["rho"],
+                           tau=spec["tau"], beta=spec.get("beta"), seed=spec["seed"],
+                           epsilon=spec["epsilon"], label=spec.get("label", spec[level]))
 
 
 def _build_graph(spec):
-    kind = spec.get("type", "geometric")
-    n = spec["n"]
-    meta = {"type": kind, "n": n}
-    if kind == "chain":
-        return build_chain_graph(n), meta
-    if kind == "complete":
-        return build_complete_graph(n), meta
-    radius = spec.get("radius", 0.45)
-    seed = spec.get("seed", 0)
-    g, attempts = build_geometric_graph(n, radius=radius, rng_seed=seed)
-    meta.update(radius=radius, seed=seed, attempts=attempts)
+    meta = {"type": spec["type"], "n": spec["n"]}
+    if spec["type"] != "geometric":
+        build = build_chain_graph if spec["type"] == "chain" else build_complete_graph
+        return build(spec["n"]), meta
+    g, attempts = build_geometric_graph(spec["n"], radius=spec["radius"], rng_seed=spec["seed"])
+    meta.update(radius=spec["radius"], seed=spec["seed"], attempts=attempts)
     return g, meta
 
 
-def _build_objective(spec):
-    kind = spec.get("type", "logistic")
-    n, d = spec["n"], spec.get("d", 15)
-    seed = spec.get("seed", 0)
-    if kind == "quadratic":
-        return generate_quadratic_stack(
-            n, d, seed=seed,
-            h_lo=spec.get("h_lo", 0.5), h_hi=spec.get("h_hi", 5.0),
-        )
-    return generate_logistic_data(n, d, reg=spec.get("reg", 1.0), seed=seed)
+def _build_objective(spec, n):
+    if spec["type"] == "quadratic":
+        return generate_quadratic_stack(n, spec["d"], seed=spec["seed"],
+                                        h_lo=spec["h_lo"], h_hi=spec["h_hi"])
+    return generate_logistic_data(n, spec["d"], reg=spec["reg"], seed=spec["seed"])
 
 
 def render_plots(out_dir):
@@ -395,24 +395,19 @@ def build_problem(cfg: ExperimentConfig):
     """The problem `run` and `certify` share: (net, stack, ref, algorithms).
 
     Builds the network, the node costs, the reference solution and the
-    resolved AlgorithmConfig of every entry, and rejects duplicate labels.
-    Any failure raises StageError naming the stage. Writes no file.
+    resolved AlgorithmConfig of every entry. Any failure raises StageError
+    naming the stage. Writes no file.
     """
     with stage("network"):
-        graph, meta = _build_graph(dict(cfg.network))
+        graph, meta = _build_graph(cfg.network)
         net = build_network(graph, meta=meta)
     with stage("objective"):
-        ospec = dict(cfg.objective)
-        ospec.setdefault("n", net.node_count)
-        if ospec["n"] != net.node_count:
+        if cfg.objective["n"] not in (None, net.node_count):
             raise ValueError("objective node count differs from the network's")
-        stack = _build_objective(ospec)
+        stack = _build_objective(cfg.objective, net.node_count)
     ref = reference_solve(stack)
     with stage("config"):
         acfgs = [resolve_algorithm(e, stack, net, cfg.epsilon) for e in cfg.algorithms]
-        labels = [a.name for a in acfgs]
-        if len(set(labels)) != len(labels):
-            raise ValueError(f"duplicate algorithm labels: {labels}")
     return net, stack, ref, acfgs
 
 
@@ -423,8 +418,8 @@ def run_experiment(cfg: ExperimentConfig):
     Any stage failure raises StageError naming the stage.
     """
     out = Path(os.environ.get(OUTPUT_DIR_ENV) or cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     net, stack, ref, acfgs = build_problem(cfg)
+    out.mkdir(parents=True, exist_ok=True)
     with stage("network"):
         save_network(net, out / "network.json")
     if stack.kind == "logistic":

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from dalopt import almethods
 from dalopt.almethods import (
     AlgorithmConfig,
     ConfigError,
@@ -20,6 +21,7 @@ from dalopt.harness import generate_logistic_data, generate_quadratic_stack
 from dalopt.local_solve import (
     exact_al_minimizer_direct,
     gradient_step_local,
+    node_prox_solver,
     prox_local_info,
 )
 from dalopt.network import (
@@ -118,7 +120,9 @@ class TestDetJacobi:
         rho, eps = 0.7, 1e-10
         x = rng.standard_normal(40)
         mu = rng.standard_normal(40)
-        out, xbar, grads = jacobi_sweeps(stack, net, x, mu, rho, 1, eps, net.weights_apply(x, 4))
+        solve = node_prox_solver(stack, rho, eps)
+        xbar = net.weights_apply(x, 4)
+        out, xbar, grads = jacobi_sweeps(stack, net, x, mu, rho, 1, solve, xbar)
         v = mu - rho * net.weights_apply(x, 4)
         solves = [
             prox_local_info(c, rho, v[4 * i : 4 * i + 4], x[4 * i : 4 * i + 4], eps)
@@ -132,6 +136,19 @@ class TestDetJacobi:
         cfg = AlgorithmConfig(variant="det_jacobi", alpha=0.5, rho=1.0, tau=3)
         tr = run_variant(quad5_stack, chain5_net, cfg, 4)
         assert tr.transmissions == [0, 15, 30, 45, 60]
+
+    @pytest.mark.parametrize("variant", ["det_jacobi", "rand_gauss_seidel"])
+    def test_one_prox_solver_per_run(self, chain5_net, quad5_stack, monkeypatch, variant):
+        built = []
+
+        def counting(*args):
+            built.append(args[1:])
+            return node_prox_solver(*args)
+
+        monkeypatch.setattr(almethods, "node_prox_solver", counting)
+        cfg = AlgorithmConfig(variant=variant, alpha=0.5, rho=1.0, tau=2, epsilon=1e-8)
+        run_variant(quad5_stack, chain5_net, cfg, 4)
+        assert built == [(1.0, 1e-8)]
 
     def test_unequal_initialization_rejected(self, chain5_net, quad5_stack):
         cfg = AlgorithmConfig(variant="det_jacobi", alpha=0.5, rho=1.0, tau=1)
@@ -287,7 +304,8 @@ class TestSweepsReuseXbar:
         net, stack = chain5_net, quad5_stack
         x, mu = rng.standard_normal(15), rng.standard_normal(15)
         beta = 1.0 / (stack.h_max + 1.0)
-        for sweeps, last in ((jacobi_sweeps, 1e-9), (gradient_sweeps, beta)):
+        solve = node_prox_solver(stack, 1.0, 1e-9)
+        for sweeps, last in ((jacobi_sweeps, solve), (gradient_sweeps, beta)):
             both = sweeps(stack, net, x, mu, 1.0, 2, last, net.weights_apply(x, 3))
             x1, xbar1, g1 = sweeps(stack, net, x, mu, 1.0, 1, last, net.weights_apply(x, 3))
             assert np.array_equal(xbar1, net.weights_apply(x1, 3))
@@ -543,8 +561,10 @@ class TestInexactAlDriver:
         stack, net = quad5_stack, chain5_net
         cfg = AlgorithmConfig(variant="det_jacobi", alpha=0.8, rho=1.0, tau=1, epsilon=1e-10)
 
+        solve = node_prox_solver(stack, cfg.rho, cfg.epsilon)
+
         def policy(x, mu):
-            return jacobi_sweeps(stack, net, x, mu, cfg.rho, 1, cfg.epsilon,
+            return jacobi_sweeps(stack, net, x, mu, cfg.rho, 1, solve,
                                  net.weights_apply(x, stack.dimension))[0]
 
         a = run_inexact_al(stack, net, cfg, policy, 10)

@@ -1,11 +1,21 @@
 """Command-line entry points."""
 
+import contextlib
+import io
 import json
+import re
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from dalopt.almethods import VARIANTS
 from dalopt.cli import main
+from dalopt.harness import _REQUIRED, _VALUES
 from dalopt.network import build_chain_graph, build_network, save_network
+from dalopt.theory import RECIPES
 
 
 @pytest.fixture()
@@ -97,13 +107,20 @@ class TestBadConfig:
         ({"objective": {"type": "logistic", "d": 1}}, "config",
          "objective.d must be >= 2 for a logistic objective, got 1"),
         ({"objective": {"d": 1}}, "config", "objective.d must be >= 2 for a logistic"),
+        ({"network": {"type": "chain"}}, "config", "missing config key 'network.n'"),
+        ({"algorithms": [{"recipe": "section4_jacobi", "foo": 1}]}, "config",
+         "unknown algorithm keys: ['algorithms[0].foo']"),
+        ({"algorithms": [{"variant": "det_jacobi", "alpha": 1.0, "tau": 1}]}, "config",
+         "missing algorithm key 'algorithms[0].rho'"),
+        ({"algorithms": [{"recipe": "wat"}]}, "config", "algorithms[0].recipe must be"),
     ], ids=["node_count", "duplicate_labels", "unknown_variant", "beta_too_large",
             "beta_above_contraction_limit", "top_level_number", "top_level_null",
             "top_level_pairs", "output_dir_number", "stop_rel_cost_negative",
             "stop_rel_cost_infinite", "stop_rel_cost_string", "no_algorithms",
             "label_with_slash", "network_n_string", "network_n_fraction", "network_type",
             "objective_d_zero", "objective_h_lo_above_h_hi", "network_n_one", "objective_n_one",
-            "logistic_d_one", "default_type_d_one"])
+            "logistic_d_one", "default_type_d_one", "network_n_missing", "entry_unknown_key",
+            "entry_missing_key", "unknown_recipe"])
     def test_fails_with_stage(self, tmp_path, capsys, command, change, stage, names):
         path = tmp_path / "cfg.json"
         doc = change
@@ -119,9 +136,12 @@ class TestBadConfig:
         path.write_text(json.dumps(doc))
         assert main([command, str(path)]) == 1
         err = capsys.readouterr().err
-        assert f"error [{stage.format(command=command)}]" in err
+        stage = stage.format(command=command)
+        assert f"error [{stage}]" in err
         assert names in err
         assert "Traceback" not in err
+        if not stage.startswith("run:"):
+            assert not (tmp_path / "out").exists()
 
 
     @pytest.mark.parametrize("key, value", [
@@ -174,3 +194,99 @@ class TestSpectrum:
         err = capsys.readouterr().err
         assert "error [network]" in err
         assert "Traceback" not in err
+
+
+# Candidate values for every key; each key's check in harness._VALUES sorts
+# them into valid and invalid ones. Valid numbers stay small (N <= 3,
+# k_max <= 3, h_hi / h_lo <= 6), so a run takes milliseconds.
+POOL = (0, 1, 2, 3, -1, 0.5, 1.5, float("inf"), float("nan"), True, None, "a", "x/y", [], {},
+        "geometric", "chain", "complete", "logistic", "quadratic", *RECIPES, *VARIANTS)
+
+
+def pool(level, name, valid):
+    return [v for v in POOL if bool(_VALUES[level][name].ok(v)) == valid]
+
+
+@st.composite
+def specs(draw, level, skip=(), given=()):
+    """Every required key of the level, the given ones and some optional
+    ones, all valid."""
+    spec = {}
+    for name, key in _VALUES[level].items():
+        if name in given or (name not in skip and (key.default is _REQUIRED
+                                                   or draw(st.booleans()))):
+            spec[name] = draw(st.sampled_from(pool(level, name, True)))
+    return spec
+
+
+@st.composite
+def configs(draw, out):
+    """(config, fault, text the error must hold): a config that
+    ExperimentConfig accepts, then, unless fault is None, one bad value,
+    missing key or unknown key, which the error must name."""
+    doc = draw(specs("config", skip=("network", "objective", "algorithms", "output_dir"),
+                     given=("k_max",)))  # not the default 300
+    doc["network"] = draw(specs("network"))
+    doc["objective"] = obj = draw(specs("objective"))
+    if {"h_lo", "h_hi"} <= obj.keys():
+        obj["h_lo"], obj["h_hi"] = sorted((obj["h_lo"], obj["h_hi"]))
+    if obj.get("d") == 1:  # a logistic objective needs d >= 2
+        obj["d"] = 2
+    levels = draw(st.lists(st.sampled_from(["recipe", "variant"]), min_size=1, max_size=2))
+    doc["algorithms"] = [dict(draw(specs(level)), label=f"run{i}")  # unique labels
+                         for i, level in enumerate(levels)]
+    doc["output_dir"] = str(out)
+    targets = [("", doc, "config"), ("network.", doc["network"], "network"),
+               ("objective.", obj, "objective")]
+    targets += [(f"algorithms[{i}].", entry, level)
+                for i, (entry, level) in enumerate(zip(doc["algorithms"], levels))]
+    fault = draw(st.sampled_from([None, "value", "missing", "unknown"]))
+    where, spec, level = draw(st.sampled_from(targets))
+    if fault == "value":
+        name = draw(st.sampled_from(sorted(_VALUES[level])))
+        spec[name] = draw(st.sampled_from(pool(level, name, False)))
+        return doc, fault, f"{where}{name} must be"
+    if fault == "missing":
+        # without "recipe" an entry is an explicit one, missing its "variant";
+        # objective has no required key, so the top level loses one instead
+        if level == "objective":
+            where, spec, level = targets[0]
+        names = [n for n, key in _VALUES[level].items() if key.default is _REQUIRED]
+        name = draw(st.sampled_from(names))
+        del spec[name]
+        return doc, fault, f"{where}{'variant' if name == 'recipe' else name}'"
+    if fault == "unknown":
+        spec["foo"] = 1
+        return doc, fault, f"'{where}foo'"
+    return doc, None, None
+
+
+class TestConfigFuzz:
+    """Configs drawn from the config table, valid and invalid, through
+    `dalopt run`: each completes, or fails with a stage-named error and no
+    traceback; a config that breaks a table rule fails at [config], names
+    the key, and writes nothing."""
+
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_runs_or_fails_with_stage(self, data):
+        with tempfile.TemporaryDirectory() as tmp, \
+                contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()) as stderr:
+            out = Path(tmp) / "out"
+            doc, fault, names = data.draw(configs(out))
+            path = Path(tmp) / "cfg.json"
+            path.write_text(json.dumps(doc))
+            code = main(["run", str(path)])
+            err = stderr.getvalue()
+            assert "Traceback" not in err
+            if code == 0:
+                assert fault is None and list(out.glob("trace_*.csv"))
+                return
+            assert code == 1
+            stage = re.match(r"error \[([^\]]+)\]", err).group(1)
+            if fault is not None:
+                assert stage == "config" and names in err, err
+            if not stage.startswith("run:"):
+                assert not out.exists()

@@ -191,6 +191,23 @@ class TestResolveAlgorithm:
                 {"recipe": "section5_jacobi", "momentum": 0.9}, self.stack, self.net
             )
 
+    @pytest.mark.parametrize("entry, message", [
+        ({"recipe": "section5_jacobi", "tau": 0}, "tau must be an integer >= 1, got 0"),
+        ({"variant": "det_jacobi", "alpha": 0.5, "rho": -1.0, "tau": 1},
+         "rho must be a finite number >= 0, got -1.0"),
+        ({"variant": "det_gradient", "alpha": 0.5, "rho": 1.0, "tau": 1, "beta": "x"},
+         "beta must be a finite number > 0, got 'x'"),
+    ], ids=["recipe_tau", "explicit_rho", "explicit_beta"])
+    def test_values_checked_as_in_a_config(self, entry, message):
+        with pytest.raises(StageError, match=re.escape(f"[config] {message}")):
+            resolve_algorithm(entry, self.stack, self.net)
+
+    def test_epsilon_defaults_to_the_given_one(self):
+        entry = {"variant": "det_jacobi", "alpha": 0.5, "rho": 1.0, "tau": 2}
+        assert resolve_algorithm(entry, self.stack, self.net, 1e-3).epsilon == 1e-3
+        assert resolve_algorithm(dict(entry, epsilon=1e-4), self.stack, self.net,
+                                 1e-3).epsilon == 1e-4
+
 
 class TestExperimentConfig:
     def test_unknown_top_level_key(self):
@@ -271,6 +288,38 @@ class TestExperimentConfig:
         with pytest.raises(StageError, match=re.escape(f"[config] {message}")):
             minimal_config(tmp_path, **change)
 
+    def test_defaults_filled_in(self):
+        cfg = ExperimentConfig.from_dict({
+            "network": {"n": 3}, "objective": {}, "algorithms": [{"recipe": "section5_jacobi"}],
+        })
+        assert cfg.network == {"type": "geometric", "n": 3, "radius": 0.45, "seed": 0}
+        assert cfg.objective == {"type": "logistic", "n": None, "d": 15, "reg": 1.0, "seed": 0,
+                                 "h_lo": 0.5, "h_hi": 5.0}
+        assert (cfg.k_max, cfg.epsilon, cfg.stop_rel_cost, cfg.output_dir) == (
+            300, 1e-5, None, "dalopt_out")
+        assert cfg.algorithms == [{"recipe": "section5_jacobi"}]
+
+    @pytest.mark.parametrize("algorithms, message", [
+        ([{"recipe": "section4_jacobi"}, {"variant": "det_jacobi", "alpha": 1.0, "rho": 1.0}],
+         "missing algorithm key 'algorithms[1].tau'"),
+        ([{"alpha": 1.0}], "missing algorithm key 'algorithms[0].variant'"),
+        ([{"variant": "det_newton", "alpha": 1.0, "rho": 1.0, "tau": 1}],
+         "algorithms[0].variant must be 'det_jacobi', 'det_gradient', 'rand_gauss_seidel' or "
+         "'rand_gradient', got 'det_newton'"),
+        ([{"recipe": "section4_jacobi"}, 5], "algorithms[1] must be an object, got 5"),
+        ([{"variant": "det_jacobi", "alpha": 1.0, "rho": 1.0, "tau": 1},
+          {"variant": "det_jacobi", "alpha": 2.0, "rho": 1.0, "tau": 1}],
+         "duplicate algorithm labels: ['det_jacobi', 'det_jacobi']"),
+        ([{"recipe": "section4_jacobi", "label": "x"}, {"recipe": "section5_jacobi",
+                                                        "label": "x"}],
+         "duplicate algorithm labels: ['x', 'x']"),
+    ], ids=["missing_key", "neither_recipe_nor_variant", "unknown_variant", "entry_number",
+            "duplicate_variant_names", "duplicate_given_labels"])
+    def test_bad_entry_rejected(self, tmp_path, algorithms, message):
+        # checked when the config is made, before a network is built
+        with pytest.raises(StageError, match=re.escape(f"[config] {message}")):
+            minimal_config(tmp_path, algorithms=algorithms)
+
     def test_from_file_bad_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{")
@@ -308,12 +357,13 @@ class TestRunExperiment:
         assert not (tmp_path / "out").exists()
 
     def test_duplicate_labels_rejected(self, tmp_path):
-        cfg = minimal_config(
-            tmp_path,
-            algorithms=[{"recipe": "section4_jacobi"}, {"recipe": "section4_jacobi"}],
-        )
-        with pytest.raises(StageError, match="duplicate"):
-            run_experiment(cfg)
+        # the default label is the recipe name, so the config itself fails
+        with pytest.raises(StageError, match=r"\[config\] duplicate"):
+            minimal_config(
+                tmp_path,
+                algorithms=[{"recipe": "section4_jacobi"}, {"recipe": "section4_jacobi"}],
+            )
+        assert not (tmp_path / "out").exists()
 
     def test_stage_named_on_network_failure(self, tmp_path):
         # a valid config whose graph cannot be built (an unknown type now

@@ -85,7 +85,8 @@ def jacobi_sweep(stack, rho, v, x0, epsilon):
     net = build_network(build_chain_graph(n))
     xbar = net.weights_apply(x0.reshape(-1), d)
     mu = v.reshape(-1) + rho * xbar
-    y, _, grads = jacobi_sweeps(stack, net, x0.reshape(-1), mu, rho, 1, epsilon, xbar)
+    solve = node_prox_solver(stack, rho, epsilon)
+    y, _, grads = jacobi_sweeps(stack, net, x0.reshape(-1), mu, rho, 1, solve, xbar)
     return y.reshape(n, d), grads, (mu - rho * xbar).reshape(n, d)
 
 
@@ -335,7 +336,8 @@ class TestJacobiSweepContraction:
         x = rng.standard_normal(d)
         x = np.tile(x, n) + rng.standard_normal(n * d)
         x_prime = exact_al_minimizer_direct(stack, net, mu, rho)
-        x_new, _, _ = jacobi_sweeps(stack, net, x, mu, rho, 1, eps, net.weights_apply(x, d))
+        solve = node_prox_solver(stack, rho, eps)
+        x_new, _, _ = jacobi_sweeps(stack, net, x, mu, rho, 1, solve, net.weights_apply(x, d))
         delta = rho / (rho + stack.h_min)
         c_slack = 2 * np.sqrt(2 * (stack.h_max + rho)) / (stack.h_min + rho)
         num = np.linalg.norm(x_new - x_prime)
