@@ -38,7 +38,6 @@ from .network import (
 )
 from .objective import (
     LogisticCost,
-    NodeCost,
     ObjectiveStack,
     QuadraticCost,
     grad_stack,

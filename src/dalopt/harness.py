@@ -29,6 +29,7 @@ from .almethods import (
     run_variant,
     write_trace_csv,
 )
+from .local_solve import accelerated_gradient
 from .network import (
     NetworkModel,
     build_chain_graph,
@@ -281,20 +282,9 @@ def reference_solve(stack: ObjectiveStack, max_iterations=2_000_000) -> Referenc
     if stack.kind == "quadratic":
         x = np.linalg.solve(stack.matrices.sum(axis=0), -stack.linears.sum(axis=0))
     else:
-        m = float(stack.node_h_min.sum())
-        lip = float(stack.node_h_max.sum())
-        sq = math.sqrt(m / lip)
-        momentum = (1.0 - sq) / (1.0 + sq)
-        x = np.zeros(d)
-        y = x.copy()
-        for it in range(max_iterations):
-            g = stack.aggregate_grad(y)
-            if it % 10 == 0 and float(np.linalg.norm(stack.aggregate_grad(x))) <= tol:
-                break
-            x_new = y - g / lip
-            y = x_new + momentum * (x_new - x)
-            x = x_new
-        else:
+        x = accelerated_gradient(stack.aggregate_grad, np.zeros(d), float(stack.node_h_min.sum()),
+                                 float(stack.node_h_max.sum()), tol, max_iterations)
+        if x is None:
             raise StageError("reference", f"did not reach gradient norm {tol}")
     gn = float(np.linalg.norm(stack.aggregate_grad(x)))
     if gn > tol:
@@ -415,11 +405,19 @@ def run_experiment(cfg: ExperimentConfig):
     """Execute the full pipeline; returns the output directory path.
 
     The DALOPT_OUTPUT_DIR environment variable overrides cfg.output_dir.
-    Any stage failure raises StageError naming the stage.
+    The plots draw every trace in the directory, so a trace_<label>.csv of
+    a label not in cfg fails at [output] before anything is written. Any
+    stage failure raises StageError naming the stage.
     """
     out = Path(os.environ.get(OUTPUT_DIR_ENV) or cfg.output_dir)
     net, stack, ref, acfgs = build_problem(cfg)
-    out.mkdir(parents=True, exist_ok=True)
+    with stage("output"):
+        out.mkdir(parents=True, exist_ok=True)
+        names = {f"trace_{acfg.name}.csv" for acfg in acfgs}
+        foreign = sorted(p for p in out.glob("trace_*.csv") if p.name not in names)
+        if foreign:
+            raise ValueError(f"{foreign[0]} is not a trace of this config, and the plots "
+                             f"would draw it; choose another output_dir")
     with stage("network"):
         save_network(net, out / "network.json")
     if stack.kind == "logistic":

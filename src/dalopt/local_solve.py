@@ -3,7 +3,9 @@
 Three pieces: the per-node proximal problem solved by an accelerated
 gradient method with a precomputed iteration budget, the single gradient
 step used by the gradient-type algorithm variants, and a high-accuracy
-minimizer of the full augmented objective used as a test oracle. The
+minimizer of the full augmented objective used as a test oracle. That
+minimizer and harness.reference_solve run one accelerated-gradient loop,
+accelerated_gradient. The
 runs use array-form kernels of the first two. One prox kernel,
 node_prox_solver, solves one node at a time for both the Jacobi sweeps
 and the Gauss-Seidel ticks. The gradient step runs on all nodes at once
@@ -20,7 +22,7 @@ import math
 import numpy as np
 
 from .network import NetworkModel
-from .objective import NodeCost, ObjectiveStack, grad_stack
+from .objective import ObjectiveStack, grad_stack
 
 __all__ = [
     "SolverError",
@@ -29,6 +31,7 @@ __all__ = [
     "node_gradient_step",
     "gradient_step",
     "gradient_step_local",
+    "accelerated_gradient",
     "exact_al_minimizer",
     "exact_al_minimizer_direct",
 ]
@@ -55,7 +58,7 @@ def _planned_iterations(eps, r_dist, lip, q):
     return int(math.ceil(abs(math.log(arg) / math.log(1.0 - math.sqrt(q)))))
 
 
-def prox_local_info(cost: NodeCost, rho, v, x0, epsilon=1e-5, max_iterations=MAX_ITERATIONS):
+def prox_local_info(cost, rho, v, x0, epsilon=1e-5, max_iterations=MAX_ITERATIONS):
     """Accelerated gradient solve of min_y f(y) + v'y + (rho/2)||y||^2 from
     the warm start x0.
 
@@ -316,7 +319,7 @@ def gradient_step(x, xbar, mu, grad, beta, rho):
     return (1.0 - beta * rho) * x + beta * rho * xbar - beta * (mu + grad)
 
 
-def gradient_step_local(cost: NodeCost, x_i, xbar_i, mu_i, beta, rho) -> np.ndarray:
+def gradient_step_local(cost, x_i, xbar_i, mu_i, beta, rho) -> np.ndarray:
     """One gradient step on the node's augmented objective:
 
     x_i <- (1 - beta rho) x_i + beta rho xbar_i - beta (mu_i + grad f_i(x_i)).
@@ -326,6 +329,28 @@ def gradient_step_local(cost: NodeCost, x_i, xbar_i, mu_i, beta, rho) -> np.ndar
     x_i = np.asarray(x_i, dtype=float)
     xbar_i = np.asarray(xbar_i, dtype=float)
     return gradient_step(x_i, xbar_i, np.asarray(mu_i, dtype=float), cost.grad(x_i), beta, rho)
+
+
+def accelerated_gradient(grad, x0, m, lip, tol, max_iterations):
+    """Nesterov's method for an m-strongly convex objective with an
+    lip-Lipschitz gradient grad, from x0: steps y - grad(y)/lip with momentum
+    (1 - sqrt(m/lip)) / (1 + sqrt(m/lip)), the gradient norm at the iterate
+    checked against tol every 10 steps and after the last. Returns the
+    first iterate that passes the check, or None if none does within
+    max_iterations steps.
+    """
+    sq = math.sqrt(m / lip)
+    momentum = (1.0 - sq) / (1.0 + sq)
+    x = x0.copy()
+    y = x0.copy()
+    for it in range(max_iterations):
+        g = grad(y)
+        if it % 10 == 0 and float(np.linalg.norm(grad(x))) <= tol:
+            return x
+        x_new = y - g / lip
+        y = x_new + momentum * (x_new - x)
+        x = x_new
+    return x if float(np.linalg.norm(grad(x))) <= tol else None
 
 
 def al_objective_grad(stack: ObjectiveStack, net: NetworkModel, x, mu, rho):
@@ -351,25 +376,13 @@ def exact_al_minimizer(
     """
     n, d = stack.n_nodes, stack.dimension
     mu = np.asarray(mu, dtype=float)
-    x = np.zeros(n * d) if x0 is None else np.asarray(x0, dtype=float).copy()
-    m = stack.h_min
-    lip = stack.h_max + rho * net.spec.lambda_max
-    sq = math.sqrt(m / lip)
-    momentum = (1.0 - sq) / (1.0 + sq)
-    y = x.copy()
-    for it in range(max_iterations):
-        g = al_objective_grad(stack, net, y, mu, rho)
-        if it % 10 == 0:
-            gx = al_objective_grad(stack, net, x, mu, rho)
-            if float(np.linalg.norm(gx)) <= tol:
-                return x
-        x_new = y - g / lip
-        y = x_new + momentum * (x_new - x)
-        x = x_new
-    gx = al_objective_grad(stack, net, x, mu, rho)
-    if float(np.linalg.norm(gx)) <= tol:
-        return x
-    raise SolverError(f"augmented-objective solve did not reach tol={tol}")
+    x = np.zeros(n * d) if x0 is None else np.asarray(x0, dtype=float)
+    x = accelerated_gradient(lambda z: al_objective_grad(stack, net, z, mu, rho), x,
+                             stack.h_min, stack.h_max + rho * net.spec.lambda_max, tol,
+                             max_iterations)
+    if x is None:
+        raise SolverError(f"augmented-objective solve did not reach tol={tol}")
+    return x
 
 
 def exact_al_minimizer_direct(stack: ObjectiveStack, net: NetworkModel, mu, rho) -> np.ndarray:

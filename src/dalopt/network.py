@@ -246,13 +246,27 @@ def spectrum(w: WeightMatrix, tol=LAMBDA2_TOL) -> LaplacianSpectrum:
 class NetworkModel:
     """Bundle of graph, weight matrix, and Laplacian spectrum.
 
-    Immutable after construction; safe to share read-only across threads.
+    W lives on its graph: it has the graph's size and vanishes off the
+    links and self-loops, so a node reads only its neighbors' blocks.
+    Construction raises NetworkError otherwise, naming the first off-graph
+    pair. Immutable after construction; safe to share read-only across
+    threads.
     """
 
     graph: Graph
     weights: WeightMatrix
     spec: LaplacianSpectrum
     meta: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        w, n = self.weights.entries, self.graph.node_count
+        if len(w) != n:
+            raise NetworkError(f"W is {len(w)} x {len(w)} but the graph has {n} nodes")
+        off_graph = np.argwhere((w != 0) & ~self.graph.adjacency)
+        if off_graph.size:
+            i, j = off_graph[0].tolist()
+            raise NetworkError(f"W[{i}, {j}] = {float(w[i, j])!r} but ({i}, {j}) is not a link "
+                               f"of the graph: a node reads only its neighbors' blocks")
 
     @property
     def node_count(self):

@@ -1,8 +1,9 @@
 """Per-node convex costs with gradient access and certified Hessian bounds.
 
-A stack of N node costs of common dimension d defines the block-separable
-objective F(x_1,...,x_N) = sum_i f_i(x_i) on R^{Nd} and the aggregate
-f(x) = sum_i f_i(x) on R^d.
+A node cost is a QuadraticCost or a LogisticCost, the two classes an
+ObjectiveStack accepts. A stack of N node costs of common dimension d
+defines the block-separable objective F(x_1,...,x_N) = sum_i f_i(x_i) on
+R^{Nd} and the aggregate f(x) = sum_i f_i(x) on R^d.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from functools import partial
 import numpy as np
 
 __all__ = [
-    "NodeCost",
     "QuadraticCost",
     "LogisticCost",
     "ObjectiveStack",
@@ -22,31 +22,12 @@ __all__ = [
 ]
 
 
-class NodeCost:
-    """Base class: twice-differentiable strongly convex node cost.
-
-    Subclasses provide value(x), grad(x), and the Hessian bounds
-    (h_min, h_max) with 0 < h_min <= h_max. Instances are immutable and
-    evaluation is reentrant.
-    """
-
-    dimension: int
-    h_min: float
-    h_max: float
-
-    def value(self, x):
-        raise NotImplementedError
-
-    def grad(self, x):
-        raise NotImplementedError
-
-
 @dataclass(frozen=True, eq=False)
-class QuadraticCost(NodeCost):
+class QuadraticCost:
     """f(x) = 0.5 x'Ax + b'x + c with A symmetric positive definite.
 
     Test instrument: the Hessian bounds are the exact extreme eigenvalues
-    and the unconstrained minimizer is -A^{-1} b.
+    of A.
     """
 
     matrix: np.ndarray
@@ -81,9 +62,6 @@ class QuadraticCost(NodeCost):
     def grad(self, x):
         return self.matrix @ np.asarray(x, dtype=float) + self.linear
 
-    def minimizer(self):
-        return np.linalg.solve(self.matrix, -self.linear)
-
 
 def _stable_logloss(z):
     # log(1 + exp(-z)) without overflow
@@ -98,7 +76,7 @@ def _sigmoid(z):
 
 
 @dataclass(frozen=True, eq=False)
-class LogisticCost(NodeCost):
+class LogisticCost:
     """l2-regularized logistic loss of a single labeled sample.
 
     f(x) = log(1 + exp(-c'x)) + (reg/(2 N)) ||x||^2 where

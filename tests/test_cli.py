@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 from dalopt.almethods import VARIANTS
 from dalopt.cli import main
 from dalopt.harness import _REQUIRED, _VALUES
-from dalopt.network import build_chain_graph, build_network, save_network
+from dalopt.network import (build_chain_graph, build_complete_graph, build_network,
+                            save_network)
 from dalopt.theory import RECIPES
 
 
@@ -53,6 +54,32 @@ class TestRun:
         }))
         assert main(["run", str(path)]) == 1
         assert "error [config]" in capsys.readouterr().err
+
+    def test_output_dir_under_a_file(self, tiny_config, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        doc = json.loads(tiny_config.read_text())
+        tiny_config.write_text(json.dumps(dict(doc, output_dir=str(tmp_path / "file" / "out"))))
+        assert main(["run", str(tiny_config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error [output]")
+        assert "Traceback" not in err
+
+    def test_output_dir_holding_another_configs_traces(self, tiny_config, tmp_path, capsys):
+        # the plots draw every trace in the directory, so a second config
+        # may not share it; the first run's files stay as they were
+        assert main(["run", str(tiny_config)]) == 0
+        out = tmp_path / "out"
+        before = {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in out.iterdir()}
+        other = tmp_path / "other.json"
+        doc = json.loads(tiny_config.read_text())
+        other.write_text(json.dumps(dict(doc, algorithms=[{"recipe": "section4_jacobi",
+                                                           "label": "only"}])))
+        assert main(["run", str(other)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error [output]")
+        assert str(out / "trace_section4_jacobi.csv") in err
+        assert {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in out.iterdir()} == before
+        assert main(["run", str(tiny_config)]) == 0
 
 
 class TestCertify:
@@ -193,6 +220,23 @@ class TestSpectrum:
         assert main(["spectrum", str(path)]) == 1
         err = capsys.readouterr().err
         assert "error [network]" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("n, message", [
+        (3, r"W\[0, 2\] = .* but \(0, 2\) is not a link of the graph"),
+        (4, "W is 4 x 4 but the graph has 3 nodes"),
+    ], ids=["off_graph", "wrong_size"])
+    def test_weights_not_of_the_graph(self, tmp_path, capsys, n, message):
+        # a 3-node chain's file holding the complete graph's W on n nodes
+        path = tmp_path / "net.json"
+        save_network(build_network(build_chain_graph(3)), path)
+        doc = json.loads(path.read_text())
+        doc["weights"] = build_network(build_complete_graph(n)).weights.entries.tolist()
+        path.write_text(json.dumps(doc))
+        assert main(["spectrum", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error [network]")
+        assert re.search(message, err)
         assert "Traceback" not in err
 
 

@@ -116,6 +116,11 @@ class TestReferenceSolve:
         )
         assert ref.grad_norm_at_solution == pytest.approx(np.linalg.norm(g))
 
+    def test_logistic_iteration_cap(self):
+        stack = generate_logistic_data(6, 4, reg=2.0, seed=1)
+        with pytest.raises(StageError, match=r"\[reference\] did not reach gradient norm"):
+            reference_solve(stack, max_iterations=3)
+
 
 class TestRelativeCostError:
     def setup_method(self):

@@ -320,6 +320,12 @@ class TestExactAlMinimizer:
         g = grad_stack(stack, x) + mu + rho * net.laplacian_apply(x, stack.dimension)
         assert np.linalg.norm(g) <= tol
 
+    def test_logistic_iteration_cap(self, chain5_net):
+        stack = generate_logistic_data(5, 3, reg=2.0, seed=1)
+        with pytest.raises(SolverError, match="did not reach tol=1e-12"):
+            exact_al_minimizer(stack, chain5_net, np.zeros(15), rho=1.0, tol=1e-12,
+                               max_iterations=3)
+
 
 class TestJacobiSweepContraction:
     def test_single_sweep_bound(self, chain5_net, quad5_stack, rng):

@@ -197,6 +197,14 @@ class TestGraphValidation:
             build_network(g)
 
 
+class TestNetworkModel:
+    def test_w_of_another_size_rejected(self):
+        complete = build_network(build_complete_graph(4))
+        with pytest.raises(NetworkError, match="W is 4 x 4 but the graph has 3 nodes"):
+            NetworkModel(graph=build_chain_graph(3), weights=complete.weights,
+                         spec=complete.spec)
+
+
 class TestSerialization:
     def test_roundtrip(self, tmp_path):
         g, _ = build_geometric_graph(7, radius=0.7, rng_seed=2)
