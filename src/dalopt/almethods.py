@@ -111,7 +111,6 @@ class RunTrace:
     transmissions: list = field(default_factory=list)
     grad_evals: list = field(default_factory=list)
     wall_clock: list = field(default_factory=list)
-    n_nodes: int = 0
 
     def record(self, x, mu, tx, ge, t):
         self.xs.append(x.copy())
@@ -141,48 +140,50 @@ def jacobi_sweeps(stack, net, x, mu, rho, tau, solve, xbar):
     warm-started at its current block, then neighbor averages refresh.
 
     solve is node_prox_solver(stack, rho, epsilon), built once per run;
-    xbar must be (W (x) I) x; the outer loop passes the one it holds.
-    Returns (x_new, xbar_new, gradient_evaluations). Within one sweep the
-    per-node solves read only the previous sweep's state, so they are
-    order-independent.
+    xbar must be (W (x) I) x, which the outer loop passes and forms anew
+    after the call: W is applied between sweeps only. Returns (x_new,
+    gradient_evaluations). Within one sweep the per-node solves read only
+    the previous sweep's state, so they are order-independent.
     """
     n, d = stack.n_nodes, stack.dimension
     x = np.array(x, dtype=float).reshape(n, d)  # a copy, updated in place
     mu = np.asarray(mu, dtype=float).reshape(n, d)
     xbar = np.asarray(xbar, dtype=float).reshape(n, d)
     grads = 0
-    for _ in range(tau):
+    for sweep in range(tau):
+        if sweep:
+            xbar = net.weights_apply(x, d).reshape(n, d)
         v = mu - rho * xbar
         for i in range(n):
             x[i], g = solve(i, v[i], x[i])
             grads += g
-        xbar = net.weights_apply(x, d).reshape(n, d)
-    return x.reshape(-1), xbar.reshape(-1), grads
+    return x.reshape(-1), grads
 
 
 def gradient_sweeps(stack, net, x, mu, rho, tau, beta, xbar):
     """tau synchronized gradient sweeps; one gradient evaluation per node
-    per sweep. Returns (x_new, xbar_new, gradient_evaluations); xbar is as
-    in jacobi_sweeps."""
+    per sweep. Returns (x_new, gradient_evaluations); xbar and W are as in
+    jacobi_sweeps."""
     n, d = stack.n_nodes, stack.dimension
     x = np.asarray(x, dtype=float).reshape(n, d)
     mu = np.asarray(mu, dtype=float).reshape(n, d)
     xbar = np.asarray(xbar, dtype=float).reshape(n, d)
-    for _ in range(tau):
+    for sweep in range(tau):
+        if sweep:
+            xbar = net.weights_apply(x, d).reshape(n, d)
         x = gradient_step(x, xbar, mu, stack.node_grads(x), beta, rho)
-        xbar = net.weights_apply(x, d).reshape(n, d)
-    return x.reshape(-1), xbar.reshape(-1), n * tau
+    return x.reshape(-1), n * tau
 
 
 def _outer_loop(stack, net, cfg, k_max, inner, x0=None, stop=None) -> RunTrace:
     """The outer loop of every variant.
 
-    inner(k, x, mu, xbar) is the inexact primal phase of outer iteration
-    k. It receives xbar = (W (x) I) x, may update x and xbar in place, and
-    returns (x, xbar, transmissions, grad_evals) with xbar = (W (x) I) x
-    again. The dual step mu + alpha (x - xbar) is then mu + alpha (L (x) I) x.
-    The run raises once x or mu is not finite, and ends after k_max outer
-    iterations or once stop(x, mu, k) holds.
+    inner(x, mu, xbar) is the inexact primal phase of one outer iteration.
+    It receives xbar = (W (x) I) x, may update x in place, and returns
+    (x, transmissions, grad_evals). The loop then forms xbar = (W (x) I) x
+    of the new x, so the dual step mu + alpha (x - xbar) is
+    mu + alpha (L (x) I) x. The run raises once x or mu is not finite, and
+    ends after k_max outer iterations or once stop(x, mu, k) holds.
     """
     n, d = stack.n_nodes, stack.dimension
     x = np.zeros(n * d) if x0 is None else np.array(x0, dtype=float)
@@ -191,12 +192,13 @@ def _outer_loop(stack, net, cfg, k_max, inner, x0=None, stop=None) -> RunTrace:
         raise ConfigError("primal initialization must be equal across nodes")
     mu = np.zeros(n * d)
     xbar = net.weights_apply(x, d)
-    trace = RunTrace(n_nodes=n)
+    trace = RunTrace()
     tx = ge = 0
     t0 = time.perf_counter()
     trace.record(x, mu, tx, ge, 0.0)
     for k in range(1, k_max + 1):
-        x, xbar, sent, grads = inner(k, x, mu, xbar)
+        x, sent, grads = inner(x, mu, xbar)
+        xbar = net.weights_apply(x, d)
         tx += sent
         ge += grads
         mu = mu + cfg.alpha * (x - xbar)
@@ -241,8 +243,7 @@ def _tick_phase(stack, net, cfg, k_max, schedule):
     views, each reading (W x)_i from x as it stands, so no neighbor
     averages are kept between ticks. A Gauss-Seidel tick solves its prox
     problem with v_i = mu_i - (rho W)_i x. A node reads only its neighbors,
-    since NetworkModel guarantees that W vanishes off the graph. The phase
-    returns xbar = (W (x) I) x for the dual step."""
+    since NetworkModel guarantees that W vanishes off the graph."""
     n, d = stack.n_nodes, stack.dimension
     if schedule is None:
         draws = _poisson_ticks(n, cfg.tau, cfg.seed)
@@ -268,10 +269,10 @@ def _tick_phase(stack, net, cfg, k_max, schedule):
                 grads += g
             return grads
 
-    def inner(k, x, mu, xbar):
+    def inner(x, mu, xbar):
         nodes = next(draws).tolist()
         grads = ticks(nodes, x.reshape(n, d), mu.reshape(n, d))  # x updated in place
-        return x, net.weights_apply(x, d), len(nodes), grads
+        return x, len(nodes), grads
 
     return inner
 
@@ -283,11 +284,9 @@ def run_inexact_al(stack, net, cfg: AlgorithmConfig, inner_policy, k_max, x0=Non
     then ascends along (L (x) I) x_next. The policy's communication and
     gradient work are not counted: both trace columns stay 0.
     """
-    d = stack.dimension
 
-    def inner(k, x, mu, xbar):
-        x = np.asarray(inner_policy(x, mu), dtype=float)
-        return x, net.weights_apply(x, d), 0, 0
+    def inner(x, mu, xbar):
+        return np.asarray(inner_policy(x, mu), dtype=float), 0, 0
 
     return _outer_loop(stack, net, cfg, k_max, inner, x0)
 
@@ -312,27 +311,25 @@ def run_variant(stack, net, cfg: AlgorithmConfig, k_max, x0=None, stop=None,
         else:
             sweeps, step = gradient_sweeps, cfg.beta
 
-        def inner(k, x, mu, xbar):
-            x, xbar, grads = sweeps(stack, net, x, mu, cfg.rho, cfg.tau, step, xbar)
-            return x, xbar, stack.n_nodes * cfg.tau, grads
+        def inner(x, mu, xbar):
+            x, grads = sweeps(stack, net, x, mu, cfg.rho, cfg.tau, step, xbar)
+            return x, stack.n_nodes * cfg.tau, grads
 
     return _outer_loop(stack, net, cfg, k_max, inner, x0, stop)
 
 
-def write_trace_csv(path, trace: RunTrace, rel_cost_error, primal_error_norm, lyapunov_value):
+def write_trace_csv(path, trace: RunTrace, rel_cost_error, primal_error_norm, dual_sum_norm,
+                    lyapunov_value):
     """Serialize one run: fixed header, one row per outer iteration.
 
-    Metric columns are precomputed arrays aligned with the trace rows
-    (the trace itself has no access to the reference solution). Floats are
+    The four metric columns are precomputed arrays aligned with the trace
+    rows, in header order (harness.trace_metrics computes them). Floats are
     written with 17 significant digits so identical runs produce
     byte-identical files. A non-finite value is refused before the file
     is opened.
     """
     n_rows = len(trace.xs)
-    if trace.n_nodes < 1:
-        raise ValueError("trace is missing its node count")
-    dual_sum = [np.linalg.norm(mu.reshape(trace.n_nodes, -1).sum(axis=0)) for mu in trace.mus]
-    cols = (rel_cost_error, primal_error_norm, dual_sum, lyapunov_value)
+    cols = (rel_cost_error, primal_error_norm, dual_sum_norm, lyapunov_value)
     if any(len(col) != n_rows for col in cols):
         raise ValueError("metric column length mismatch")
     table = np.column_stack([np.asarray(col, dtype=float) for col in cols])

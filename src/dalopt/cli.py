@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .almethods import check_beta
 from .harness import ExperimentConfig, StageError, build_problem, run_experiment, stage
 from .network import load_network
 from .theory import certificate
@@ -33,7 +32,6 @@ def _cmd_certify(args):
     net, stack, ref, acfgs = build_problem(cfg)
     for acfg in acfgs:
         with stage(f"certify:{acfg.name}"):
-            check_beta(acfg, stack)
             cert = certificate(acfg, stack, net, ref.x_star)
         print(f"algorithm: {acfg.name} ({acfg.variant}), tau={acfg.tau}")
         print(cert.report())
@@ -43,7 +41,7 @@ def _cmd_certify(args):
 def _cmd_spectrum(args):
     try:
         net = load_network(args.network)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
         raise StageError("network", f"cannot load {args.network}: {exc}") from exc
     print(f"nodes: {net.node_count}")
     print(f"links: {net.graph.link_count}")

@@ -218,7 +218,7 @@ class ExperimentConfig:
         try:
             with open(path) as fh:
                 doc = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
             raise StageError("config", f"cannot read {path}: {exc}") from exc
         return cls.from_dict(doc)
 
@@ -308,15 +308,16 @@ def relative_cost_error(stack: ObjectiveStack, ref: ReferenceSolution, x, f0=Non
 
 
 def trace_metrics(stack, net: NetworkModel, ref: ReferenceSolution, trace: RunTrace):
-    """Per-row (rel_cost_error, primal_error_norm, lyapunov_value) arrays."""
+    """Per-row arrays of the four float columns of a trace CSV, in its order."""
     saddle = saddle_point(stack, ref.x_star)
     f0 = stack.aggregate_value(np.zeros(stack.dimension))
-    rel, prim, lyap = [], [], []
+    rel, prim, dual, lyap = [], [], [], []
     for x, mu in zip(trace.xs, trace.mus):
         rel.append(relative_cost_error(stack, ref, x, f0))
         prim.append(float(np.linalg.norm(x - saddle.x_bullet)))
+        dual.append(np.linalg.norm(mu.reshape(stack.n_nodes, -1).sum(axis=0)))
         lyap.append(lyapunov_value(x, mu, saddle, net.spec, stack.h_min))
-    return np.array(rel), np.array(prim), np.array(lyap)
+    return np.array(rel), np.array(prim), np.array(dual), np.array(lyap)
 
 
 def resolve_algorithm(entry, stack, net,
@@ -435,8 +436,8 @@ def run_experiment(cfg: ExperimentConfig):
                     return relative_cost_error(stack, ref, x, f0) <= _t
 
             trace = run_variant(stack, net, acfg, cfg.k_max, stop=stop)
-            rel, prim, lyap = trace_metrics(stack, net, ref, trace)
-            write_trace_csv(out / f"trace_{acfg.name}.csv", trace, rel, prim, lyap)
+            write_trace_csv(out / f"trace_{acfg.name}.csv", trace,
+                            *trace_metrics(stack, net, ref, trace))
             cert = certificate(acfg, stack, net, ref.x_star)
             # cost translation: f(x_i) - f* <= (sum_j h_max_j)/2 ||x_i - x*||^2,
             # so rel_cost_error <= cost_factor * (r^k * bound_constant)^2

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import itertools
 import json
+import numbers
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -45,55 +45,63 @@ class NetworkError(ValueError):
 class Graph:
     """Undirected connected graph with explicit self-loops.
 
-    ``edges`` holds unordered pairs (i, j) with i <= j, including every
-    self-loop (i, i). The adjacency is built once, on first use, and
-    assumes in-range edges (``_validate_graph`` checks them).
+    ``edges`` holds pairs (i, j) of integer node ids, 0 <= i <= j < N,
+    including every self-loop (i, i). Every Graph is valid: construction
+    raises NetworkError, naming the first bad pair, unless N >= 2 and the
+    graph is as above and connected. ``adjacency`` is the read-only boolean
+    N x N adjacency; its diagonal holds the self-loops.
     """
 
     node_count: int
     edges: frozenset
     positions: tuple | None = None
+    adjacency: np.ndarray = field(init=False, repr=False, compare=False)
 
-    @cached_property
-    def adjacency(self):
-        """Read-only boolean N x N adjacency; the diagonal holds the self-loops."""
-        flat = itertools.chain.from_iterable(self.edges)
-        ij = np.fromiter(flat, dtype=np.intp, count=2 * len(self.edges)).reshape(-1, 2)
-        adj = np.zeros((self.node_count, self.node_count), dtype=bool)
+    def __post_init__(self):
+        n = self.node_count
+        if n < 2:
+            raise NetworkError("graph needs at least 2 nodes")
+        for i in range(n):
+            if (i, i) not in self.edges:
+                raise NetworkError(f"missing self-loop at node {i}")
+        # numpy infers an integer dtype only if every id is an integer
+        ij = np.array(list(itertools.chain.from_iterable(self.edges))).reshape(-1, 2)
+        if ij.dtype.kind not in "iu" or np.any((ij[:, 0] < 0) | (ij[:, 0] > ij[:, 1])
+                                               | (ij[:, 1] >= n)):
+            raise NetworkError(_edge_fault(self.edges, n))
+        adj = np.zeros((n, n), dtype=bool)
         adj[ij[:, 0], ij[:, 1]] = True
         adj[ij[:, 1], ij[:, 0]] = True
         adj.flags.writeable = False
-        return adj
+        if not _connected(adj):
+            raise NetworkError("graph is disconnected")
+        object.__setattr__(self, "adjacency", adj)
 
     @property
     def link_count(self):
         """Number of edges excluding self-loops."""
         return int(np.count_nonzero(np.triu(self.adjacency, 1)))
 
-    def is_connected(self):
-        # level-synchronous breadth-first traversal from node 0; deliberately
-        # independent of any eigensolver tolerance
-        adj = self.adjacency
-        seen = np.zeros(self.node_count, dtype=bool)
-        seen[0] = True
-        frontier = seen.copy()
-        while frontier.any():
-            frontier = adj[frontier].any(axis=0) & ~seen
-            seen |= frontier
-        return bool(seen.all())
+
+def _edge_fault(edges, n):
+    """The message naming the first pair that is not integer ids 0 <= i <= j < n."""
+    for i, j in edges:
+        if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in (i, j)):
+            return f"edge ({i},{j}) does not join two integer node ids"
+        if not (0 <= i <= j < n):
+            return f"edge ({i},{j}) out of range or unordered"
 
 
-def _validate_graph(g: Graph):
-    if g.node_count < 2:
-        raise NetworkError("graph needs at least 2 nodes")
-    for i in range(g.node_count):
-        if (i, i) not in g.edges:
-            raise NetworkError(f"missing self-loop at node {i}")
-    for i, j in g.edges:
-        if not (0 <= i <= j < g.node_count):
-            raise NetworkError(f"edge ({i},{j}) out of range or unordered")
-    if not g.is_connected():
-        raise NetworkError("graph is disconnected")
+def _connected(adj):
+    # level-synchronous breadth-first traversal from node 0 of a boolean
+    # adjacency; deliberately independent of any eigensolver tolerance
+    seen = np.zeros(len(adj), dtype=bool)
+    seen[:1] = True
+    frontier = seen.copy()
+    while frontier.any():
+        frontier = adj[frontier].any(axis=0) & ~seen
+        seen |= frontier
+    return bool(seen.all())
 
 
 def _make_graph(n, pair_edges, positions=None):
@@ -113,8 +121,6 @@ def build_geometric_graph(n, radius=0.45, rng_seed=0, max_attempts=100):
     Returns (graph, attempts_used). Raises NetworkError after
     ``max_attempts`` failed draws (infeasible radius).
     """
-    if n < 2:
-        raise NetworkError("need n >= 2")
     if not (0.0 < radius):
         raise NetworkError("radius must be positive")
     radius = min(radius, np.sqrt(2.0) + 1e-9)
@@ -122,9 +128,9 @@ def build_geometric_graph(n, radius=0.45, rng_seed=0, max_attempts=100):
         rng = np.random.default_rng(rng_seed + attempt)
         pts = rng.uniform(0.0, 1.0, size=(n, 2))
         close = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1) < radius
-        i, j = np.nonzero(np.triu(close, 1))
-        g = _make_graph(n, zip(i.tolist(), j.tolist()), positions=tuple(map(tuple, pts)))
-        if g.is_connected():
+        if _connected(close):
+            i, j = np.nonzero(np.triu(close, 1))
+            g = _make_graph(n, zip(i.tolist(), j.tolist()), positions=tuple(map(tuple, pts)))
             return g, attempt + 1
     raise NetworkError(
         f"no connected geometric graph in {max_attempts} attempts "
@@ -134,14 +140,10 @@ def build_geometric_graph(n, radius=0.45, rng_seed=0, max_attempts=100):
 
 def build_chain_graph(n):
     """Path graph 0-1-...-(n-1) with self-loops."""
-    if n < 2:
-        raise NetworkError("need n >= 2")
     return _make_graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def build_complete_graph(n):
-    if n < 2:
-        raise NetworkError("need n >= 2")
     return _make_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
@@ -178,7 +180,6 @@ class WeightMatrix:
 def metropolis_weights(g: Graph) -> WeightMatrix:
     """Metropolis rule: W_ij = 1/(1+max(deg_i,deg_j)) on edges, diagonal
     fills the row to 1. Degrees count neighbors excluding the self-loop."""
-    _validate_graph(g)
     adj = g.adjacency
     deg = adj.sum(axis=1) - 1
     links = adj & ~np.eye(g.node_count, dtype=bool)
@@ -288,11 +289,11 @@ class NetworkModel:
 
 
 def build_network(graph: Graph, scale=(1.1 / 2.0, 0.9 / 2.0), meta=None) -> NetworkModel:
-    """Metropolis weights + scaling + spectrum for a validated graph.
+    """Metropolis weights + scaling + spectrum for a graph.
 
-    metropolis_weights validates the graph first. With a scale, the scaled
-    W must be positive definite: its smallest eigenvalue is 1 - lambda_max
-    of L = I - W, read off the one eigendecomposition ``spectrum`` runs."""
+    With a scale, the scaled W must be positive definite: its smallest
+    eigenvalue is 1 - lambda_max of L = I - W, read off the one
+    eigendecomposition ``spectrum`` runs."""
     wm = metropolis_weights(graph)
     w = scale_weights(wm, *scale) if scale is not None else wm
     spec = spectrum(w)
@@ -336,6 +337,5 @@ def load_network(path) -> NetworkModel:
         [(i, j) for i, j in doc["edges"] if i != j],
         positions=tuple(map(tuple, positions)) if positions else None,
     )
-    _validate_graph(g)
     w = WeightMatrix(np.array(doc["weights"], dtype=float))
     return NetworkModel(graph=g, weights=w, spec=spectrum(w), meta=doc.get("meta", {}))

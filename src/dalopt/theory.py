@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .almethods import check_beta
 from .network import NetworkModel
 from .objective import ObjectiveStack, grad_stack
 
@@ -199,8 +200,10 @@ def certificate(cfg, stack: ObjectiveStack, net: NetworkModel, x_star, x_init=No
     x_star is the centralized optimum from the reference solver; x_init is
     the common initial block of every node (defaults to zero). With
     strict=True a violated condition raises CertificateError naming the
-    failed flag; otherwise the flags are recorded on the certificate.
+    failed flag; otherwise the flags are recorded on the certificate. First,
+    check_beta raises ConfigError on a gradient step above 1/(h_max + rho).
     """
+    check_beta(cfg, stack)
     h_min, h_max = stack.h_min, stack.h_max
     lam2 = net.lambda2
     xi = inner_contraction(

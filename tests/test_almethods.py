@@ -122,7 +122,7 @@ class TestDetJacobi:
         mu = rng.standard_normal(40)
         solve = node_prox_solver(stack, rho, eps)
         xbar = net.weights_apply(x, 4)
-        out, xbar, grads = jacobi_sweeps(stack, net, x, mu, rho, 1, solve, xbar)
+        out, grads = jacobi_sweeps(stack, net, x, mu, rho, 1, solve, xbar)
         v = mu - rho * net.weights_apply(x, 4)
         solves = [
             prox_local_info(c, rho, v[4 * i : 4 * i + 4], x[4 * i : 4 * i + 4], eps)
@@ -130,7 +130,6 @@ class TestDetJacobi:
         ]
         assert np.abs(out - np.concatenate([y for y, _ in solves])).max() <= 1e-12
         assert grads == sum(g for _, g in solves)
-        assert np.array_equal(xbar, net.weights_apply(out, 4))
 
     def test_transmission_counter(self, chain5_net, quad5_stack):
         cfg = AlgorithmConfig(variant="det_jacobi", alpha=0.5, rho=1.0, tau=3)
@@ -168,12 +167,12 @@ class TestDetGradient:
     def test_saddle_point_is_fixed(self, chain5_net, quad5_stack, quad5_ref):
         saddle = saddle_point(quad5_stack, quad5_ref.x_star)
         beta = 1.0 / (quad5_stack.h_max + 1.0)
-        x, xbar, _ = gradient_sweeps(
+        x, _ = gradient_sweeps(
             quad5_stack, chain5_net, saddle.x_bullet, saddle.mu_bullet, 1.0, 3, beta,
             chain5_net.weights_apply(saddle.x_bullet, 3),
         )
         assert np.allclose(x, saddle.x_bullet, atol=1e-12)
-        assert np.allclose(x - xbar, 0.0, atol=1e-12)
+        assert np.allclose(x - chain5_net.weights_apply(x, 3), 0.0, atol=1e-12)
 
     def test_one_sweep_equals_stacked_step(self, chain5_net, quad5_stack, rng):
         from dalopt.local_solve import al_objective_grad
@@ -182,7 +181,7 @@ class TestDetGradient:
         x = np.tile(rng.standard_normal(3), 5)
         mu = rng.standard_normal(15)
         rho, beta = 1.2, 1.0 / (stack.h_max + 1.2)
-        out, _, _ = gradient_sweeps(stack, net, x, mu, rho, 1, beta, net.weights_apply(x, 3))
+        out, _ = gradient_sweeps(stack, net, x, mu, rho, 1, beta, net.weights_apply(x, 3))
         oracle = x - beta * al_objective_grad(stack, net, x, mu, rho)
         assert np.allclose(out, oracle, atol=1e-12)
 
@@ -195,8 +194,7 @@ class TestDetGradient:
         x = rng.standard_normal(15)
         x_prime = exact_al_minimizer_direct(stack, net, mu, rho)
         for _ in range(5):
-            x_new, _, _ = gradient_sweeps(stack, net, x, mu, rho, 1, beta,
-                                          net.weights_apply(x, 3))
+            x_new, _ = gradient_sweeps(stack, net, x, mu, rho, 1, beta, net.weights_apply(x, 3))
             num = np.linalg.norm(x_new - x_prime)
             den = np.linalg.norm(x - x_prime)
             assert num <= (1 - beta * stack.h_min) * den + 1e-12
@@ -280,8 +278,9 @@ class TestLazyTicks:
 
 
 class TestSweepsReuseXbar:
-    """The deterministic variants hand the loop's xbar to the sweeps, so an
-    outer iteration applies W once per sweep and the run once more at start."""
+    """The deterministic variants hand the loop's xbar to the sweeps, which
+    apply W between sweeps; the loop applies it once after them and once at
+    the start, so an outer iteration applies W once per sweep."""
 
     @pytest.mark.parametrize("variant", ["det_jacobi", "det_gradient"])
     def test_one_weights_apply_per_sweep(self, chain5_net, quad5_stack, monkeypatch, variant):
@@ -298,21 +297,19 @@ class TestSweepsReuseXbar:
         assert all(np.array_equal(a, b) for a, b in zip(tr.mus, expected.mus, strict=True))
 
     def test_given_xbar_matches_recomputed(self, chain5_net, quad5_stack, rng):
-        # the xbar a sweep call returns is (W (x) I) x of its result, so
-        # feeding it to the next call equals recomputing it, and both equal
-        # one call with both sweeps
+        # a call applies W between its sweeps only, so two one-sweep calls,
+        # the second fed (W (x) I) x1 of the first one's result, equal one
+        # call with both sweeps
         net, stack = chain5_net, quad5_stack
         x, mu = rng.standard_normal(15), rng.standard_normal(15)
         beta = 1.0 / (stack.h_max + 1.0)
         solve = node_prox_solver(stack, 1.0, 1e-9)
         for sweeps, last in ((jacobi_sweeps, solve), (gradient_sweeps, beta)):
-            both = sweeps(stack, net, x, mu, 1.0, 2, last, net.weights_apply(x, 3))
-            x1, xbar1, g1 = sweeps(stack, net, x, mu, 1.0, 1, last, net.weights_apply(x, 3))
-            assert np.array_equal(xbar1, net.weights_apply(x1, 3))
-            for xbar in (xbar1, net.weights_apply(x1, 3)):
-                second = sweeps(stack, net, x1, mu, 1.0, 1, last, xbar)
-                assert all(np.array_equal(a, b) for a, b in zip(both[:2], second[:2]))
-                assert g1 + second[2] == both[2]
+            both, g_both = sweeps(stack, net, x, mu, 1.0, 2, last, net.weights_apply(x, 3))
+            x1, g1 = sweeps(stack, net, x, mu, 1.0, 1, last, net.weights_apply(x, 3))
+            x2, g2 = sweeps(stack, net, x1, mu, 1.0, 1, last, net.weights_apply(x1, 3))
+            assert np.array_equal(both, x2)
+            assert g1 + g2 == g_both
 
 
 class TestTicksResyncXbar:
@@ -606,13 +603,15 @@ class TestTraceCsv:
         n = len(tr.xs)
         rel = np.linspace(1.0, 0.1, n)
         prim = np.linspace(2.0, 0.2, n)
+        dual = np.linspace(4.0, 0.4, n)
         lyap = np.linspace(3.0, 0.3, n)
         path = tmp_path / "trace.csv"
-        write_trace_csv(path, tr, rel, prim, lyap)
+        write_trace_csv(path, tr, rel, prim, dual, lyap)
         data = read_trace_csv(path)
         assert list(data.keys()) == TRACE_HEADER.split(",")
         assert np.array_equal(data["k"], np.arange(n))
         assert np.allclose(data["rel_cost_error"], rel, atol=0)
+        assert np.allclose(data["dual_sum_norm"], dual, atol=0)
         assert np.array_equal(data["transmissions_total"], tr.transmissions)
 
     def test_non_finite_metric_rejected(self, tmp_path, chain5_net, quad5_stack):
@@ -622,7 +621,7 @@ class TestTraceCsv:
         rel = np.array([1.0, 0.5, 0.2, np.nan])
         path = tmp_path / "trace.csv"
         with pytest.raises(ValueError, match=r"lyapunov_value is not finite in trace row k=2"):
-            write_trace_csv(path, tr, rel, np.ones(4), lyap)
+            write_trace_csv(path, tr, rel, np.ones(4), np.zeros(4), lyap)
         assert not path.exists()
 
     def test_header_mismatch_rejected(self, tmp_path):

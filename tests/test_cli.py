@@ -222,6 +222,19 @@ class TestSpectrum:
         assert "error [network]" in err
         assert "Traceback" not in err
 
+    def test_fractional_node_id(self, tmp_path, capsys):
+        # 0.5 would otherwise be read as node 0 and the pair as a second (0, 1)
+        path = tmp_path / "net.json"
+        save_network(build_network(build_chain_graph(4)), path)
+        doc = json.loads(path.read_text())
+        doc["edges"].append([0.5, 1])
+        path.write_text(json.dumps(doc))
+        assert main(["spectrum", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error [network] cannot load")
+        assert "edge (0.5,1) does not join two integer node ids" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("n, message", [
         (3, r"W\[0, 2\] = .* but \(0, 2\) is not a link of the graph"),
         (4, "W is 4 x 4 but the graph has 3 nodes"),
@@ -237,6 +250,32 @@ class TestSpectrum:
         err = capsys.readouterr().err
         assert err.startswith("error [network]")
         assert re.search(message, err)
+        assert "Traceback" not in err
+
+
+UNREADABLE = {"non_utf8": b"\xff\xfe{}", "deep_nesting": b"[" * 200_000 + b"]" * 200_000}
+
+
+class TestUnreadableInput:
+    """A file that cannot be decoded or parsed fails at its stage, with no
+    traceback."""
+
+    @pytest.mark.parametrize("command", ["run", "certify"])
+    @pytest.mark.parametrize("name", sorted(UNREADABLE))
+    def test_config(self, tmp_path, capsys, command, name):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(UNREADABLE[name])
+        assert main([command, str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error [config] cannot read {path}")
+        assert "Traceback" not in err
+
+    def test_deeply_nested_network(self, tmp_path, capsys):
+        path = tmp_path / "net.json"
+        path.write_bytes(UNREADABLE["deep_nesting"])
+        assert main(["spectrum", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error [network] cannot load {path}")
         assert "Traceback" not in err
 
 

@@ -86,7 +86,7 @@ def jacobi_sweep(stack, rho, v, x0, epsilon):
     xbar = net.weights_apply(x0.reshape(-1), d)
     mu = v.reshape(-1) + rho * xbar
     solve = node_prox_solver(stack, rho, epsilon)
-    y, _, grads = jacobi_sweeps(stack, net, x0.reshape(-1), mu, rho, 1, solve, xbar)
+    y, grads = jacobi_sweeps(stack, net, x0.reshape(-1), mu, rho, 1, solve, xbar)
     return y.reshape(n, d), grads, (mu - rho * xbar).reshape(n, d)
 
 
@@ -343,7 +343,7 @@ class TestJacobiSweepContraction:
         x = np.tile(x, n) + rng.standard_normal(n * d)
         x_prime = exact_al_minimizer_direct(stack, net, mu, rho)
         solve = node_prox_solver(stack, rho, eps)
-        x_new, _, _ = jacobi_sweeps(stack, net, x, mu, rho, 1, solve, net.weights_apply(x, d))
+        x_new, _ = jacobi_sweeps(stack, net, x, mu, rho, 1, solve, net.weights_apply(x, d))
         delta = rho / (rho + stack.h_min)
         c_slack = 2 * np.sqrt(2 * (stack.h_max + rho)) / (stack.h_min + rho)
         num = np.linalg.norm(x_new - x_prime)

@@ -39,7 +39,6 @@ class TestGeometricGraph:
         g, attempts = build_geometric_graph(10, radius=0.45, rng_seed=668)
         assert attempts == 1
         assert g.link_count == 28
-        assert g.is_connected()
 
     def test_infeasible_radius_raises(self):
         with pytest.raises(NetworkError, match="radius"):
@@ -186,15 +185,38 @@ class TestSpectrum:
 
 
 class TestGraphValidation:
+    """Every Graph is valid: a bad one fails when it is made."""
+
     def test_disconnected_rejected(self):
-        g = Graph(node_count=4, edges=frozenset({(0, 0), (1, 1), (2, 2), (3, 3), (0, 1), (2, 3)}))
         with pytest.raises(NetworkError, match="disconnected"):
-            build_network(g)
+            Graph(node_count=4, edges=frozenset({(0, 0), (1, 1), (2, 2), (3, 3), (0, 1), (2, 3)}))
 
     def test_missing_self_loop_rejected(self):
-        g = Graph(node_count=2, edges=frozenset({(0, 0), (0, 1)}))
         with pytest.raises(NetworkError, match="self-loop"):
-            build_network(g)
+            Graph(node_count=2, edges=frozenset({(0, 0), (0, 1)}))
+
+    def test_single_node_rejected(self):
+        with pytest.raises(NetworkError, match="graph needs at least 2 nodes"):
+            Graph(node_count=1, edges=frozenset({(0, 0)}))
+
+    @pytest.mark.parametrize("build", [build_chain_graph, build_complete_graph,
+                                       lambda n: build_geometric_graph(n)[0]],
+                             ids=["chain", "complete", "geometric"])
+    @pytest.mark.parametrize("n", [1, 0])
+    def test_builders_need_two_nodes(self, build, n):
+        with pytest.raises(NetworkError, match="graph needs at least 2 nodes"):
+            build(n)
+
+    @pytest.mark.parametrize("edge, shown", [((0.5, 1), r"\(0\.5,1\)"),
+                                             ((0, 2.0), r"\(0,2\.0\)"),
+                                             (("0", "2"), r"\(0,2\)"),
+                                             ((None, 1), r"\(None,1\)")],
+                             ids=["fraction", "float", "string", "none"])
+    def test_non_integer_node_id_rejected(self, edge, shown):
+        # a fractional id would otherwise be cast to an array index: 0.5 -> 0
+        edges = {(0, 0), (1, 1), (2, 2), (0, 1), (1, 2), edge}
+        with pytest.raises(NetworkError, match=shown + " does not join two integer node ids"):
+            Graph(node_count=3, edges=frozenset(edges))
 
 
 class TestNetworkModel:
@@ -223,9 +245,7 @@ class TestSerialization:
         lambda: build_network(build_complete_graph(4)),
         lambda: build_network(build_geometric_graph(9, radius=0.6, rng_seed=4)[0],
                               meta={"radius": 0.6, "seed": 4}),
-        lambda: NetworkModel(graph=Graph(node_count=1, edges=frozenset({(0, 0)})),
-                             weights=WeightMatrix(np.ones((1, 1))), spec=None),
-    ], ids=["chain", "complete", "geometric", "single_node"])
+    ], ids=["chain", "complete", "geometric"])
     def test_same_bytes_as_json_dump(self, tmp_path, make):
         net = make()
         path = tmp_path / "net.json"
@@ -336,8 +356,5 @@ class TestNetworkOracles:
     @pytest.mark.parametrize("edge", [(0, 5), (-1, 0), (2, 1)])
     def test_bad_edge_is_a_network_error(self, edge):
         edges = {(0, 0), (1, 1), (2, 2), (0, 1), (1, 2), edge}
-        g = Graph(node_count=3, edges=frozenset(edges))
         with pytest.raises(NetworkError, match="out of range or unordered"):
-            metropolis_weights(g)
-        with pytest.raises(NetworkError, match="out of range or unordered"):
-            build_network(g)
+            Graph(node_count=3, edges=frozenset(edges))

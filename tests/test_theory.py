@@ -6,7 +6,7 @@ from decimal import Decimal, getcontext
 import numpy as np
 import pytest
 
-from dalopt.almethods import AlgorithmConfig
+from dalopt.almethods import AlgorithmConfig, ConfigError
 from dalopt.harness import generate_quadratic_stack, reference_solve
 from dalopt.network import build_geometric_graph, build_network
 from dalopt.objective import ObjectiveStack, QuadraticCost
@@ -190,6 +190,17 @@ class TestCertificate:
         cfg = AlgorithmConfig(variant="det_jacobi", alpha=100.0, rho=1.0, tau=1)
         with pytest.raises(CertificateError, match="alpha_ok"):
             certificate(cfg, stack, net, ref.x_star, strict=True)
+
+    @pytest.mark.parametrize("variant", ["det_gradient", "rand_gradient"])
+    def test_beta_above_limit_rejected(self, variant):
+        # contraction is not guaranteed, so no certificate is made
+        net, stack = self.quad_pair()
+        ref = reference_solve(stack)
+        beta = 1.01 / (stack.h_max + 1.0)
+        cfg = AlgorithmConfig(variant=variant, alpha=0.5, rho=1.0, tau=1, beta=beta)
+        with pytest.raises(ConfigError, match=r"beta=.* exceeds 1/\(h_max\+rho\)=.*; "
+                                              r"contraction not guaranteed"):
+            certificate(cfg, stack, net, ref.x_star)
 
     def test_report_contains_fields(self):
         net, stack = self.quad_pair()
