@@ -117,6 +117,38 @@ def prox_local_info(cost, rho, v, x0, epsilon=1e-5, max_iterations=MAX_ITERATION
         planned = min(max(planned, 8), max_iterations - it)
 
 
+_STEP = np.array([[0.0], [1.0]])  # a step takes (p, q) to (a p, a q) - _STEP
+
+
+def _x_after(a, y):
+    """The x-iterate row (a p_y, a q_y - 1) that a step takes y to."""
+    return a * y - _STEP
+
+
+def _grown(rows, n, a, mom):
+    """rows, the y rows p_y, q_y of modes with step factors a and momentum
+    mom after 0, ..., m steps, walked on to at least n and 2m steps, so
+    that repeated growth amortizes. A step takes y to the x-iterate
+    _x_after(a, y) and that to the y-iterate x + mom (x - x_before),
+    elementwise in float arithmetic."""
+    end = len(rows) - 1
+    grown = np.empty((max(n, 2 * end) + 1,) + rows.shape[1:])
+    grown[:end + 1] = rows
+    x = _x_after(a, rows[end - 1]) if end else rows[0].copy()
+    step = np.empty_like(x)
+    for y, after in zip(grown[end:-1], grown[end + 1:]):
+        np.multiply(a, y, out=step)
+        step -= _STEP
+        np.subtract(step, x, out=after)
+        after *= mom
+        after += step
+        x, step = step, x
+    return grown
+
+
+BAND = 1e-12  # a polish check decides from scalars outside BAND * S^2 of target^2
+
+
 def node_prox_solver(stack: ObjectiveStack, rho, epsilon, max_iterations=MAX_ITERATIONS):
     """The prox kernel of the Jacobi sweeps and of the Gauss-Seidel ticks:
     prox_local_info for one node of the stack at a time, from its array form.
@@ -125,21 +157,31 @@ def node_prox_solver(stack: ObjectiveStack, rho, epsilon, max_iterations=MAX_ITE
     problem min_y f_i(y) + v'y + (rho/2)||y||^2 solved from the warm start
     x0 on prox_local_info's schedule (R' from the warm start, the planned
     step count, polish rounds of max(planned, 8) steps, SolverError naming
-    the node at the iteration cap). Each Nesterov step y -> y - g(y)/L_i is
-    one affine map built once here, with a_i = 1 - (reg_i + rho)/L_i and
-    M_i = I - (A_i + rho I)/L_i:
+    the node at the iteration cap). A Nesterov step y -> y - g(y)/L_i
+    splits into modes with step factors a, each iterate p times the mode's
+    start plus q times its step, where p and q depend on a and the step
+    count alone. Walk tables, built here and shared by every solve, hold p
+    and q of the y-iterates of the modes, from which those of the
+    x-iterates follow (_x_after): one table per band of nodes that plan
+    alike. A solve's planned steps grow its band's table, all the band's
+    modes at once; its polish rounds past the table walk rows of the
+    node's own. Both grow by doubling (_grown), and a solve that runs on to
+    the iteration cap walks its node's modes alone that far.
 
-    - logistic: y -> a_i y - v/L_i + (sigma(-c_i'y)/L_i) c_i. Every iterate
-      is p x0 + q v/L_i + r c_i, with c_i'y from c_i'x0, c_i'v/L_i and
-      c_i'c_i. p and q depend on the node alone, so they are computed once
-      per node and shared by its solves; a step updates r in float
-      arithmetic;
-    - quadratic: y -> M_i y - (b_i + v)/L_i. On [x - x0; y - x0; 1], a
-      step and its momentum update are one (2d+1)-square homogeneous map
-      T_i whose last column holds g/L_i, g the prox gradient at x0, so a
-      node at its optimum stays there exactly. T_i is built here but for
-      that column, which each solve fills in, and the n steps between two
-      checks are one product with T_i^n.
+    - logistic: one mode per node, a_i = 1 - (reg_i + rho)/L_i, and
+      y -> a_i y - w + (sigma(-c_i'y)/L_i) c_i with w = v/L_i. Every
+      iterate is p x0 + q w + r c_i; a step updates r in float arithmetic,
+      with c_i'y from c_i'x0, c_i'w and c_i'c_i;
+    - quadratic: the d eigenvectors Q_i of A_i are the modes, with
+      a = 1 - (lambda_ij + rho)/L_i. With sigma_i = Q_i'g(x0)/L_i the
+      iterate is x0 + Q_i (q o sigma_i) and its prox gradient
+      L_i Q_i (p o sigma_i), so a node at its optimum stays there exactly.
+
+    A polish check takes the gradient norm from scalars: a quadratic form
+    in the Gram matrix of x0, w and c_i, or L_i ||p o sigma_i||. Within
+    BAND * S^2 of the target, S bounding the terms the vector gradient
+    sums, it forms x and checks node_grad(i, x) + v + rho x instead, so
+    every decision is the one that vector check takes.
     """
     nu = stack.node_h_min + rho
     lip = stack.node_h_max + stack.node_h_min + rho  # as in prox_local_info
@@ -148,102 +190,153 @@ def node_prox_solver(stack: ObjectiveStack, rho, epsilon, max_iterations=MAX_ITE
     momentum = (1.0 - sq) / (1.0 + sq)
     target = np.sqrt(2.0 * nu * epsilon).tolist()
     if stack.kind == "logistic":
-        samples = stack.samples
-        a = (1.0 - (stack.node_reg + rho) / lip).tolist()
-        cc = (samples * samples).sum(axis=1).tolist()
-        walks = {}  # node -> rows p_y, q_y, p_x, q_x after 0, 1, ... steps
-
-        def walk(i, n, mom):
-            """p and q of node i's iterates after up to n steps. They do not
-            depend on v or x0, so every solve of the node shares them."""
-            rows = walks.get(i)
-            if rows is None or rows.shape[1] <= n:
-                # recomputed from step 0, at least doubling, so the cost amortizes
-                steps = n if rows is None else max(n, 2 * rows.shape[1])
-                a_i = a[i]
-                px = py = 1.0
-                qx = qy = 0.0
-                seq = [py, qy, px, qx]  # flat: a list of tuples costs more peak memory
-                for _ in range(steps):
-                    pn, qn = a_i * py, a_i * qy - 1.0
-                    py, qy = pn + mom * (pn - px), qn + mom * (qn - qx)
-                    px, qx = pn, qn
-                    seq += py, qy, px, qx
-                rows = walks[i] = np.array(seq).reshape(-1, 4).T
-            return rows
-
-        def path(i, v, x0, lip_i, mom):
-            a_i, c, w = a[i], samples[i], v / lip_i
-            cx0, cw, cc_i = float(c @ x0), float(c @ w), cc[i]
-            k, rx, ry = 0, 0.0, 0.0
-            exp = math.exp
-            n = yield
-            while True:
-                py, qy, px, qx = walk(i, k + n, mom)
-                for z in (py[k:k + n] * cx0 + qy[k:k + n] * cw).tolist():
-                    u = z + ry * cc_i  # c_i'y; sigma(-u) without overflow
-                    if u <= 0.0:
-                        s = 1.0 / (1.0 + exp(u))
-                    else:
-                        e = exp(-u)
-                        s = e / (1.0 + e)
-                    rn = a_i * ry + s / lip_i
-                    ry = rn + mom * (rn - rx)
-                    rx = rn
-                k += n
-                n = yield px[k] * x0 + qx[k] * w + rx * c
+        a = 1.0 - (stack.node_reg + rho) / lip
+        mom, width = momentum, 1
     else:
-        d = stack.dimension
-        eye = np.eye(d)
-        m = eye - (stack.matrices + rho * eye) / lip[:, None, None]
-        # x <- M y - g/L, y <- (1 + m)(M y - g/L) - m x
-        maps = np.zeros((stack.n_nodes, 2 * d + 1, 2 * d + 1))
-        maps[:, :d, d:-1] = m
-        maps[:, d:-1, :d] = -momentum[:, None, None] * eye
-        maps[:, d:-1, d:-1] = (1.0 + momentum[:, None, None]) * m
-        maps[:, -1, -1] = 1.0
-        matrices, linears = stack.matrices, stack.linears
+        values, vectors = stack.eigen
+        a = (1.0 - (values + rho) / lip[:, None]).reshape(-1)
+        mom, width = np.repeat(momentum, stack.dimension), stack.dimension
+    # a solve plans about l / r_i steps, with r_i = |log(1 - sqrt(q_i))| and
+    # l the log of a distance ratio, alike across nodes. The nodes whose
+    # 1/r_i lie within one power of 2 share a table: grown to one node's
+    # planned steps, it about fits the others of its band, and a node that
+    # plans far more steps than most grows its own band's table alone
+    bands = {}  # band -> its nodes; np.unique would import numpy.ma, 1 MB of RSS
+    for i, b in enumerate(np.frexp(-1.0 / np.log1p(-sq))[1].tolist()):
+        bands.setdefault(b, []).append(i)
+    where = [None] * len(sq)  # node -> its band's [rows, a, mom], its modes there
+    for nodes in bands.values():
+        cols = (np.array(nodes)[:, None] * width + np.arange(width)).reshape(-1)
+        entry = [np.array([[[1.0] * len(cols), [0.0] * len(cols)]]), a[cols], mom[cols]]
+        for k, i in enumerate(nodes):
+            where[i] = entry, slice(k * width, (k + 1) * width)
+    node_a, node_mom = list(a.reshape(-1, width)), list(mom.reshape(-1, width))
+    polish = {}  # node -> its rows past its band's table
 
-        def path(i, v, x0, lip_i, mom):
-            t = maps[i].copy()
-            step = (matrices[i] @ x0 + linears[i] + v + rho * x0) / lip_i  # g(x0)/L_i
-            t[:d, -1] = -step
-            t[d:-1, -1] = -(1.0 + mom) * step
-            z = np.zeros(2 * d + 1)
-            z[-1] = 1.0
-            powers = {}  # T_i^n by n: the polish rounds repeat one n
-            n = yield
-            while True:
-                if n not in powers:
-                    powers[n] = np.linalg.matrix_power(t, n)
-                z = powers[n] @ z
-                n = yield x0 + z[:d]
+    def walk(i, n, first):
+        """(n' + 1, 2, width), n' >= n: the y rows of node i's modes after
+        0, ..., n' steps; first says that a solve's planned steps ask."""
+        entry, own = where[i]
+        if first and n >= len(entry[0]):
+            entry[0] = _grown(entry[0], n, entry[1], entry[2])
+        if n < len(entry[0]):
+            return entry[0][:, :, own]
+        rows = polish.get(i)
+        if rows is None or len(rows) <= n:
+            rows = polish[i] = _grown(entry[0][:, :, own] if rows is None else rows, n,
+                                      node_a[i], node_mom[i])
+        return rows
+
     nu, lip, q, momentum = nu.tolist(), lip.tolist(), q.tolist(), momentum.tolist()
     node_grad = stack.node_grad
+    # a solve keeps its state in one list, not in closures made per solve:
+    # CPython 3.11 keeps up to 2000 freed closure tuples of each size up to
+    # 20 on a free list, 0.4 MB for the logistic walk's
+
+    if stack.kind == "logistic":
+        samples = stack.samples
+        factors, nr = a.tolist(), (stack.node_reg + rho).tolist()
+        cc = (samples * samples).sum(axis=1).tolist()
+        norms = [math.sqrt(v) for v in cc]
+        exp = math.exp
+
+        def begin(i, v, x0, ng):
+            """Node i's walk from x0: steps, r_x, r_y, p_x and q_x, x0, w,
+            then c_i'x0, c_i'w and the Gram entries and norms of x0 and w."""
+            c, w = samples[i], v / lip[i]
+            x0x0, x0w, ww = float(x0.dot(x0)), float(x0.dot(w)), float(w.dot(w))
+            return [0, 0.0, 0.0, 1.0, 0.0, x0, w, float(c @ x0), float(c @ w),
+                    x0x0, x0w, ww, math.sqrt(x0x0), math.sqrt(ww)]
+
+        def advance(i, state, n):
+            """n more steps of node i's walk: (|g|^2, S^2) at the x-iterate."""
+            k, rx, ry, _, _, _, _, cx0, cw, x0x0, x0w, ww, nx0, nw = state
+            lip_i, m_i, a_i, nr_i, cc_i = lip[i], momentum[i], factors[i], nr[i], cc[i]
+            rows = walk(i, k + n - 1, not k)[k:k + n, :, 0]  # y after k, ..., k + n - 1 steps
+            for z in (rows[:, 0] * cx0 + rows[:, 1] * cw).tolist():
+                u = z + ry * cc_i  # c_i'y; sigma(-u) without overflow
+                if u <= 0.0:
+                    s = 1.0 / (1.0 + exp(u))
+                else:
+                    e = exp(-u)
+                    s = e / (1.0 + e)
+                rn = a_i * ry + s / lip_i
+                ry = rn + m_i * (rn - rx)
+                rx = rn
+            py, qy = rows[-1].tolist()
+            px, qx = a_i * py, a_i * qy - 1.0
+            state[:5] = k + n, rx, ry, px, qx
+            u = px * cx0 + qx * cw + rx * cc_i  # c_i'x
+            e = exp(-abs(u))
+            s = 1.0 / (1.0 + e) if u <= 0.0 else e / (1.0 + e)
+            # g = (reg_i + rho) x - sigma(-c_i'x) c_i + L_i w
+            al, be, ga = nr_i * px, nr_i * qx + lip_i, nr_i * rx - s
+            g2 = (al * al * x0x0 + be * be * ww + ga * ga * cc_i
+                  + 2.0 * (al * be * x0w + al * ga * cx0 + be * ga * cw))
+            # L_i >= reg_i + rho + |c_i|^2/4 bounds sigma's slope too
+            nc = norms[i]
+            terms = lip_i * (abs(px) * nx0 + (abs(qx) + 1.0) * nw + abs(rx) * nc) + nc
+            return g2, terms * terms
+
+        def point(i, state):
+            _, rx, _, px, qx, x0, w = state[:7]
+            return px * x0 + qx * w + rx * samples[i]
+    else:
+        bases = list(vectors)
+        coordinates = list(vectors.transpose(0, 2, 1) / np.array(lip)[:, None, None])  # Q_i'/L_i
+        matrices, linears = list(stack.matrices), list(stack.linears)
+
+        def node_grad(i, x):  # stack.node_grad's arithmetic, without its dispatch
+            return matrices[i] @ x + linears[i]
+
+        def begin(i, v, x0, ng):
+            """Node i's walk from x0: steps, x0, sigma_i, 2|x0| + |sigma_i|
+            and q o sigma_i."""
+            sigma = coordinates[i] @ (ng + v + rho * x0)
+            reach = 2.0 * math.sqrt(x0.dot(x0)) + math.sqrt(sigma.dot(sigma))
+            return [0, x0, sigma, reach, None]
+
+        def advance(i, state, n):
+            """n more steps of node i's walk: (|g|^2, S^2) at the x-iterate."""
+            k, _, sigma, reach, _ = state
+            p, e = _x_after(node_a[i], walk(i, k + n - 1, not k)[k + n - 1]) * sigma
+            state[0], state[4] = k + n, e
+            lip_i = lip[i]
+            # the vector check sums terms of size L_i (|x0| + |x - x0|) and |b_i + v|
+            terms = lip_i * (reach + math.sqrt(e.dot(e)))
+            return lip_i * lip_i * p.dot(p), terms * terms
+
+        def point(i, state):
+            return state[1] + bases[i] @ state[4]
 
     def solve(i, v, x0):
         """Node i's prox solve: (y, gradient evaluations)."""
-        nu_i, lip_i = nu[i], lip[i]
-        grads = 1
-        r_dist = float(np.linalg.norm(node_grad(i, x0) + nu_i * x0 + v)) / nu_i
+        nu_i, target_i = nu[i], target[i]
+        ng = node_grad(i, x0)
+        g = ng + nu_i * x0 + v
+        r_dist = math.sqrt(g.dot(g)) / nu_i
         if r_dist == 0.0:
-            return x0.copy(), grads
-        planned = min(_planned_iterations(epsilon, r_dist, lip_i, q[i]), max_iterations)
-        steps = path(i, v, x0, lip_i, momentum[i])
-        next(steps)
-        it = 0
+            return x0.copy(), 1
+        planned = min(_planned_iterations(epsilon, r_dist, lip[i], q[i]), max_iterations)
+        state = begin(i, v, x0, ng)
+        it, grads = 0, 1
         while True:
-            x = steps.send(planned)
+            g2, s2 = advance(i, state, planned)
             it += planned
             grads += planned + 1
             # strong-convexity certificate: gap <= ||grad||^2 / (2 nu)
-            gn = float(np.linalg.norm(node_grad(i, x) + v + rho * x))
-            if gn <= target[i]:
-                return x, grads
+            if abs(g2 - target_i * target_i) > BAND * s2:
+                gn = math.sqrt(max(g2, 0.0))
+            else:
+                x = point(i, state)
+                g = node_grad(i, x) + v + rho * x
+                gn = math.sqrt(g.dot(g))
+            if gn <= target_i:
+                return point(i, state), grads
             if it >= max_iterations:
                 raise SolverError(
                     f"prox solve at node {i} exceeded {max_iterations} iterations "
-                    f"(gradient norm {gn:.3e} > {target[i]:.3e}); Hessian bounds suspect"
+                    f"(gradient norm {gn:.3e} > {target_i:.3e}); Hessian bounds suspect"
                 )
             planned = min(max(planned, 8), max_iterations - it)
 

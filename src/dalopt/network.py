@@ -64,10 +64,12 @@ class Graph:
         for i in range(n):
             if (i, i) not in self.edges:
                 raise NetworkError(f"missing self-loop at node {i}")
-        # numpy infers an integer dtype only if every id is an integer
-        ij = np.array(list(itertools.chain.from_iterable(self.edges))).reshape(-1, 2)
-        if ij.dtype.kind not in "iu" or np.any((ij[:, 0] < 0) | (ij[:, 0] > ij[:, 1])
-                                               | (ij[:, 1] >= n)):
+        # numpy infers an integer dtype only if every id is an integer or a
+        # boolean, so booleans are looked for by type
+        ids = list(itertools.chain.from_iterable(self.edges))
+        ij = np.array(ids).reshape(-1, 2)
+        if (ij.dtype.kind not in "iu" or not {bool, np.bool_}.isdisjoint(map(type, ids))
+                or np.any((ij[:, 0] < 0) | (ij[:, 0] > ij[:, 1]) | (ij[:, 1] >= n))):
             raise NetworkError(_edge_fault(self.edges, n))
         adj = np.zeros((n, n), dtype=bool)
         adj[ij[:, 0], ij[:, 1]] = True
@@ -302,16 +304,25 @@ def build_network(graph: Graph, scale=(1.1 / 2.0, 0.9 / 2.0), meta=None) -> Netw
     return NetworkModel(graph=graph, weights=w, spec=spec, meta=dict(meta or {}))
 
 
+class _Reprs(dict):
+    """The repr of a float by its bit pattern, formatted once per pattern;
+    keys by value would merge 0.0 and -0.0."""
+
+    def __missing__(self, bits):
+        text = self[bits] = repr(np.uint64(bits).view(np.float64).item())
+        return text
+
+
 def save_network(net: NetworkModel, path):
     """Serialize node positions, edge list, and W entries to a JSON file.
 
     The file is byte for byte what json.dump(doc, fh, indent=1,
     sort_keys=True) writes. "edges" is the first key and "weights" the
     last: the pairs (i <= j, sorted) and the N x N weights go out one row
-    at a time, each float as its repr, as json writes it, and the keys
-    between them are one json.dumps. The pure-Python encoder that indent
-    selects is several times slower, and the whole document as one string
-    would cost its size in memory.
+    at a time, each float as its repr, as json writes it, formatted once
+    per distinct value, and the keys between them are one json.dumps. The
+    pure-Python encoder that indent selects is several times slower, and
+    the whole document as one string would cost its size in memory.
     """
     head = json.dumps({"meta": net.meta, "node_count": net.node_count,
                        "positions": net.graph.positions}, indent=1, sort_keys=True)
@@ -321,9 +332,10 @@ def save_network(net: NetworkModel, path):
             fh.write(("," if k else "") + f"\n  [\n   {i},\n   {j}\n  ]")
         fh.write("\n ],\n" + head[2:-2])  # head without its "{\n" and "\n}"
         fh.write(',\n "weights": [')
-        for k, row in enumerate(net.weights.entries):
-            fh.write(("," if k else "") + "\n  [\n   " + ",\n   ".join(map(repr, row.tolist()))
-                     + "\n  ]")
+        reprs = _Reprs()
+        for k, row in enumerate(net.weights.entries.view(np.uint64)):
+            fh.write(("," if k else "") + "\n  [\n   "
+                     + ",\n   ".join(map(reprs.__getitem__, row.tolist())) + "\n  ]")
         fh.write("\n ]\n}")
 
 
@@ -332,6 +344,11 @@ def load_network(path) -> NetworkModel:
         doc = json.load(fh)
     n = doc["node_count"]
     positions = doc.get("positions")
+    # json reads true and false as bools, which equal and hash as 1 and 0: a
+    # pair [false, true] would merge with a pair [0, 1] in the graph's set
+    booleans = [(i, j) for i, j in doc["edges"] if isinstance(i, bool) or isinstance(j, bool)]
+    if booleans:
+        raise NetworkError(_edge_fault(booleans, n))
     g = _make_graph(
         n,
         [(i, j) for i, j in doc["edges"] if i != j],

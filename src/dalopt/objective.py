@@ -9,7 +9,7 @@ R^{Nd} and the aggregate f(x) = sum_i f_i(x) on R^d.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -199,6 +199,12 @@ class ObjectiveStack:
     @property
     def h_max(self):
         return float(self.node_h_max.max())
+
+    @cached_property
+    def eigen(self):
+        """(values, vectors) of a quadratic stack's A_i, one batched eigh:
+        A_i = Q_i diag(values[i]) Q_i' with Q_i = vectors[i]."""
+        return np.linalg.eigh(self.matrices)
 
     def node_grads(self, x):
         """Row i of the result is grad f_i(x[i]); x is (N, d)."""

@@ -235,6 +235,27 @@ class TestSpectrum:
         assert "edge (0.5,1) does not join two integer node ids" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("keep, pair, shown", [
+        (False, [False, True], "(False,True)"),
+        (True, [False, True], "(False,True)"),
+        (True, [True, True], "(True,True)"),
+    ], ids=["replacing_0_1", "beside_0_1", "self_loop"])
+    def test_boolean_node_id(self, tmp_path, capsys, keep, pair, shown):
+        # numpy reads [false, true] among integer pairs as (0, 1), and beside
+        # [0, 1] a set keeps one of the two equal pairs
+        path = tmp_path / "net.json"
+        save_network(build_network(build_chain_graph(4)), path)
+        doc = json.loads(path.read_text())
+        if not keep:
+            doc["edges"].remove([0, 1])
+        doc["edges"].append(pair)
+        path.write_text(json.dumps(doc))
+        assert main(["spectrum", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error [network] cannot load")
+        assert f"edge {shown} does not join two integer node ids" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("n, message", [
         (3, r"W\[0, 2\] = .* but \(0, 2\) is not a link of the graph"),
         (4, "W is 4 x 4 but the graph has 3 nodes"),

@@ -14,7 +14,7 @@ from dalopt.local_solve import (
     prox_local_info,
 )
 from dalopt.almethods import jacobi_sweeps
-from dalopt.harness import generate_logistic_data
+from dalopt.harness import generate_logistic_data, generate_quadratic_stack
 from dalopt.network import build_chain_graph, build_network
 from dalopt.objective import LogisticCost, ObjectiveStack, QuadraticCost, grad_stack
 from dalopt.theory import saddle_point
@@ -76,6 +76,17 @@ def per_node_prox(stack, rho, v, x0, epsilon, max_iterations=200_000):
     return np.array([y for y, _ in out]), np.array([g for _, g in out])
 
 
+def rotated_stack(spectra, rng):
+    """A quadratic stack whose node i has the eigenvalues spectra[i], in a
+    random orthonormal basis."""
+    costs = []
+    for eigs in spectra:
+        q, _ = np.linalg.qr(rng.standard_normal((len(eigs), len(eigs))))
+        a = q @ np.diag(eigs) @ q.T
+        costs.append(QuadraticCost(matrix=0.5 * (a + a.T), linear=rng.standard_normal(len(eigs))))
+    return ObjectiveStack(tuple(costs))
+
+
 def jacobi_sweep(stack, rho, v, x0, epsilon):
     """One sweep of jacobi_sweeps on a chain of the stack's nodes, with mu
     set so that node i's linear term mu_i - rho xbar_i is v_i up to
@@ -134,6 +145,14 @@ class TestJacobiSweepSolves:
         # node 0 runs into the default cap
         with pytest.raises(SolverError, match="at node 0 exceeded 200000 iterations"):
             jacobi_sweep(quad5_stack, 1.0, v, x0, 1e-300)
+
+    def test_logistic_iteration_cap_raises(self, rng):
+        # as at a quadratic node, no gradient norm reaches sqrt(2 nu 1e-300):
+        # the solve's polish rounds run past the walk table into the default cap
+        stack = generate_logistic_data(7, 4, reg=0.5, seed=3)
+        v = rng.standard_normal((stack.n_nodes, stack.dimension))
+        with pytest.raises(SolverError, match="at node 0 exceeded 200000 iterations"):
+            jacobi_sweep(stack, 1.0, v, np.zeros_like(v), 1e-300)
 
     def test_node_at_its_optimum_costs_one_gradient(self):
         stack = ObjectiveStack((scalar_quadratic(0.0), scalar_quadratic(3.0)))
@@ -208,6 +227,67 @@ class TestNodeProxSolver:
                 per_node_prox(stack, 1.0, v, x0, 1e-14, max_iterations=3)
             with pytest.raises(SolverError, match="at node 0 exceeded 3 iterations"):
                 self.solve_all(stack, 1.0, v, x0, 1e-14, max_iterations=3)
+
+    @staticmethod
+    def polish_warm_start(stack, rho, offset):
+        """x0 and a v that nearly cancels the distance estimate at x0, which
+        then understates the distance to the solution: every node's planned
+        steps fall short, and its solve takes polish rounds."""
+        n, d = stack.n_nodes, stack.dimension
+        x0 = np.tile(np.linspace(-2.0, 2.0, d), (n, 1))
+        return -(stack.node_grads(x0) + (stack.node_h_min + rho)[:, None] * x0) + offset, x0
+
+    @staticmethod
+    def planned(stack, rho, v, x0, epsilon):
+        from dalopt.local_solve import _planned_iterations
+
+        nu = stack.node_h_min + rho
+        lip = stack.node_h_max + stack.node_h_min + rho
+        return [_planned_iterations(epsilon, np.linalg.norm(stack.node_grad(i, x0[i])
+                                                            + nu[i] * x0[i] + v[i]) / nu[i],
+                                    lip[i], nu[i] / lip[i])
+                for i in range(stack.n_nodes)]
+
+    @pytest.mark.parametrize("make, tol", [
+        (lambda rng: generate_quadratic_stack(5, 3, seed=4, h_lo=2.0, h_hi=2.0), 1e-12),
+        (lambda rng: generate_quadratic_stack(5, 3, seed=4, h_lo=1.0, h_hi=1e4), 1e-12),
+        (lambda rng: rotated_stack([[1.0, 1e2, 1e4], [1e-2, 1.0, 1e2], [3.0, 3.0, 3e4]], rng),
+         1e-11),
+    ], ids=["repeated", "condition_1e4", "prox_condition_9e3"])
+    def test_quadratic_spectra(self, rng, make, tol):
+        # eigh picks any orthonormal basis of a repeated eigenvalue. Where
+        # L_i/nu_i reaches 9e3, a solve takes thousands of steps, and eigh's
+        # eigenvalues carry an absolute error of about eps_mach |A_i|, which
+        # moves a slow mode's displacement (lambda + rho)^-1 Q_i'g by 4e-12
+        # here; the (2d+1)-square map of Nesterov's steps was 3e-11 off
+        stack = make(rng)
+        rho, eps = 0.5, 1e-10
+        n, d = stack.n_nodes, stack.dimension
+        self.check(stack, rho, rng.standard_normal((n, d)), rng.standard_normal((n, d)), eps,
+                   tol)
+        v, x0 = self.polish_warm_start(stack, rho, 1e-5)
+        grads = self.check(stack, rho, v, x0, eps, tol)
+        assert all(g > p + 2 for g, p in zip(grads, self.planned(stack, rho, v, x0, eps)))
+
+    def test_polish_rounds_run_past_the_walk_table(self, quad5_stack):
+        # the warm start plans a step or so, which a fresh solver's table
+        # holds, and the polish rounds, of at least 8 steps each, run past
+        # the table on each node's own rows; the planned steps of a cold
+        # start then grow the same solver's table
+        rho, eps = 0.8, 1e-9
+        for stack in self.stacks(quad5_stack):
+            solve = node_prox_solver(stack, rho, eps)
+            warm = self.polish_warm_start(stack, rho, 1e-5)
+            grads, planned = [], []
+            for v, x0 in (warm, (10.0 * warm[0], np.zeros_like(warm[1]))):
+                out = [solve(i, v[i], x0[i]) for i in range(stack.n_nodes)]
+                y_ref, grads_ref = per_node_prox(stack, rho, v, x0, eps)
+                assert np.abs(np.array([y for y, _ in out]) - y_ref).max() <= 1e-12
+                grads.append([g for _, g in out])
+                assert grads[-1] == grads_ref.tolist()
+                planned.append(self.planned(stack, rho, v, x0, eps))
+            assert grads[0][0] > planned[0][0] + 2
+            assert min(planned[1]) > 8
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_large_arguments_stay_finite(self, quad5_stack, sign):

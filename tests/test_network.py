@@ -219,6 +219,16 @@ class TestGraphValidation:
             Graph(node_count=3, edges=frozenset(edges))
 
 
+    @pytest.mark.parametrize("edge, shown", [((False, True), r"\(False,True\)"),
+                                             ((np.False_, 1), r"\(False,1\)")],
+                             ids=["bool", "numpy_bool"])
+    def test_boolean_node_id_rejected(self, edge, shown):
+        # among integer ids numpy infers an integer dtype: False, True -> 0, 1
+        edges = {(0, 0), (1, 1), (2, 2), edge, (1, 2)}
+        with pytest.raises(NetworkError, match=shown + " does not join two integer node ids"):
+            Graph(node_count=3, edges=frozenset(edges))
+
+
 class TestNetworkModel:
     def test_w_of_another_size_rejected(self):
         complete = build_network(build_complete_graph(4))
@@ -240,12 +250,23 @@ class TestSerialization:
         assert loaded.meta == {"seed": 2}
 
 
+    @staticmethod
+    def negative_zeros(net):
+        """net with W's zeros above the diagonal stored as -0.0: each row
+        then holds 0.0, -0.0 and repeated weights."""
+        w = net.weights.entries.copy()
+        w[np.triu(w == 0.0)] = -0.0
+        assert np.signbit(w).any() and (np.signbit(w) & (w == 0.0)).sum() < (w == 0.0).sum()
+        return NetworkModel(graph=net.graph, weights=WeightMatrix(w), spec=net.spec,
+                            meta=net.meta)
+
     @pytest.mark.parametrize("make", [
         lambda: build_network(build_chain_graph(6), meta={"type": "chain"}),
         lambda: build_network(build_complete_graph(4)),
         lambda: build_network(build_geometric_graph(9, radius=0.6, rng_seed=4)[0],
                               meta={"radius": 0.6, "seed": 4}),
-    ], ids=["chain", "complete", "geometric"])
+        lambda: TestSerialization.negative_zeros(build_network(build_chain_graph(6))),
+    ], ids=["chain", "complete", "geometric", "negative_zeros"])
     def test_same_bytes_as_json_dump(self, tmp_path, make):
         net = make()
         path = tmp_path / "net.json"
