@@ -33,7 +33,6 @@ from .network import (
     build_geometric_graph,
     build_network,
     metropolis_weights,
-    scale_weights,
     spectrum,
 )
 from .objective import (
@@ -51,7 +50,6 @@ from .theory import (
     lyapunov_value,
     saddle_point,
     saddle_residuals,
-    select_tau,
     xi_det_gradient,
     xi_det_jacobi,
 )

@@ -225,11 +225,12 @@ class ExperimentConfig:
 
 @dataclass(frozen=True, eq=False)
 class ReferenceSolution:
-    """Centralized optimum of the aggregate cost f = sum_i f_i."""
+    """Centralized optimum of the aggregate cost f = sum_i f_i, and f(0)."""
 
     x_star: np.ndarray
     f_star: float
     grad_norm_at_solution: float
+    f_zero: float
 
 
 def generate_logistic_data(n, d, reg=_OBJECTIVE["reg"].default,
@@ -290,19 +291,16 @@ def reference_solve(stack: ObjectiveStack, max_iterations=2_000_000) -> Referenc
     if gn > tol:
         raise StageError("reference", f"gradient norm {gn} above tolerance {tol}")
     return ReferenceSolution(x_star=x, f_star=stack.aggregate_value(x),
-                             grad_norm_at_solution=gn)
+                             grad_norm_at_solution=gn, f_zero=stack.aggregate_value(np.zeros(d)))
 
 
-def relative_cost_error(stack: ObjectiveStack, ref: ReferenceSolution, x, f0=None) -> float:
+def relative_cost_error(stack: ObjectiveStack, ref: ReferenceSolution, x) -> float:
     """(1/N) sum_i (f(x_i) - f*) / (f(0) - f*), f evaluated at every
     node's local copy. Tiny negative rounding residue clamps to 0."""
-    d = stack.dimension
-    if f0 is None:
-        f0 = stack.aggregate_value(np.zeros(d))
-    denom = f0 - ref.f_star
+    denom = ref.f_zero - ref.f_star
     if denom <= 0:
         raise StageError("metrics", "degenerate instance: f(0) equals f*")
-    x = np.asarray(x, dtype=float).reshape(stack.n_nodes, d)
+    x = np.asarray(x, dtype=float).reshape(stack.n_nodes, stack.dimension)
     total = float((stack.aggregate_values(x) - ref.f_star).sum())
     return max(total / (stack.n_nodes * denom), 0.0)
 
@@ -310,10 +308,9 @@ def relative_cost_error(stack: ObjectiveStack, ref: ReferenceSolution, x, f0=Non
 def trace_metrics(stack, net: NetworkModel, ref: ReferenceSolution, trace: RunTrace):
     """Per-row arrays of the four float columns of a trace CSV, in its order."""
     saddle = saddle_point(stack, ref.x_star)
-    f0 = stack.aggregate_value(np.zeros(stack.dimension))
     rel, prim, dual, lyap = [], [], [], []
     for x, mu in zip(trace.xs, trace.mus):
-        rel.append(relative_cost_error(stack, ref, x, f0))
+        rel.append(relative_cost_error(stack, ref, x))
         prim.append(float(np.linalg.norm(x - saddle.x_bullet)))
         dual.append(np.linalg.norm(mu.reshape(stack.n_nodes, -1).sum(axis=0)))
         lyap.append(lyapunov_value(x, mu, saddle, net.spec, stack.h_min))
@@ -425,7 +422,6 @@ def run_experiment(cfg: ExperimentConfig):
         with stage("objective"):
             save_dataset(stack, out / "dataset.csv")
 
-    f0 = stack.aggregate_value(np.zeros(stack.dimension))
     for acfg in acfgs:
         with stage(f"run:{acfg.name}"):
             stop = None
@@ -433,7 +429,7 @@ def run_experiment(cfg: ExperimentConfig):
                 threshold = float(cfg.stop_rel_cost)
 
                 def stop(x, mu, k, _t=threshold):
-                    return relative_cost_error(stack, ref, x, f0) <= _t
+                    return relative_cost_error(stack, ref, x) <= _t
 
             trace = run_variant(stack, net, acfg, cfg.k_max, stop=stop)
             write_trace_csv(out / f"trace_{acfg.name}.csv", trace,
@@ -441,7 +437,7 @@ def run_experiment(cfg: ExperimentConfig):
             cert = certificate(acfg, stack, net, ref.x_star)
             # cost translation: f(x_i) - f* <= (sum_j h_max_j)/2 ||x_i - x*||^2,
             # so rel_cost_error <= cost_factor * (r^k * bound_constant)^2
-            cost_factor = float(stack.node_h_max.sum()) / (2.0 * (f0 - ref.f_star))
+            cost_factor = float(stack.node_h_max.sum()) / (2.0 * (ref.f_zero - ref.f_star))
             with open(out / f"certificate_{acfg.name}.txt", "w") as fh:
                 fh.write(f"algorithm: {acfg.name} ({acfg.variant})\n")
                 fh.write(f"tau: {acfg.tau}\n")

@@ -76,7 +76,7 @@ def prox_local_info(cost, rho, v, x0, epsilon=1e-5, max_iterations=MAX_ITERATION
     v = np.asarray(v, dtype=float)
     x0 = np.asarray(x0, dtype=float)
     nu = cost.h_min + rho
-    lip = cost.h_max + cost.h_min + rho  # mirrors the harness Lipschitz recipe
+    lip = cost.h_max + cost.h_min + rho  # looser than h_max + rho; every trace is made with it
 
     def grad(y):
         return cost.grad(y) + v + rho * y

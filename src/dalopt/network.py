@@ -25,7 +25,6 @@ __all__ = [
     "build_chain_graph",
     "build_complete_graph",
     "metropolis_weights",
-    "scale_weights",
     "spectrum",
     "build_network",
     "save_network",
@@ -154,9 +153,8 @@ class WeightMatrix:
     """Symmetric stochastic weight matrix with support on the graph edges.
 
     Positive definiteness is not enforced here: the plain Metropolis matrix
-    of e.g. a 2-node graph is singular. ``scale_weights`` produces the
-    matrix the algorithms require, and ``build_network`` checks it is
-    positive definite.
+    of e.g. a 2-node graph is singular. ``build_network`` makes the
+    positive definite matrix the algorithms require.
     """
 
     entries: np.ndarray
@@ -190,19 +188,6 @@ def metropolis_weights(g: Graph) -> WeightMatrix:
     return WeightMatrix(w)
 
 
-def scale_weights(w: WeightMatrix, a=1.1 / 2.0, b=0.9 / 2.0) -> WeightMatrix:
-    """Return a*I + b*W, validated stochastic.
-
-    The default (a, b) = (0.55, 0.45) is the scaling used throughout the
-    experiment harness; it keeps the matrix stochastic (a + b = 1) and
-    pushes the spectrum strictly above zero. ``build_network`` checks the
-    result is positive definite on the spectrum it computes anyway.
-    """
-    if abs(a + b - 1.0) > 1e-12:
-        raise NetworkError("scaling must satisfy a + b = 1 to stay stochastic")
-    return WeightMatrix(a * np.eye(w.node_count) + b * w.entries)
-
-
 @dataclass(frozen=True, eq=False)
 class LaplacianSpectrum:
     """Eigendecomposition of L = I - W with the zero mode split off.
@@ -225,18 +210,19 @@ class LaplacianSpectrum:
         return float(self.eigvals_reduced[-1])
 
 
-def spectrum(w: WeightMatrix, tol=LAMBDA2_TOL) -> LaplacianSpectrum:
+def spectrum(w: WeightMatrix) -> LaplacianSpectrum:
     """Full symmetric eigendecomposition of L = I - W.
 
     The smallest eigenvalue is analytically 0 (the all-ones vector) and is
     clamped to exact 0; the remaining eigenpairs form the reduced spectrum.
-    Raises if lambda_2 <= tol (disconnected or numerically degenerate).
+    Raises if lambda_2 <= LAMBDA2_TOL (disconnected or numerically
+    degenerate).
     """
     n = w.node_count
     lap = np.eye(n) - w.entries
     vals, vecs = np.linalg.eigh(lap)
     # the smallest eigenvalue is analytically 0 (all-ones eigenvector)
-    if vals[1] <= tol:
+    if vals[1] <= LAMBDA2_TOL:
         raise NetworkError(f"lambda_2 = {vals[1]:.3e} <= tol; graph degenerate")
     return LaplacianSpectrum(
         laplacian=lap,
@@ -247,19 +233,19 @@ def spectrum(w: WeightMatrix, tol=LAMBDA2_TOL) -> LaplacianSpectrum:
 
 @dataclass(frozen=True, eq=False)
 class NetworkModel:
-    """Bundle of graph, weight matrix, and Laplacian spectrum.
+    """Bundle of graph, weight matrix, and the Laplacian spectrum of W.
 
     W lives on its graph: it has the graph's size and vanishes off the
     links and self-loops, so a node reads only its neighbors' blocks.
     Construction raises NetworkError otherwise, naming the first off-graph
-    pair. Immutable after construction; safe to share read-only across
-    threads.
+    pair, and then computes ``spec`` from W. Immutable after construction;
+    safe to share read-only across threads.
     """
 
     graph: Graph
     weights: WeightMatrix
-    spec: LaplacianSpectrum
     meta: dict = field(default_factory=dict)
+    spec: LaplacianSpectrum = field(init=False)
 
     def __post_init__(self):
         w, n = self.weights.entries, self.graph.node_count
@@ -270,6 +256,7 @@ class NetworkModel:
             i, j = off_graph[0].tolist()
             raise NetworkError(f"W[{i}, {j}] = {float(w[i, j])!r} but ({i}, {j}) is not a link "
                                f"of the graph: a node reads only its neighbors' blocks")
+        object.__setattr__(self, "spec", spectrum(self.weights))
 
     @property
     def node_count(self):
@@ -290,18 +277,15 @@ class NetworkModel:
         return (self.weights.entries @ xm).reshape(-1)
 
 
-def build_network(graph: Graph, scale=(1.1 / 2.0, 0.9 / 2.0), meta=None) -> NetworkModel:
-    """Metropolis weights + scaling + spectrum for a graph.
+def build_network(graph: Graph, meta=None) -> NetworkModel:
+    """The network the algorithms run on: W = 0.55 I + 0.45 M, with M the
+    Metropolis weights of the graph.
 
-    With a scale, the scaled W must be positive definite: its smallest
-    eigenvalue is 1 - lambda_max of L = I - W, read off the one
-    eigendecomposition ``spectrum`` runs."""
-    wm = metropolis_weights(graph)
-    w = scale_weights(wm, *scale) if scale is not None else wm
-    spec = spectrum(w)
-    if scale is not None and spec.lambda_max >= 1.0:
-        raise NetworkError("scaled weight matrix lost positive definiteness")
-    return NetworkModel(graph=graph, weights=w, spec=spec, meta=dict(meta or {}))
+    M has its eigenvalues in [-1, 1], so W has them in [0.1, 1]: it is
+    positive definite, as the rate analysis assumes."""
+    w = WeightMatrix(1.1 / 2.0 * np.eye(graph.node_count)
+                     + 0.9 / 2.0 * metropolis_weights(graph).entries)
+    return NetworkModel(graph=graph, weights=w, meta=dict(meta or {}))
 
 
 class _Reprs(dict):
@@ -349,10 +333,6 @@ def load_network(path) -> NetworkModel:
     booleans = [(i, j) for i, j in doc["edges"] if isinstance(i, bool) or isinstance(j, bool)]
     if booleans:
         raise NetworkError(_edge_fault(booleans, n))
-    g = _make_graph(
-        n,
-        [(i, j) for i, j in doc["edges"] if i != j],
-        positions=tuple(map(tuple, positions)) if positions else None,
-    )
+    g = _make_graph(n, doc["edges"], positions=tuple(map(tuple, positions)) if positions else None)
     w = WeightMatrix(np.array(doc["weights"], dtype=float))
-    return NetworkModel(graph=g, weights=w, spec=spectrum(w), meta=doc.get("meta", {}))
+    return NetworkModel(graph=g, weights=w, meta=doc.get("meta", {}))

@@ -25,7 +25,6 @@ __all__ = [
     "xi_det_gradient",
     "eta_rand_gs",
     "eta_rand_gradient",
-    "select_tau",
     "resolve_recipe",
     "certificate",
     "saddle_residuals",
@@ -72,43 +71,16 @@ def eta_rand_gradient(n, beta, h_min) -> float:
     return n * (1.0 - math.sqrt(1.0 - arg / n))
 
 
-# recipe name -> how (alpha, rho, beta, tau) are derived from (gamma,
-# lambda2, n) with h_min normalized out; see resolve_recipe
-RECIPES = (
-    "section4_jacobi",
-    "section4_gradient",
-    "section5_jacobi",
-    "section5_gradient",
-    "section5_rand_gs",
-    "section5_rand_gradient",
-)
-
-
-def select_tau(recipe, gamma, lambda2, n=None) -> int:
-    """Inner-iteration count that drives the contraction below the global
-    rate threshold for the given recipe."""
-    if gamma < 1 or not (0.0 < lambda2 <= 1.0):
-        raise ValueError("need gamma >= 1 and lambda2 in (0, 1]")
-    if recipe == "section4_jacobi":
-        return math.ceil(math.log(6.0 * gamma / lambda2) / math.log(1.0 + 1.0 / gamma))
-    if recipe == "section4_gradient":
-        return math.ceil(
-            math.log(6.0 * gamma / lambda2) / math.log(1.0 + 1.0 / (2.0 * gamma - 1.0))
-        )
-    target = math.log(3.0 * (1.0 + gamma) / lambda2)
-    if recipe == "section5_jacobi":
-        return math.ceil(target / math.log(2.0))
-    if recipe == "section5_gradient":
-        return math.ceil(target / math.log((gamma + 1.0) / gamma))
-    if recipe in ("section5_rand_gs", "section5_rand_gradient"):
-        if n is None:
-            raise ValueError("randomized recipes need the node count")
-        if recipe == "section5_rand_gs":
-            denom = n * (1.0 - math.sqrt(1.0 - 3.0 / (4.0 * n)))
-        else:
-            denom = n * (1.0 - math.sqrt(1.0 - gamma / (n * (1.0 + gamma) ** 2)))
-        return math.ceil(abs(target) / denom)
-    raise ValueError(f"unknown recipe {recipe!r}")
+# recipe name -> (variant, section of the paper whose choice of (alpha,
+# rho, beta) and rate threshold it follows); see resolve_recipe
+RECIPES = {
+    "section4_jacobi": ("det_jacobi", 4),
+    "section4_gradient": ("det_gradient", 4),
+    "section5_jacobi": ("det_jacobi", 5),
+    "section5_gradient": ("det_gradient", 5),
+    "section5_rand_gs": ("rand_gauss_seidel", 5),
+    "section5_rand_gradient": ("rand_gradient", 5),
+}
 
 
 def resolve_recipe(recipe, h_min, h_max, lambda2, n=None):
@@ -116,26 +88,29 @@ def resolve_recipe(recipe, h_min, h_max, lambda2, n=None):
 
     section4 recipes use rho = h_max and alpha = h_min + rho; section5
     recipes use alpha = rho = h_min. Gradient recipes take
-    beta = 1/(rho + h_max).
+    beta = 1/(rho + h_max). With xi the variant's inner contraction at
+    tau = 1 and gamma = h_max/h_min, tau is the fewest inner iterations
+    with xi^tau <= lambda2/(6 gamma) in section 4 and
+    xi^tau <= lambda2/(3 (1 + gamma)) in section 5, the rate threshold
+    lambda2 h_min/(3 (rho + h_max)) at the section's rho.
     """
     gamma = h_max / h_min
-    tau = select_tau(recipe, gamma, lambda2, n)
-    if recipe == "section4_jacobi":
-        rho = h_max
-        return "det_jacobi", h_min + rho, rho, None, tau
-    if recipe == "section4_gradient":
-        rho = h_max
-        return "det_gradient", h_min + rho, rho, 1.0 / (rho + h_max), tau
-    rho = h_min
-    alpha = h_min
-    beta = 1.0 / (rho + h_max)
-    variant = {
-        "section5_jacobi": "det_jacobi",
-        "section5_gradient": "det_gradient",
-        "section5_rand_gs": "rand_gauss_seidel",
-        "section5_rand_gradient": "rand_gradient",
-    }[recipe]
-    return variant, alpha, rho, beta if variant.endswith("gradient") else None, tau
+    if gamma < 1 or not (0.0 < lambda2 <= 1.0):
+        raise ValueError("need gamma >= 1 and lambda2 in (0, 1]")
+    if recipe not in RECIPES:
+        raise ValueError(f"unknown recipe {recipe!r}")
+    variant, section = RECIPES[recipe]
+    if n is None and variant.startswith("rand"):
+        raise ValueError("randomized recipes need the node count")
+    if section == 4:
+        rho, alpha = h_max, h_min + h_max
+        target = math.log(6.0 * gamma / lambda2)
+    else:
+        rho = alpha = h_min
+        target = math.log(3.0 * (1.0 + gamma) / lambda2)
+    beta = 1.0 / (rho + h_max) if variant.endswith("gradient") else None
+    xi = inner_contraction(variant, rho=rho, h_min=h_min, tau=1, beta=beta, n=n)
+    return variant, alpha, rho, beta, math.ceil(target / -math.log(xi))
 
 
 def inner_contraction(variant, *, rho, h_min, tau, beta=None, n=None) -> float:
@@ -226,7 +201,8 @@ def certificate(cfg, stack: ObjectiveStack, net: NetworkModel, x_star, x_init=No
     d_x = float(np.linalg.norm(x_init - x_star))
     d_mu = float(
         math.sqrt(
-            np.mean([np.linalg.norm(c.grad(x_star)) ** 2 for c in stack.costs])
+            np.mean([np.linalg.norm(stack.node_grad(i, x_star)) ** 2
+                     for i in range(stack.n_nodes)])
         )
     )
     bound = math.sqrt(stack.n_nodes) * max(d_x, 2.0 * d_mu / (math.sqrt(lam2) * h_min))

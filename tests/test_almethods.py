@@ -31,6 +31,7 @@ from dalopt.network import (
     build_geometric_graph,
     NetworkError,
     build_network,
+    metropolis_weights,
 )
 from dalopt.objective import ObjectiveStack, QuadraticCost
 from dalopt.theory import saddle_point
@@ -68,7 +69,8 @@ class TestDualUpdate:
         assert np.allclose(mus[1], 0.0, atol=1e-14)
 
     def test_two_node_direct_arithmetic(self):
-        net = build_network(build_chain_graph(2), scale=None)  # W off-diagonal 1/2
+        g = build_chain_graph(2)
+        net = NetworkModel(graph=g, weights=metropolis_weights(g))  # W off-diagonal 1/2
         mus = self.dual_iterates(net, 1, 1.0, [np.array([1.0, 0.0])])
         assert np.allclose(mus[1], [0.5, -0.5], atol=1e-15)
 
@@ -97,9 +99,9 @@ class TestDetJacobi:
         stack = ObjectiveStack(tuple(scalar_quadratic(c) for c in (0.0, 3.0, 6.0)))
         rho = stack.h_max
         alpha = stack.h_min + rho
-        from dalopt.theory import select_tau
+        from dalopt.theory import resolve_recipe
 
-        tau = select_tau("section4_jacobi", stack.h_max / stack.h_min, net.lambda2)
+        tau = resolve_recipe("section4_jacobi", stack.h_min, stack.h_max, net.lambda2)[4]
         cfg = AlgorithmConfig(variant="det_jacobi", alpha=alpha, rho=rho, tau=tau, epsilon=1e-12)
         tr = run_variant(stack, net, cfg, 100)
         x_star = 3.0  # mean of the centers for identical curvatures
@@ -339,8 +341,7 @@ class TestTicksResyncXbar:
         # off-graph pair when it is built, so no run of the variant can start
         complete = build_network(build_complete_graph(5))
         with pytest.raises(NetworkError, match=r"W\[0, 2\] = 0\.09.* \(0, 2\) is not a link"):
-            NetworkModel(graph=build_chain_graph(5), weights=complete.weights,
-                         spec=complete.spec)
+            NetworkModel(graph=build_chain_graph(5), weights=complete.weights)
 
 
 class TestRandGaussSeidel:

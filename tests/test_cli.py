@@ -235,6 +235,23 @@ class TestSpectrum:
         assert "edge (0.5,1) does not join two integer node ids" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("pair, message", [
+        ([9, 9], "edge (9,9) out of range or unordered"),
+        ([0.5, 0.5], "edge (0.5,0.5) does not join two integer node ids"),
+    ], ids=["out_of_range", "fractional"])
+    def test_bad_self_loop(self, tmp_path, capsys, pair, message):
+        # a pair (i, i) goes to the graph as it is, not taken for a self-loop
+        path = tmp_path / "net.json"
+        save_network(build_network(build_chain_graph(4)), path)
+        doc = json.loads(path.read_text())
+        doc["edges"].append(pair)
+        path.write_text(json.dumps(doc))
+        assert main(["spectrum", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error [network] cannot load")
+        assert message in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("keep, pair, shown", [
         (False, [False, True], "(False,True)"),
         (True, [False, True], "(False,True)"),

@@ -18,7 +18,6 @@ from dalopt.network import (
     load_network,
     metropolis_weights,
     save_network,
-    scale_weights,
     spectrum,
 )
 
@@ -87,24 +86,26 @@ class TestMetropolisWeights:
 
 
 class TestScaleWeights:
-    def test_identity_scaling(self):
-        w = metropolis_weights(build_chain_graph(3))
-        out = scale_weights(w, a=1.0, b=0.0)
-        assert np.allclose(out.entries, np.eye(3), atol=1e-15)
+    """build_network's W = 0.55 I + 0.45 M, M the Metropolis weights."""
 
     def test_default_scaling_positive_definite(self):
         g, _ = build_geometric_graph(10, radius=0.45, rng_seed=668)
-        out = scale_weights(metropolis_weights(g))
-        assert np.linalg.eigvalsh(out.entries)[0] > 0.0
+        w = build_network(g).weights.entries
+        m = metropolis_weights(g).entries
+        assert np.array_equal(w, 1.1 / 2.0 * np.eye(10) + 0.9 / 2.0 * m)
+        assert np.linalg.eigvalsh(w)[0] > 0.0
 
-    def test_indefinite_rejected(self):
-        # 2-node Metropolis has eigenvalues {0, 1}: a=0 keeps the zero mode
-        with pytest.raises(NetworkError, match="definite"):
-            build_network(build_chain_graph(2), scale=(0.0, 1.0))
+    @pytest.mark.parametrize("graph", [
+        build_chain_graph(2), build_chain_graph(30), build_complete_graph(2),
+        build_complete_graph(25), build_geometric_graph(40, radius=0.3, rng_seed=1)[0],
+        build_geometric_graph(60, radius=1.5, rng_seed=2)[0],
+    ], ids=["chain2", "chain30", "complete2", "complete25", "geometric40", "geometric60"])
+    def test_smallest_eigenvalue_at_least_a_tenth(self, graph):
+        # M has its eigenvalues in [-1, 1], so W has them in [0.1, 1]
+        assert np.linalg.eigvalsh(build_network(graph).weights.entries)[0] >= 0.1 - 1e-12
 
     def test_one_eigendecomposition_per_network(self, monkeypatch):
-        # positive definiteness is read off the spectrum of L = I - W, so
-        # build_network runs eigh once and never eigvalsh
+        # build_network runs eigh once, for the spectrum, and never eigvalsh
         def refuse(*args, **kwargs):
             raise AssertionError("eigvalsh called")
 
@@ -115,13 +116,6 @@ class TestScaleWeights:
         g, _ = build_geometric_graph(10, radius=0.45, rng_seed=668)
         build_network(g)
         assert len(calls) == 1
-        with pytest.raises(NetworkError, match="definite"):
-            build_network(build_chain_graph(2), scale=(0.0, 1.0))
-
-    def test_nonstochastic_scaling_rejected(self):
-        w = metropolis_weights(build_chain_graph(3))
-        with pytest.raises(NetworkError, match="stochastic"):
-            scale_weights(w, a=0.7, b=0.5)
 
 
 class TestWeightMatrixValidation:
@@ -233,8 +227,17 @@ class TestNetworkModel:
     def test_w_of_another_size_rejected(self):
         complete = build_network(build_complete_graph(4))
         with pytest.raises(NetworkError, match="W is 4 x 4 but the graph has 3 nodes"):
-            NetworkModel(graph=build_chain_graph(3), weights=complete.weights,
-                         spec=complete.spec)
+            NetworkModel(graph=build_chain_graph(3), weights=complete.weights)
+
+    def test_spectrum_is_that_of_its_w(self):
+        # W moved off build_network's scaling: the spectrum follows W
+        net = build_network(build_complete_graph(4))
+        w = 0.5 * net.weights.entries + 0.5 * np.eye(4)
+        model = NetworkModel(graph=net.graph, weights=WeightMatrix(w))
+        oracle = spectrum(WeightMatrix(w))
+        assert np.array_equal(model.spec.eigvals_reduced, oracle.eigvals_reduced)
+        assert np.array_equal(model.spec.laplacian, np.eye(4) - w)
+        assert model.lambda2 == pytest.approx(net.lambda2 / 2.0, rel=1e-12)
 
 
 class TestSerialization:
@@ -257,8 +260,7 @@ class TestSerialization:
         w = net.weights.entries.copy()
         w[np.triu(w == 0.0)] = -0.0
         assert np.signbit(w).any() and (np.signbit(w) & (w == 0.0)).sum() < (w == 0.0).sum()
-        return NetworkModel(graph=net.graph, weights=WeightMatrix(w), spec=net.spec,
-                            meta=net.meta)
+        return NetworkModel(graph=net.graph, weights=WeightMatrix(w), meta=net.meta)
 
     @pytest.mark.parametrize("make", [
         lambda: build_network(build_chain_graph(6), meta={"type": "chain"}),

@@ -5,6 +5,8 @@ from decimal import Decimal, getcontext
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dalopt.almethods import AlgorithmConfig, ConfigError
 from dalopt.harness import generate_quadratic_stack, reference_solve
@@ -21,7 +23,6 @@ from dalopt.theory import (
     resolve_recipe,
     saddle_point,
     saddle_residuals,
-    select_tau,
     xi_det_gradient,
     xi_det_jacobi,
 )
@@ -73,7 +74,7 @@ class TestXiDetGradient:
         gamma, lam2 = 49.55, 0.1
         h_min = 1.0
         beta = 1.0 / (h_min * (1.0 + gamma))
-        tau = select_tau("section5_gradient", gamma, lam2)
+        tau = resolve_recipe("section5_gradient", h_min, gamma * h_min, lam2)[4]
         xi = xi_det_gradient(beta, h_min, tau)
         assert xi < lam2 / (3.0 * (1.0 + gamma))
 
@@ -118,22 +119,60 @@ class TestEtaRandGradient:
         assert direct == pytest.approx(n * (1 - math.sqrt(1 - arg / n)), rel=1e-14)
 
 
+def closed_form_tau(recipe, gamma, lam2, n):
+    """tau of a recipe from the paper's simplified contraction rates: each
+    is -log xi at tau = 1 with h_min normalized out."""
+    if recipe.startswith("section4"):
+        target = math.log(6.0 * gamma / lam2)
+        rate = {"section4_jacobi": math.log(1.0 + 1.0 / gamma),
+                "section4_gradient": math.log(1.0 + 1.0 / (2.0 * gamma - 1.0))}[recipe]
+        return target / rate
+    target = math.log(3.0 * (1.0 + gamma) / lam2)
+    rate = {
+        "section5_jacobi": math.log(2.0),
+        "section5_gradient": math.log((gamma + 1.0) / gamma),
+        "section5_rand_gs": n * (1.0 - math.sqrt(1.0 - 3.0 / (4.0 * n))),
+        "section5_rand_gradient": n * (1.0 - math.sqrt(1.0 - gamma / (n * (1.0 + gamma) ** 2))),
+    }[recipe]
+    return target / rate
+
+
 class TestSelectTau:
+    """tau as resolve_recipe selects it."""
+
     def test_section5_jacobi_identity_case(self):
-        assert select_tau("section5_jacobi", 1.0, 1.0) == 3
+        assert resolve_recipe("section5_jacobi", 1.0, 1.0, 1.0)[4] == 3
 
     def test_section4_jacobi_high_precision(self):
         gamma, lam2 = 49.55, 0.1059592943986809
         oracle = decimal_ceil_log_ratio(6 * gamma / lam2, 1 + 1 / gamma)
-        assert select_tau("section4_jacobi", gamma, lam2) == oracle
+        assert resolve_recipe("section4_jacobi", 1.0, gamma, lam2)[4] == oracle
 
     def test_randomized_need_node_count(self):
         with pytest.raises(ValueError, match="node count"):
-            select_tau("section5_rand_gs", 2.0, 0.5)
+            resolve_recipe("section5_rand_gs", 1.0, 2.0, 0.5)
 
     def test_unknown_recipe(self):
         with pytest.raises(ValueError, match="unknown"):
-            select_tau("bogus", 2.0, 0.5)
+            resolve_recipe("bogus", 1.0, 2.0, 0.5)
+
+    @pytest.mark.parametrize("h_min, h_max, lam2", [(2.0, 1.0, 0.5), (1.0, 2.0, 0.0),
+                                                    (1.0, 2.0, 1.5)])
+    def test_out_of_range_gamma_or_lambda2(self, h_min, h_max, lam2):
+        with pytest.raises(ValueError, match="gamma >= 1 and lambda2"):
+            resolve_recipe("section5_jacobi", h_min, h_max, lam2)
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(recipe=st.sampled_from(list(RECIPES)),
+           log_h_min=st.floats(-3.0, 2.0), log_gamma=st.floats(0.0, 5.0),
+           log_lam2=st.floats(-5.0, 0.0), n=st.integers(2, 5000))
+    def test_matches_closed_forms(self, recipe, log_h_min, log_gamma, log_lam2, n):
+        h_min, gamma, lam2 = 10.0 ** log_h_min, 10.0 ** log_gamma, 10.0 ** log_lam2
+        tau = resolve_recipe(recipe, h_min, gamma * h_min, lam2, n)[4]
+        quotient = closed_form_tau(recipe, (gamma * h_min) / h_min, lam2, n)
+        # the two roundings may part only where the quotient is within
+        # rounding of an integer
+        assert tau == math.ceil(quotient) or abs(quotient - round(quotient)) <= 1e-9 * quotient
 
     @pytest.mark.parametrize("recipe", RECIPES)
     @pytest.mark.parametrize("gamma", [1.0, 2.0, 5.0, 10.0, 30.0, 100.0])
