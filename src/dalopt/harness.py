@@ -38,7 +38,7 @@ from .network import (
     build_network,
     save_network,
 )
-from .objective import LogisticCost, ObjectiveStack, QuadraticCost, save_dataset
+from .objective import ObjectiveStack, save_dataset
 from .svgplot import semilog_svg
 from .theory import RECIPES, certificate, lyapunov_value, resolve_recipe, saddle_point
 
@@ -244,30 +244,30 @@ def generate_logistic_data(n, d, reg=_OBJECTIVE["reg"].default,
         raise ValueError("need d >= 2 (features plus intercept)")
     rng = np.random.default_rng(seed)
     x_true = rng.standard_normal(d)
-    costs = []
-    for _ in range(n):
+    samples = np.empty((n, d))
+    for c in samples:  # row (b*a, b) of one node, drawn in node order
         a = rng.standard_normal(d - 1)
         eps = rng.normal(0.0, 0.001)
-        score = float(x_true[:-1] @ a + x_true[-1] + eps)
-        b = 1 if score >= 0 else -1
-        costs.append(LogisticCost(feature=a, label=b, reg=reg, n_nodes=n))
-    return ObjectiveStack(tuple(costs))
+        b = 1.0 if float(x_true[:-1] @ a + x_true[-1] + eps) >= 0 else -1.0
+        c[:-1] = b * a
+        c[-1] = b
+    return ObjectiveStack.logistic(samples, np.full(n, reg / n))
 
 
 def generate_quadratic_stack(n, d, seed=_OBJECTIVE["seed"].default,
                              h_lo=_OBJECTIVE["h_lo"].default,
                              h_hi=_OBJECTIVE["h_hi"].default) -> ObjectiveStack:
-    """Random strongly convex quadratics with spectra in [h_lo, h_hi]."""
+    """Random strongly convex quadratics with spectra in [h_lo, h_hi]:
+    A_i = Q_i diag(eigs_i) Q_i', Q_i the Q factor of a Gaussian matrix."""
     rng = np.random.default_rng(seed)
-    costs = []
-    for _ in range(n):
-        q, _ = np.linalg.qr(rng.standard_normal((d, d)))
-        eigs = rng.uniform(h_lo, h_hi, size=d)
-        a = q @ np.diag(eigs) @ q.T
-        a = 0.5 * (a + a.T)
-        b = rng.standard_normal(d)
-        costs.append(QuadraticCost(matrix=a, linear=b))
-    return ObjectiveStack(tuple(costs))
+    g, eigs, b = np.empty((n, d, d)), np.empty((n, d)), np.empty((n, d))
+    for i in range(n):  # each node's draws in node order; the algebra is batched
+        g[i] = rng.standard_normal((d, d))
+        eigs[i] = rng.uniform(h_lo, h_hi, size=d)
+        b[i] = rng.standard_normal(d)
+    q = np.linalg.qr(g)[0]
+    a = (q * eigs[:, None, :]) @ q.transpose(0, 2, 1)
+    return ObjectiveStack.quadratic(0.5 * (a + a.transpose(0, 2, 1)), b)
 
 
 def reference_solve(stack: ObjectiveStack, max_iterations=2_000_000) -> ReferenceSolution:

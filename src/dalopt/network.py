@@ -64,10 +64,15 @@ class Graph:
             if (i, i) not in self.edges:
                 raise NetworkError(f"missing self-loop at node {i}")
         # numpy infers an integer dtype only if every id is an integer or a
-        # boolean, so booleans are looked for by type
+        # boolean, so booleans are looked for by type; one scan finds both
         ids = list(itertools.chain.from_iterable(self.edges))
-        ij = np.array(ids).reshape(-1, 2)
-        if (ij.dtype.kind not in "iu" or not {bool, np.bool_}.isdisjoint(map(type, ids))
+        types = set(map(type, ids))
+        try:
+            ij = (np.fromiter(ids, dtype=np.int64, count=len(ids)) if types == {int}
+                  else np.array(ids)).reshape(-1, 2)
+        except OverflowError:  # an int id past int64 is out of range
+            raise NetworkError(_edge_fault(self.edges, n)) from None
+        if (ij.dtype.kind not in "iu" or not {bool, np.bool_}.isdisjoint(types)
                 or np.any((ij[:, 0] < 0) | (ij[:, 0] > ij[:, 1]) | (ij[:, 1] >= n))):
             raise NetworkError(_edge_fault(self.edges, n))
         adj = np.zeros((n, n), dtype=bool)
@@ -128,10 +133,12 @@ def build_geometric_graph(n, radius=0.45, rng_seed=0, max_attempts=100):
     for attempt in range(max_attempts):
         rng = np.random.default_rng(rng_seed + attempt)
         pts = rng.uniform(0.0, 1.0, size=(n, 2))
-        close = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1) < radius
+        dx, dy = (pts[:, None, k] - pts[None, :, k] for k in (0, 1))
+        close = np.sqrt(dx * dx + dy * dy) < radius  # bit for bit np.linalg.norm's
         if _connected(close):
-            i, j = np.nonzero(np.triu(close, 1))
-            g = _make_graph(n, zip(i.tolist(), j.tolist()), positions=tuple(map(tuple, pts)))
+            i, j = np.nonzero(np.triu(close))  # the self-loops and the links
+            g = Graph(node_count=n, edges=frozenset(zip(i.tolist(), j.tolist())),
+                      positions=tuple(map(tuple, pts)))
             return g, attempt + 1
     raise NetworkError(
         f"no connected geometric graph in {max_attempts} attempts "

@@ -1,15 +1,16 @@
 """Per-node convex costs with gradient access and certified Hessian bounds.
 
-A node cost is a QuadraticCost or a LogisticCost, the two classes an
-ObjectiveStack accepts. A stack of N node costs of common dimension d
-defines the block-separable objective F(x_1,...,x_N) = sum_i f_i(x_i) on
-R^{Nd} and the aggregate f(x) = sum_i f_i(x) on R^d.
+An ObjectiveStack holds N node costs of common dimension d, all logistic
+or all quadratic, as arrays; QuadraticCost and LogisticCost are one node's
+cost as an object, a reference for the array form. The stack defines the
+block-separable objective F(x_1,...,x_N) = sum_i f_i(x_i) on R^{Nd} and
+the aggregate f(x) = sum_i f_i(x) on R^d.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -22,9 +23,14 @@ __all__ = [
 ]
 
 
+def _put(obj, **values):
+    for name, value in values.items():
+        object.__setattr__(obj, name, value)
+
+
 @dataclass(frozen=True, eq=False)
 class QuadraticCost:
-    """f(x) = 0.5 x'Ax + b'x + c with A symmetric positive definite.
+    """f(x) = 0.5 x'Ax + b'x with A symmetric positive definite.
 
     Test instrument: the Hessian bounds are the exact extreme eigenvalues
     of A.
@@ -32,24 +38,12 @@ class QuadraticCost:
 
     matrix: np.ndarray
     linear: np.ndarray
-    constant: float = 0.0
     h_min: float = field(init=False)
     h_max: float = field(init=False)
 
     def __post_init__(self):
-        a = np.asarray(self.matrix, dtype=float)
-        b = np.asarray(self.linear, dtype=float)
-        if a.shape != (b.size, b.size):
-            raise ValueError("matrix/linear dimension mismatch")
-        if np.max(np.abs(a - a.T)) > 1e-12:
-            raise ValueError("quadratic matrix must be symmetric")
-        eigs = np.linalg.eigvalsh(a)
-        if eigs[0] <= 0.0:
-            raise ValueError("quadratic matrix must be positive definite")
-        object.__setattr__(self, "matrix", a)
-        object.__setattr__(self, "linear", b)
-        object.__setattr__(self, "h_min", float(eigs[0]))
-        object.__setattr__(self, "h_max", float(eigs[-1]))
+        row = ObjectiveStack.quadratic([self.matrix], [self.linear])  # its checks and bounds
+        _put(self, matrix=row.matrices[0], linear=row.linears[0], h_min=row.h_min, h_max=row.h_max)
 
     @property
     def dimension(self):
@@ -57,7 +51,7 @@ class QuadraticCost:
 
     def value(self, x):
         x = np.asarray(x, dtype=float)
-        return float(0.5 * x @ self.matrix @ x + self.linear @ x + self.constant)
+        return float(0.5 * x @ self.matrix @ x + self.linear @ x)
 
     def grad(self, x):
         return self.matrix @ np.asarray(x, dtype=float) + self.linear
@@ -97,16 +91,9 @@ class LogisticCost:
 
     def __post_init__(self):
         a = np.asarray(self.feature, dtype=float)
-        if self.label not in (-1, 1):
-            raise ValueError("label must be -1 or +1")
-        if self.reg <= 0 or self.n_nodes < 1:
-            raise ValueError("need reg > 0 and n_nodes >= 1")
-        c = np.concatenate([self.label * a, [float(self.label)]])
-        h_min = self.reg / self.n_nodes
-        object.__setattr__(self, "feature", a)
-        object.__setattr__(self, "stacked_sample", c)
-        object.__setattr__(self, "h_min", h_min)
-        object.__setattr__(self, "h_max", h_min + 0.25 * float(c @ c))
+        reg = self.reg / self.n_nodes if self.n_nodes >= 1 else 0.0  # 0 fails the reg check
+        row = ObjectiveStack.logistic([np.append(self.label * a, float(self.label))], [reg])
+        _put(self, feature=a, stacked_sample=row.samples[0], h_min=row.h_min, h_max=row.h_max)
 
     @property
     def dimension(self):
@@ -139,58 +126,76 @@ def _row_products(x, m):
 
 @dataclass(frozen=True, eq=False)
 class ObjectiveStack:
-    """N node costs of common dimension d, all logistic or all quadratic.
-
-    Construction also builds the array form that the algorithms and the
-    metrics read instead of the per-node objects:
+    """N node costs of common dimension d, all logistic or all quadratic,
+    as the arrays that the algorithms and the metrics read:
 
     - logistic: ``samples`` C in R^{N x d} (row j is node j's c) and
       ``node_reg`` (reg/N per node);
-    - quadratic: ``matrices`` A in R^{N x d x d} and ``linears`` B in
-      R^{N x d}, plus the per-node constants;
+    - quadratic: ``matrices`` A in R^{N x d x d} and ``linears`` B in R^{N x d};
     - both: ``node_h_min`` and ``node_h_max``.
+
+    Make one with ``logistic``, ``quadratic`` or ``of``. Each runs the checks
+    of every row at once and works out the bounds.
     """
 
-    costs: tuple
-    kind: str = field(init=False)  # "logistic" or "quadratic"
-    node_h_min: np.ndarray = field(init=False)
-    node_h_max: np.ndarray = field(init=False)
-    samples: np.ndarray | None = field(init=False, default=None)
-    node_reg: np.ndarray | None = field(init=False, default=None)
-    matrices: np.ndarray | None = field(init=False, default=None)
-    linears: np.ndarray | None = field(init=False, default=None)
-    constants: np.ndarray | None = field(init=False, default=None)
+    kind: str  # "logistic" or "quadratic"
+    node_h_min: np.ndarray
+    node_h_max: np.ndarray
+    samples: np.ndarray | None = None
+    node_reg: np.ndarray | None = None
+    matrices: np.ndarray | None = None
+    linears: np.ndarray | None = None
 
-    def __post_init__(self):
-        costs = tuple(self.costs)
-        if not costs:
+    @classmethod
+    def logistic(cls, samples, node_reg):
+        """h_min = reg/N and h_max = reg/N + ||c||^2 / 4 per row, as in LogisticCost."""
+        c, reg = np.asarray(samples, dtype=float), np.asarray(node_reg, dtype=float)
+        if not len(c):
             raise ValueError("empty stack")
-        d = costs[0].dimension
-        if any(c.dimension != d for c in costs):
+        if c.ndim != 2 or reg.shape != c.shape[:1]:
+            raise ValueError("samples/node_reg dimension mismatch")
+        if not np.isin(c[:, -1], (-1.0, 1.0)).all():
+            raise ValueError("label must be -1 or +1")
+        if (reg <= 0).any():
+            raise ValueError("need reg > 0 and n_nodes >= 1")
+        # one dot per row: a batched sum of squares may round differently
+        h_max = reg + 0.25 * np.array([row @ row for row in c])
+        return cls("logistic", reg, h_max, samples=c, node_reg=reg)
+
+    @classmethod
+    def quadratic(cls, matrices, linears):
+        """The bounds are the extreme eigenvalues of each A_i."""
+        a, b = np.asarray(matrices, dtype=float), np.asarray(linears, dtype=float)
+        if not len(a):
+            raise ValueError("empty stack")
+        if b.ndim != 2 or a.shape != b.shape + b.shape[1:]:
+            raise ValueError("matrix/linear dimension mismatch")
+        if np.max(np.abs(a - a.transpose(0, 2, 1))) > 1e-12:
+            raise ValueError("quadratic matrix must be symmetric")
+        eigs = np.linalg.eigvalsh(a)  # eigh's values differ from these in the last bits
+        if (eigs[:, 0] <= 0.0).any():
+            raise ValueError("quadratic matrix must be positive definite")
+        return cls("quadratic", eigs[:, 0].copy(), eigs[:, -1].copy(), matrices=a, linears=b)
+
+    @classmethod
+    def of(cls, costs):
+        """The stack of the rows of per-node LogisticCost or QuadraticCost objects."""
+        costs = tuple(costs)
+        if len({c.dimension for c in costs}) > 1:
             raise ValueError("node costs must share a common dimension")
-        put = partial(object.__setattr__, self)
-        put("costs", costs)
         if all(isinstance(c, LogisticCost) for c in costs):
-            put("kind", "logistic")
-            put("samples", np.array([c.stacked_sample for c in costs]))
-            put("node_reg", np.array([c.h_min for c in costs]))
-        elif all(isinstance(c, QuadraticCost) for c in costs):
-            put("kind", "quadratic")
-            put("matrices", np.array([c.matrix for c in costs]))
-            put("linears", np.array([c.linear for c in costs]))
-            put("constants", np.array([float(c.constant) for c in costs]))
-        else:
-            raise ValueError("a stack holds only logistic or only quadratic costs")
-        put("node_h_min", np.array([c.h_min for c in costs]))
-        put("node_h_max", np.array([c.h_max for c in costs]))
+            return cls.logistic([c.stacked_sample for c in costs], [c.h_min for c in costs])
+        if all(isinstance(c, QuadraticCost) for c in costs):
+            return cls.quadratic([c.matrix for c in costs], [c.linear for c in costs])
+        raise ValueError("a stack holds only logistic or only quadratic costs")
 
     @property
     def n_nodes(self):
-        return len(self.costs)
+        return len(self.node_h_min)
 
     @property
     def dimension(self):
-        return self.costs[0].dimension
+        return (self.samples if self.kind == "logistic" else self.linears).shape[1]
 
     @property
     def h_min(self):
@@ -234,7 +239,7 @@ class ObjectiveStack:
         a = self.matrices.sum(axis=0)
         quad = (_row_products(x, a) * x).sum(axis=1)
         lin = (x * self.linears.sum(axis=0)).sum(axis=1)
-        return 0.5 * quad + lin + self.constants.sum()
+        return 0.5 * quad + lin
 
     def aggregate_value(self, x):
         """f(x) = sum_i f_i(x), common argument."""
@@ -260,11 +265,11 @@ def save_dataset(stack: ObjectiveStack, path):
     Only defined for logistic stacks; quadratic stacks are synthetic test
     instruments and are regenerated from seeds.
     """
+    if stack.kind != "logistic":
+        raise TypeError("dataset files hold logistic costs only")
     with open(path, "w") as fh:
         fh.write("# label, then d-1 feature entries per row\n")
-        for c in stack.costs:
-            if not isinstance(c, LogisticCost):
-                raise TypeError("dataset files hold logistic costs only")
-            row = [f"{c.label:d}"] + [f"{v:.17g}" for v in c.feature]
+        for c in stack.samples.tolist():  # c = (b*a, b) and b*b = 1, so a = b*(b*a) exactly
+            row = [f"{int(c[-1]):d}"] + [f"{c[-1] * v:.17g}" for v in c[:-1]]
             fh.write(",".join(row) + "\n")
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -26,6 +27,7 @@ __all__ = [
     "eta_rand_gs",
     "eta_rand_gradient",
     "resolve_recipe",
+    "xi_threshold",
     "certificate",
     "saddle_residuals",
     "lyapunov_value",
@@ -89,10 +91,12 @@ def resolve_recipe(recipe, h_min, h_max, lambda2, n=None):
     section4 recipes use rho = h_max and alpha = h_min + rho; section5
     recipes use alpha = rho = h_min. Gradient recipes take
     beta = 1/(rho + h_max). With xi the variant's inner contraction at
-    tau = 1 and gamma = h_max/h_min, tau is the fewest inner iterations
-    with xi^tau <= lambda2/(6 gamma) in section 4 and
-    xi^tau <= lambda2/(3 (1 + gamma)) in section 5, the rate threshold
-    lambda2 h_min/(3 (rho + h_max)) at the section's rho.
+    tau = 1 and gamma = h_max/h_min, tau is the ceiling of
+    log(lambda2/(6 gamma)) / log(xi) in section 4 and of
+    log(lambda2/(3 (1 + gamma))) / log(xi) in section 5, the rate threshold
+    lambda2 h_min/(3 (rho + h_max)) at the section's rho. The quotient
+    rounds, so tau is then raised until xi^tau, as the certificate
+    computes it, is below xi_threshold.
     """
     gamma = h_max / h_min
     if gamma < 1 or not (0.0 < lambda2 <= 1.0):
@@ -109,8 +113,16 @@ def resolve_recipe(recipe, h_min, h_max, lambda2, n=None):
         rho = alpha = h_min
         target = math.log(3.0 * (1.0 + gamma) / lambda2)
     beta = 1.0 / (rho + h_max) if variant.endswith("gradient") else None
-    xi = inner_contraction(variant, rho=rho, h_min=h_min, tau=1, beta=beta, n=n)
-    return variant, alpha, rho, beta, math.ceil(target / -math.log(xi))
+    contraction = partial(inner_contraction, variant, rho=rho, h_min=h_min, beta=beta, n=n)
+    tau = math.ceil(target / -math.log(contraction(tau=1)))
+    while contraction(tau=tau) >= xi_threshold(lambda2, h_min, h_max, rho):
+        tau += 1
+    return variant, alpha, rho, beta, tau
+
+
+def xi_threshold(lambda2, h_min, h_max, rho):
+    """The rate condition's bound on xi: xi < lambda2 h_min / (3 (rho + h_max))."""
+    return lambda2 * h_min / (3.0 * (rho + h_max))
 
 
 def inner_contraction(variant, *, rho, h_min, tau, beta=None, n=None) -> float:
@@ -190,8 +202,7 @@ def certificate(cfg, stack: ObjectiveStack, net: NetworkModel, x_star, x_init=No
         n=stack.n_nodes,
     )
     alpha_ok = cfg.alpha <= (h_min + cfg.rho) * (1.0 + 1e-12)
-    threshold = lam2 * h_min / (3.0 * (cfg.rho + h_max))
-    xi_ok = xi < threshold
+    xi_ok = xi < xi_threshold(lam2, h_min, h_max, cfg.rho)
     r = max(
         0.5 + 1.5 * xi,
         (1.0 - cfg.alpha * lam2 / (cfg.rho + h_max)) + 3.0 * cfg.alpha * xi / h_min,

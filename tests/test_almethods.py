@@ -36,6 +36,8 @@ from dalopt.network import (
 from dalopt.objective import ObjectiveStack, QuadraticCost
 from dalopt.theory import saddle_point
 
+from oracles import node_costs
+
 
 def scalar_quadratic(center):
     return QuadraticCost(matrix=np.array([[1.0]]), linear=np.array([-center]))
@@ -87,7 +89,7 @@ class TestDualUpdate:
 class TestDetJacobi:
     def test_identical_quadratics_stationary(self):
         net = build_network(build_chain_graph(3))
-        stack = ObjectiveStack(tuple(scalar_quadratic(2.5) for _ in range(3)))
+        stack = ObjectiveStack.of(tuple(scalar_quadratic(2.5) for _ in range(3)))
         cfg = AlgorithmConfig(variant="det_jacobi", alpha=1.0, rho=1.0, tau=2)
         tr = run_variant(stack, net, cfg, 4, x0=np.full(3, 2.5))
         for x, mu in zip(tr.xs, tr.mus):
@@ -96,7 +98,7 @@ class TestDetJacobi:
 
     def test_chain3_converges_to_consensus_optimum(self):
         net = build_network(build_chain_graph(3))
-        stack = ObjectiveStack(tuple(scalar_quadratic(c) for c in (0.0, 3.0, 6.0)))
+        stack = ObjectiveStack.of(tuple(scalar_quadratic(c) for c in (0.0, 3.0, 6.0)))
         rho = stack.h_max
         alpha = stack.h_min + rho
         from dalopt.theory import resolve_recipe
@@ -112,7 +114,7 @@ class TestDetJacobi:
 
     def test_rho_zero_tau_one_decouples(self):
         net = build_network(build_chain_graph(3))
-        stack = ObjectiveStack(tuple(scalar_quadratic(c) for c in (1.0, -2.0, 5.0)))
+        stack = ObjectiveStack.of(tuple(scalar_quadratic(c) for c in (1.0, -2.0, 5.0)))
         cfg = AlgorithmConfig(variant="det_jacobi", alpha=0.5, rho=0.0, tau=1, epsilon=1e-14)
         tr = run_variant(stack, net, cfg, 1)
         assert np.allclose(tr.xs[1], [1.0, -2.0, 5.0], atol=1e-6)
@@ -128,7 +130,7 @@ class TestDetJacobi:
         v = mu - rho * net.weights_apply(x, 4)
         solves = [
             prox_local_info(c, rho, v[4 * i : 4 * i + 4], x[4 * i : 4 * i + 4], eps)
-            for i, c in enumerate(stack.costs)
+            for i, c in enumerate(node_costs(stack))
         ]
         assert np.abs(out - np.concatenate([y for y, _ in solves])).max() <= 1e-12
         assert grads == sum(g for _, g in solves)
@@ -386,7 +388,7 @@ class TestRandGradient:
         saddle = saddle_point(quad10_stack, ref.x_star)
         beta = 1.0 / (quad10_stack.h_max + 1.0)
         out = gradient_step_local(
-            quad10_stack.costs[0],
+            node_costs(quad10_stack)[0],
             saddle.x_bullet[:3],
             saddle.x_bullet[:3],
             saddle.mu_bullet[:3],
@@ -444,7 +446,7 @@ class TestSequentialReplay:
             graph, _ = build_geometric_graph(40, radius=1.5 * np.sqrt(np.log(40) / 40), rng_seed=2)
             net, stack = build_network(graph), generate_logistic_data(40, d, reg=0.5, seed=6)
             sched = sample_poisson_schedule(40, 1, 4, seed=3)
-        n = stack.n_nodes
+        n, costs = stack.n_nodes, node_costs(stack)
         x0 = np.tile(np.array([2.0, -1.0, 0.5]), n)
         for rho in (1.0, 0.0):
             beta = 1.0 / (stack.h_max + rho)
@@ -457,7 +459,7 @@ class TestSequentialReplay:
                 for i in s.nodes:
                     xbar = net.weights_apply(x, d)
                     sl = slice(d * i, d * i + d)
-                    cost = stack.costs[i]
+                    cost = costs[i]
                     if variant == "rand_gauss_seidel":
                         x[sl], g = prox_local_info(cost, rho, mu[sl] - rho * xbar[sl], x[sl],
                                                    cfg.epsilon)
@@ -494,8 +496,8 @@ class TestJacobiReplay:
         else:
             # f_0 = (y - c)^2 / 2 with c = 2 x0 + 1e-3: R' = |2 x0 - c| / (1 + rho)
             centers = [2.0 + 1e-3, -3.0, 0.5, 4.0, -1.0, 2.5, 0.0, -2.0, 1.5, 3.0]
-            stack, x0 = ObjectiveStack(tuple(scalar_quadratic(c) for c in centers)), np.ones(10)
-        d = stack.dimension
+            stack, x0 = ObjectiveStack.of(tuple(scalar_quadratic(c) for c in centers)), np.ones(10)
+        d, costs = stack.dimension, node_costs(stack)
         for rho in (1.0, 0.0):
             cfg = AlgorithmConfig(variant="det_jacobi", alpha=0.1, rho=rho, tau=tau,
                                   epsilon=1e-9)
@@ -506,7 +508,7 @@ class TestJacobiReplay:
                 for _ in range(tau):
                     v = mu - rho * net.weights_apply(x, d)
                     x_next = x.copy()
-                    for i, cost in enumerate(stack.costs):
+                    for i, cost in enumerate(costs):
                         sl = slice(d * i, d * i + d)
                         x_next[sl], g = prox_local_info(cost, rho, v[sl], x[sl], cfg.epsilon)
                         nu, lip = cost.h_min + rho, cost.h_max + cost.h_min + rho

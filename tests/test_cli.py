@@ -7,15 +7,17 @@ import re
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from dalopt.almethods import VARIANTS
 from dalopt.cli import main
-from dalopt.harness import _REQUIRED, _VALUES
+from dalopt.harness import _REQUIRED, _VALUES, ExperimentConfig, build_problem
 from dalopt.network import (build_chain_graph, build_complete_graph, build_network,
                             save_network)
+from dalopt.objective import LogisticCost, QuadraticCost
 from dalopt.theory import RECIPES
 
 
@@ -90,6 +92,33 @@ class TestCertify:
         assert "section4_jacobi" in out
         assert "r " in out or "r  " in out
 
+
+
+class TestNoPerNodeCosts:
+    """run and certify build the node costs as arrays, never one object per node."""
+
+    @pytest.mark.parametrize("objective", [
+        {"type": "quadratic", "d": 3, "seed": 2, "h_lo": 1.0, "h_hi": 4.0},
+        {"type": "logistic", "d": 4, "reg": 2.0, "seed": 3},
+    ], ids=["quadratic", "logistic"])
+    def test_with_the_node_classes_refusing(self, tmp_path, capsys, monkeypatch, objective):
+        def refuse(self):
+            raise AssertionError(f"a {type(self).__name__} was built")
+
+        monkeypatch.setattr(QuadraticCost, "__post_init__", refuse)
+        monkeypatch.setattr(LogisticCost, "__post_init__", refuse)
+        with pytest.raises(AssertionError, match="QuadraticCost was built"):
+            QuadraticCost(matrix=np.eye(1), linear=np.zeros(1))
+        doc = {"network": {"type": "geometric", "n": 8, "radius": 0.7, "seed": 1},
+               "objective": objective, "k_max": 5, "epsilon": 1e-8,
+               "algorithms": [{"recipe": r} for r in ("section5_jacobi", "section5_rand_gradient")],
+               "output_dir": str(tmp_path / "out")}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        build_problem(ExperimentConfig.from_dict(doc))
+        assert main(["run", str(path)]) == 0
+        assert main(["certify", str(path)]) == 0
+        assert "error" not in capsys.readouterr().err
 
 BAD_VALUES = {"string": "a", "negative": -1, "fraction": 1.5, "true": True,
               "inf": float("inf"), "nan": float("nan")}

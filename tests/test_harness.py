@@ -22,6 +22,8 @@ from dalopt.harness import (
 from dalopt.network import build_chain_graph, build_network
 from dalopt.objective import ObjectiveStack, QuadraticCost
 
+from oracles import node_costs
+
 
 def scalar_quadratic(center, curvature=1.0):
     return QuadraticCost(matrix=np.array([[curvature]]), linear=np.array([-curvature * center]))
@@ -44,7 +46,7 @@ class TestGenerateLogisticData:
     def test_deterministic(self):
         a = generate_logistic_data(5, 4, reg=2.0, seed=7)
         b = generate_logistic_data(5, 4, reg=2.0, seed=7)
-        for ca, cb in zip(a.costs, b.costs):
+        for ca, cb in zip(node_costs(a), node_costs(b)):
             assert np.array_equal(ca.feature, cb.feature)
             assert ca.label == cb.label
 
@@ -53,7 +55,7 @@ class TestGenerateLogisticData:
         stack = generate_logistic_data(n, d, seed=seed)
         rng = np.random.default_rng(seed)
         x_true = rng.standard_normal(d)
-        for cost in stack.costs:
+        for cost in node_costs(stack):
             a = rng.standard_normal(d - 1)
             eps = rng.normal(0.0, 0.001)
             score = float(x_true[:-1] @ a + x_true[-1] + eps)
@@ -66,7 +68,7 @@ class TestGenerateLogisticData:
         rng = np.random.default_rng(0)
         x_true = rng.standard_normal(5)
         agree = 0
-        for cost in stack.costs:
+        for cost in node_costs(stack):
             score = float(x_true[:-1] @ cost.feature + x_true[-1])
             agree += cost.label == (1 if score >= 0 else -1)
         assert agree >= 198
@@ -79,7 +81,7 @@ class TestGenerateLogisticData:
 class TestGenerateQuadraticStack:
     def test_spectra_within_bounds(self):
         stack = generate_quadratic_stack(6, 4, seed=9, h_lo=1.5, h_hi=3.0)
-        for cost in stack.costs:
+        for cost in node_costs(stack):
             eigs = np.linalg.eigvalsh(cost.matrix)
             assert eigs.min() >= 1.5 - 1e-10
             assert eigs.max() <= 3.0 + 1e-10
@@ -87,14 +89,71 @@ class TestGenerateQuadraticStack:
     def test_deterministic(self):
         a = generate_quadratic_stack(3, 2, seed=4)
         b = generate_quadratic_stack(3, 2, seed=4)
-        for ca, cb in zip(a.costs, b.costs):
+        for ca, cb in zip(node_costs(a), node_costs(b)):
             assert np.array_equal(ca.matrix, cb.matrix)
             assert np.array_equal(ca.linear, cb.linear)
 
 
+def per_node_logistic(n, d, reg, seed):
+    """generate_logistic_data's arrays as they were made, one LogisticCost
+    at a time: samples, node_reg, node_h_min and node_h_max."""
+    rng = np.random.default_rng(seed)
+    x_true = rng.standard_normal(d)
+    rows = []
+    for _ in range(n):
+        a = rng.standard_normal(d - 1)
+        eps = rng.normal(0.0, 0.001)
+        b = 1 if float(x_true[:-1] @ a + x_true[-1] + eps) >= 0 else -1
+        c = np.concatenate([b * a, [float(b)]])
+        h_min = reg / n
+        rows.append((c, h_min, h_min, h_min + 0.25 * float(c @ c)))
+    return [np.array(column) for column in zip(*rows)]
+
+
+def per_node_quadratic(n, d, seed, h_lo, h_hi):
+    """generate_quadratic_stack's arrays as they were made, one
+    QuadraticCost at a time: matrices, linears, node_h_min and node_h_max."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for _ in range(n):
+        q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        eigs = rng.uniform(h_lo, h_hi, size=d)
+        a = q @ np.diag(eigs) @ q.T
+        a = 0.5 * (a + a.T)
+        b = rng.standard_normal(d)
+        e = np.linalg.eigvalsh(a)
+        rows.append((a, b, float(e[0]), float(e[-1])))
+    return [np.array(column) for column in zip(*rows)]
+
+
+def same_bits(got, want):
+    return got.shape == want.shape and got.tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+class TestStacksMatchPerNodeLoop:
+    """The generators' batched arrays, bit for bit those of the per-node loop."""
+
+    @pytest.mark.parametrize("n, d, reg, seed", [(2, 2, 1.0, 0), (7, 4, 0.5, 3), (10, 15, 3.0, 11),
+                                                 (40, 3, 0.5, 6), (200, 5, 1.0, 0)])
+    def test_logistic(self, n, d, reg, seed):
+        stack = generate_logistic_data(n, d, reg=reg, seed=seed)
+        names = ("samples", "node_reg", "node_h_min", "node_h_max")
+        for name, want in zip(names, per_node_logistic(n, d, reg, seed)):
+            assert same_bits(getattr(stack, name), want), name
+
+    @pytest.mark.parametrize("n, d, seed, h_lo, h_hi", [
+        (2, 1, 0, 0.5, 5.0), (2, 3, 4, 0.5, 5.0), (5, 1, 2, 1.0, 2.0), (6, 2, 5, 1.0, 2.0),
+        (50, 15, 1, 1.0, 1e4), (30, 32, 7, 0.5, 5.0), (200, 4, 9, 1.0, 10.0)])
+    def test_quadratic(self, n, d, seed, h_lo, h_hi):
+        stack = generate_quadratic_stack(n, d, seed=seed, h_lo=h_lo, h_hi=h_hi)
+        names = ("matrices", "linears", "node_h_min", "node_h_max")
+        for name, want in zip(names, per_node_quadratic(n, d, seed, h_lo, h_hi)):
+            assert same_bits(getattr(stack, name), want), name
+
+
 class TestReferenceSolve:
     def test_identical_scalar_quadratics(self):
-        stack = ObjectiveStack(tuple(scalar_quadratic(2.5) for _ in range(4)))
+        stack = ObjectiveStack.of(tuple(scalar_quadratic(2.5) for _ in range(4)))
         ref = reference_solve(stack)
         assert ref.x_star == pytest.approx([2.5], abs=1e-12)
         # each block's value at its minimizer 2.5 is -2.5^2/2
@@ -103,8 +162,8 @@ class TestReferenceSolve:
     def test_distinct_quadratics_match_dense_solve(self):
         stack = generate_quadratic_stack(5, 3, seed=2, h_lo=1.0, h_hi=2.0)
         ref = reference_solve(stack)
-        a = sum(c.matrix for c in stack.costs)
-        b = sum(c.linear for c in stack.costs)
+        a = sum(c.matrix for c in node_costs(stack))
+        b = sum(c.linear for c in node_costs(stack))
         assert np.allclose(ref.x_star, np.linalg.solve(a, -b), atol=1e-12)
 
     def test_logistic_gradient_norm(self):
@@ -151,7 +210,7 @@ class TestRelativeCostError:
         assert relative_cost_error(self.stack, self.ref, x) >= 0.0
 
     def test_degenerate_instance_rejected(self):
-        stack = ObjectiveStack(tuple(scalar_quadratic(0.0) for _ in range(2)))
+        stack = ObjectiveStack.of(tuple(scalar_quadratic(0.0) for _ in range(2)))
         ref = reference_solve(stack)
         with pytest.raises(StageError, match="degenerate"):
             relative_cost_error(stack, ref, np.ones(2))

@@ -19,6 +19,8 @@ from dalopt.network import build_chain_graph, build_network
 from dalopt.objective import LogisticCost, ObjectiveStack, QuadraticCost, grad_stack
 from dalopt.theory import saddle_point
 
+from oracles import node_costs
+
 
 def scalar_quadratic(center, curvature=1.0):
     return QuadraticCost(matrix=np.array([[curvature]]), linear=np.array([-curvature * center]))
@@ -71,7 +73,7 @@ def per_node_prox(stack, rho, v, x0, epsilon, max_iterations=200_000):
     the Jacobi sweeps."""
     out = [
         prox_local_info(c, rho, vi, xi, epsilon, max_iterations)
-        for c, vi, xi in zip(stack.costs, v, x0)
+        for c, vi, xi in zip(node_costs(stack), v, x0)
     ]
     return np.array([y for y, _ in out]), np.array([g for _, g in out])
 
@@ -84,7 +86,7 @@ def rotated_stack(spectra, rng):
         q, _ = np.linalg.qr(rng.standard_normal((len(eigs), len(eigs))))
         a = q @ np.diag(eigs) @ q.T
         costs.append(QuadraticCost(matrix=0.5 * (a + a.T), linear=rng.standard_normal(len(eigs))))
-    return ObjectiveStack(tuple(costs))
+    return ObjectiveStack.of(tuple(costs))
 
 
 def jacobi_sweep(stack, rho, v, x0, epsilon):
@@ -119,7 +121,7 @@ class TestJacobiSweepSolves:
 
         # node 0's warm start understates its distance, so its planned
         # steps fall short and it needs polish rounds; nodes 1 and 2 do not
-        stack = ObjectiveStack(tuple(scalar_quadratic(c) for c in (1.0, -0.5, -2.0)))
+        stack = ObjectiveStack.of(tuple(scalar_quadratic(c) for c in (1.0, -0.5, -2.0)))
         rho, eps = 0.1, 1e-3
         v = np.zeros((3, 1))
         x0 = np.array([[0.5], [0.0], [1.0]])
@@ -131,7 +133,7 @@ class TestJacobiSweepSolves:
         grads = [solve(i, v[i], x0[i])[1] for i in range(3)]
         assert grads == grads_ref.tolist() and total == sum(grads)
         nu, lip = 1.0 + rho, 2.0 + rho
-        r_dist = abs(float(stack.costs[0].grad(x0[0])[0]) + nu * 0.5) / nu
+        r_dist = abs(float(node_costs(stack)[0].grad(x0[0])[0]) + nu * 0.5) / nu
         planned = _planned_iterations(eps, r_dist, lip, nu / lip)
         assert grads[0] > planned + 2  # the initial gradient, planned steps, one check
 
@@ -155,10 +157,10 @@ class TestJacobiSweepSolves:
             jacobi_sweep(stack, 1.0, v, np.zeros_like(v), 1e-300)
 
     def test_node_at_its_optimum_costs_one_gradient(self):
-        stack = ObjectiveStack((scalar_quadratic(0.0), scalar_quadratic(3.0)))
+        stack = ObjectiveStack.of((scalar_quadratic(0.0), scalar_quadratic(3.0)))
         v, x0 = np.zeros((2, 1)), np.zeros((2, 1))
         y, grads, _ = jacobi_sweep(stack, 1.0, v, x0, 1e-8)
-        _, grads_1 = prox_local_info(stack.costs[1], 1.0, v[1], x0[1], 1e-8)
+        _, grads_1 = prox_local_info(node_costs(stack)[1], 1.0, v[1], x0[1], 1e-8)
         assert y[0, 0] == 0.0 and grads == 1 + grads_1
         assert grads_1 > 1
 
@@ -211,7 +213,7 @@ class TestNodeProxSolver:
                 assert grads[i] > planned + 2  # the initial gradient, planned steps, one check
 
     def test_optimal_warm_start_short_circuits(self):
-        stack = ObjectiveStack((scalar_quadratic(0.0), scalar_quadratic(3.0)))
+        stack = ObjectiveStack.of((scalar_quadratic(0.0), scalar_quadratic(3.0)))
         solve = node_prox_solver(stack, 1.0, 1e-8)
         x0 = np.zeros(1)
         y, grads = solve(0, np.zeros(1), x0)
@@ -311,13 +313,12 @@ class TestNodeGradientStep:
             n, d = stack.n_nodes, stack.dimension
             w = build_network(build_chain_graph(n)).weights.entries
             x0, mu = (scale * rng.standard_normal((n, d)) for _ in range(2))
-            ticks = node_gradient_step(stack, w, beta, rho)
+            ticks, costs = node_gradient_step(stack, w, beta, rho), node_costs(stack)
             nodes = [*range(n), 2, 2, 0, n - 1, 2]
             x, ref, mu_given = x0.copy(), x0.copy(), mu.copy()
             for i in nodes:
                 ticks([i], x, mu)
-                ref[i] = gradient_step_local(stack.costs[i], ref[i], (w @ ref)[i], mu[i],
-                                             beta, rho)
+                ref[i] = gradient_step_local(costs[i], ref[i], (w @ ref)[i], mu[i], beta, rho)
                 assert np.all(np.isfinite(x))
                 assert np.abs(x - ref).max() <= 1e-13 * scale
             assert np.array_equal(mu, mu_given)
@@ -355,14 +356,14 @@ class TestGradientStepLocal:
         xbar = net.weights_apply(x, d)
         stepped = np.concatenate([
             gradient_step_local(
-                stack.costs[i],
+                c,
                 x[i * d : (i + 1) * d],
                 xbar[i * d : (i + 1) * d],
                 mu[i * d : (i + 1) * d],
                 beta,
                 rho,
             )
-            for i in range(n)
+            for i, c in enumerate(node_costs(stack))
         ])
         oracle = x - beta * al_objective_grad(stack, net, x, mu, rho)
         assert np.allclose(stepped, oracle, atol=1e-12)
@@ -374,7 +375,7 @@ class TestExactAlMinimizer:
         n, d = stack.n_nodes, stack.dimension
         mu = rng.standard_normal(n * d)
         x = exact_al_minimizer(stack, net, mu, rho=0.0, tol=1e-12)
-        for i, c in enumerate(stack.costs):
+        for i, c in enumerate(node_costs(stack)):
             block = np.linalg.solve(c.matrix, -(c.linear + mu[i * d : (i + 1) * d]))
             assert np.allclose(x[i * d : (i + 1) * d], block, atol=1e-9)
 

@@ -212,7 +212,6 @@ class TestGraphValidation:
         with pytest.raises(NetworkError, match=shown + " does not join two integer node ids"):
             Graph(node_count=3, edges=frozenset(edges))
 
-
     @pytest.mark.parametrize("edge, shown", [((False, True), r"\(False,True\)"),
                                              ((np.False_, 1), r"\(False,1\)")],
                              ids=["bool", "numpy_bool"])
@@ -222,6 +221,17 @@ class TestGraphValidation:
         with pytest.raises(NetworkError, match=shown + " does not join two integer node ids"):
             Graph(node_count=3, edges=frozenset(edges))
 
+
+    @pytest.mark.parametrize("edge", [(0, 2**63), (0, 2**70), (-2**64, 1)])
+    def test_id_past_int64_is_out_of_range(self, edge):
+        edges = {(0, 0), (1, 1), (2, 2), (0, 1), (1, 2), edge}
+        with pytest.raises(NetworkError, match=r"out of range or unordered"):
+            Graph(node_count=3, edges=frozenset(edges))
+
+    def test_numpy_integer_ids(self):
+        edges = {(np.int64(i), np.int32(i)) for i in range(3)} | {(0, 1), (np.int64(1), 2)}
+        g = Graph(node_count=3, edges=frozenset(edges))
+        assert g.link_count == 2 and g.adjacency[1, 2]
 
 class TestNetworkModel:
     def test_w_of_another_size_rejected(self):
@@ -327,6 +337,31 @@ def geometric_oracle(n, radius, rng_seed, max_attempts=100):
     return None
 
 
+def geometric_by_norm(n, radius, rng_seed, max_attempts=100):
+    """build_geometric_graph as it was, distances from np.linalg.norm over all
+    pairs: (edges, positions, attempts), or None when no draw is connected."""
+    radius = min(radius, np.sqrt(2.0) + 1e-9)
+    for attempt in range(max_attempts):
+        pts = np.random.default_rng(rng_seed + attempt).uniform(0.0, 1.0, size=(n, 2))
+        close = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1) < radius
+        seen = np.eye(n, dtype=bool)[0]
+        for _ in range(n):
+            seen = seen | close[seen].any(axis=0)
+        if seen.all():
+            i, j = np.nonzero(np.triu(close, 1))
+            edges = {(k, k) for k in range(n)} | set(zip(i.tolist(), j.tolist()))
+            return frozenset(edges), tuple(map(tuple, pts)), attempt + 1
+    return None
+
+
+# (n, radius, seeds): seed 2 of (40, 0.2) is connected on its 9th draw,
+# seed 9 of (12, 0.45) on its 3rd; (12, 0.2) never is
+GEOMETRIC_GRID = [(n, radius, seed) for n, radius, seeds in [
+    (2, 0.3, (0, 1)), (12, 0.45, (0, 5, 9)), (12, 0.2, (0,)), (40, 0.2, (0, 2, 3)),
+    (40, 0.3, (8,)), (200, 0.12, (0, 8)), (200, 0.45, (2,)), (60, 1.5, (4,))]
+    for seed in seeds]
+
+
 def star_graph(n):
     edges = {(i, i) for i in range(n)} | {(0, i) for i in range(1, n)}
     return Graph(node_count=n, edges=frozenset(edges))
@@ -363,6 +398,21 @@ class TestNetworkOracles:
             return
         g, attempts = build_geometric_graph(n, radius=radius, rng_seed=seed)
         assert (g.edges, attempts) == expected
+
+    @pytest.mark.parametrize("n, radius, seed", GEOMETRIC_GRID)
+    def test_geometric_matches_the_norm_builder(self, n, radius, seed):
+        expected = geometric_by_norm(n, radius, seed)
+        if expected is None:
+            with pytest.raises(NetworkError, match="radius"):
+                build_geometric_graph(n, radius=radius, rng_seed=seed)
+            return
+        g, attempts = build_geometric_graph(n, radius=radius, rng_seed=seed)
+        assert (g.edges, g.positions, attempts) == expected
+
+    def test_geometric_grid_has_redraws(self):
+        attempts = [geometric_by_norm(*case) for case in GEOMETRIC_GRID]
+        assert None in attempts
+        assert max(a[2] for a in attempts if a) == 9
 
     @pytest.mark.parametrize("name", ["star10", "geometric50_s3", "chain2", "complete10"])
     def test_degree_links_and_neighborhoods_follow_the_edges(self, name):

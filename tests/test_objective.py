@@ -1,5 +1,7 @@
 """Node costs, stacked objective, Hessian bounds."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,8 @@ from dalopt.objective import (
     grad_stack,
     save_dataset,
 )
+
+from oracles import node_costs
 
 
 def scalar_quadratic(center, curvature=1.0):
@@ -22,24 +26,28 @@ def random_logistic_stack(rng, n=4, d=5, reg=1.0):
         a = rng.standard_normal(d - 1)
         b = int(rng.choice([-1, 1]))
         costs.append(LogisticCost(feature=a, label=b, reg=reg, n_nodes=n))
-    return ObjectiveStack(tuple(costs))
+    return ObjectiveStack.of(tuple(costs))
 
 
 def eval_stack(stack, x):
     """F(x) = sum_i f_i(x_i) for stacked x in R^{Nd}, from the per-node
     costs: grad_stack's finite-difference oracle."""
     blocks = np.asarray(x, dtype=float).reshape(stack.n_nodes, stack.dimension)
-    return sum(c.value(xi) for c, xi in zip(stack.costs, blocks))
+    return sum(c.value(xi) for c, xi in zip(node_costs(stack), blocks))
+
+
+def exactly(message):
+    return "^" + re.escape(message) + "$"
 
 
 class TestEvalStack:
     def test_pure_quadratic_at_zero(self):
-        stack = ObjectiveStack(tuple(scalar_quadratic(0.0) for _ in range(3)))
+        stack = ObjectiveStack.of(tuple(scalar_quadratic(0.0) for _ in range(3)))
         assert eval_stack(stack, np.zeros(3)) == 0.0
 
     def test_each_block_at_its_minimizer(self):
         # value at the minimizer c is -curvature * c^2 / 2 per block
-        stack = ObjectiveStack((scalar_quadratic(1.0), scalar_quadratic(2.0)))
+        stack = ObjectiveStack.of((scalar_quadratic(1.0), scalar_quadratic(2.0)))
         assert eval_stack(stack, np.array([1.0, 2.0])) == pytest.approx(-2.5, abs=1e-15)
 
     def test_matches_termwise_oracle(self, rng):
@@ -57,7 +65,7 @@ class TestEvalStack:
 
 class TestGradStack:
     def test_quadratic_at_minimizer(self):
-        stack = ObjectiveStack((scalar_quadratic(2.0), scalar_quadratic(-1.0)))
+        stack = ObjectiveStack.of((scalar_quadratic(2.0), scalar_quadratic(-1.0)))
         g = grad_stack(stack, np.array([2.0, -1.0]))
         assert np.allclose(g, 0.0, atol=1e-15)
 
@@ -121,7 +129,7 @@ class TestLogisticHessianBounds:
 
 class TestConditionNumber:
     def test_identical_quadratics(self):
-        stack = ObjectiveStack(tuple(scalar_quadratic(0.0) for _ in range(3)))
+        stack = ObjectiveStack.of(tuple(scalar_quadratic(0.0) for _ in range(3)))
         assert stack.h_max / stack.h_min == 1.0
 
     def test_from_logistic_bounds(self):
@@ -132,15 +140,15 @@ class TestConditionNumber:
             LogisticCost(feature=a4, label=1, reg=1.0, n_nodes=10),
             LogisticCost(feature=a0, label=-1, reg=1.0, n_nodes=10),
         )
-        stack = ObjectiveStack(costs)
+        stack = ObjectiveStack.of(costs)
         assert stack.h_max / stack.h_min == pytest.approx(11.0, rel=1e-12)
 
 
 class TestValidation:
     def test_mixed_dimensions_rejected(self):
-        with pytest.raises(ValueError, match="dimension"):
-            ObjectiveStack((scalar_quadratic(0.0),
-                            QuadraticCost(matrix=np.eye(2), linear=np.zeros(2))))
+        with pytest.raises(ValueError, match=exactly("node costs must share a common dimension")):
+            ObjectiveStack.of((scalar_quadratic(0.0),
+                               QuadraticCost(matrix=np.eye(2), linear=np.zeros(2))))
 
     def test_indefinite_quadratic_rejected(self):
         with pytest.raises(ValueError, match="definite"):
@@ -151,6 +159,74 @@ class TestValidation:
             LogisticCost(feature=np.ones(2), label=0, reg=1.0, n_nodes=2)
 
 
+class TestArrayConstructors:
+    """The batched constructors reject what the per-node classes reject, with
+    their messages, whichever row is bad."""
+
+    @pytest.mark.parametrize("bad, message", [
+        (np.array([[1.0, 0.5], [0.0, 1.0]]), "quadratic matrix must be symmetric"),
+        (np.diag([1.0, -1.0]), "quadratic matrix must be positive definite"),
+        (np.diag([1.0, 0.0]), "quadratic matrix must be positive definite"),
+    ])
+    def test_quadratic_rejects_a_bad_matrix(self, bad, message):
+        with pytest.raises(ValueError, match=exactly(message)):
+            QuadraticCost(matrix=bad, linear=np.zeros(2))
+        with pytest.raises(ValueError, match=exactly(message)):
+            ObjectiveStack.quadratic([np.eye(2), bad, np.eye(2)], np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("matrices, linears", [
+        (np.zeros((2, 2, 2)), np.zeros((2, 3))),
+        (np.zeros((2, 3, 3)), np.zeros((3, 3))),
+        (np.zeros((2, 2, 3)), np.zeros((2, 2))),
+        (np.zeros((2, 2)), np.zeros(2)),
+    ])
+    def test_quadratic_dimension_mismatch(self, matrices, linears):
+        with pytest.raises(ValueError, match=exactly("matrix/linear dimension mismatch")):
+            QuadraticCost(matrix=np.eye(2), linear=np.zeros(3))
+        with pytest.raises(ValueError, match=exactly("matrix/linear dimension mismatch")):
+            ObjectiveStack.quadratic(matrices, linears)
+
+    @pytest.mark.parametrize("label", [0.0, 0.5, 2.0, np.nan])
+    def test_logistic_rejects_a_bad_label(self, label):
+        with pytest.raises(ValueError, match=exactly("label must be -1 or +1")):
+            LogisticCost(feature=np.ones(2), label=label, reg=1.0, n_nodes=2)
+        samples = np.array([[1.0, 2.0, 1.0], [3.0, 4.0, label], [5.0, 6.0, -1.0]])
+        with pytest.raises(ValueError, match=exactly("label must be -1 or +1")):
+            ObjectiveStack.logistic(samples, np.ones(3))
+
+    @pytest.mark.parametrize("reg", [0.0, -1.0])
+    def test_logistic_rejects_reg_at_most_zero(self, reg):
+        message = exactly("need reg > 0 and n_nodes >= 1")
+        with pytest.raises(ValueError, match=message):
+            LogisticCost(feature=np.ones(2), label=1, reg=reg, n_nodes=2)
+        with pytest.raises(ValueError, match=message):
+            LogisticCost(feature=np.ones(2), label=1, reg=1.0, n_nodes=0)
+        with pytest.raises(ValueError, match=message):
+            ObjectiveStack.logistic(np.ones((3, 2)), [1.0, reg, 1.0])
+
+    def test_logistic_dimension_mismatch(self):
+        with pytest.raises(ValueError, match=exactly("samples/node_reg dimension mismatch")):
+            ObjectiveStack.logistic(np.ones((3, 2)), np.ones(2))
+        with pytest.raises(ValueError, match=exactly("samples/node_reg dimension mismatch")):
+            ObjectiveStack.logistic(np.ones(3), np.ones(3))
+
+    def test_empty_stack(self):
+        for make in (lambda: ObjectiveStack.of(()),
+                     lambda: ObjectiveStack.logistic(np.zeros((0, 3)), np.zeros(0)),
+                     lambda: ObjectiveStack.quadratic(np.zeros((0, 2, 2)), np.zeros((0, 2)))):
+            with pytest.raises(ValueError, match=exactly("empty stack")):
+                make()
+
+    def test_adapter_stacks_the_rows(self, rng):
+        logistic, quadratic = random_logistic_stack(rng), random_quadratic_stack(rng)
+        for stack, names in ((logistic, ("samples", "node_reg")),
+                             (quadratic, ("matrices", "linears"))):
+            again = ObjectiveStack.of(node_costs(stack))
+            assert again.kind == stack.kind
+            for name in names + ("node_h_min", "node_h_max"):
+                assert getattr(again, name).tobytes() == getattr(stack, name).tobytes()
+
+
 class TestDatasetIO:
     def test_roundtrip(self, tmp_path, rng):
         stack = random_logistic_stack(rng, n=3, d=4, reg=2.0)
@@ -158,12 +234,12 @@ class TestDatasetIO:
         save_dataset(stack, path)
         rows = np.loadtxt(path, delimiter=",")
         assert rows.shape == (3, 4)  # label plus d-1 features per node
-        for row, c in zip(rows, stack.costs):
+        for row, c in zip(rows, node_costs(stack)):
             assert row[0] == c.label
             assert np.array_equal(row[1:], c.feature)
 
     def test_quadratic_rejected(self, tmp_path):
-        stack = ObjectiveStack((scalar_quadratic(0.0),))
+        stack = ObjectiveStack.of((scalar_quadratic(0.0),))
         with pytest.raises(TypeError, match="logistic"):
             save_dataset(stack, tmp_path / "bad.csv")
 
@@ -178,7 +254,7 @@ class TestNumericalStability:
     def test_extreme_arguments_array_form(self):
         costs = tuple(LogisticCost(feature=np.array([s]), label=b, reg=1.0, n_nodes=2)
                       for s, b in ((100.0, 1), (100.0, -1)))
-        stack = ObjectiveStack(costs)
+        stack = ObjectiveStack.of(costs)
         for x in (np.array([500.0, 0.0]), np.array([-500.0, 0.0])):
             rows = np.tile(x, (2, 1))
             grads = stack.node_grads(rows)
@@ -195,9 +271,8 @@ def random_quadratic_stack(rng, n=4, d=3):
     costs = []
     for _ in range(n):
         m = rng.standard_normal((d, d))
-        costs.append(QuadraticCost(matrix=m @ m.T + np.eye(d), linear=rng.standard_normal(d),
-                                   constant=float(rng.standard_normal())))
-    return ObjectiveStack(tuple(costs))
+        costs.append(QuadraticCost(matrix=m @ m.T + np.eye(d), linear=rng.standard_normal(d)))
+    return ObjectiveStack.of(tuple(costs))
 
 
 class TestArrayForm:
@@ -209,14 +284,15 @@ class TestArrayForm:
 
     def test_node_grads_match_per_node(self, stack, rng):
         x = 3.0 * rng.standard_normal((stack.n_nodes, stack.dimension))
-        oracle = np.array([c.grad(xi) for c, xi in zip(stack.costs, x)])
+        oracle = np.array([c.grad(xi) for c, xi in zip(node_costs(stack), x)])
         assert np.allclose(stack.node_grads(x), oracle, rtol=1e-13, atol=1e-14)
         for i, xi in enumerate(x):
             assert np.allclose(stack.node_grad(i, xi), oracle[i], rtol=1e-13, atol=1e-14)
 
     def test_aggregate_values_match_per_node(self, stack, rng):
         x = 3.0 * rng.standard_normal((5, stack.dimension))
-        oracle = [sum(c.value(xi) for c in stack.costs) for xi in x]
+        costs = node_costs(stack)
+        oracle = [sum(c.value(xi) for c in costs) for xi in x]
         assert np.allclose(stack.aggregate_values(x), oracle, rtol=1e-13, atol=0)
 
     @pytest.mark.parametrize("wide", [False, True])
@@ -234,18 +310,19 @@ class TestArrayForm:
 
     def test_aggregate_grad_matches_per_node(self, stack, rng):
         x = rng.standard_normal(stack.dimension)
-        oracle = sum(c.grad(x) for c in stack.costs)
+        oracle = sum(c.grad(x) for c in node_costs(stack))
         assert np.allclose(stack.aggregate_grad(x), oracle, rtol=1e-13, atol=1e-14)
 
     def test_bounds_match_per_node(self, stack):
-        assert stack.node_h_min.tolist() == [c.h_min for c in stack.costs]
-        assert stack.node_h_max.tolist() == [c.h_max for c in stack.costs]
+        assert stack.node_h_min.tolist() == [c.h_min for c in node_costs(stack)]
+        assert stack.node_h_max.tolist() == [c.h_max for c in node_costs(stack)]
 
     def test_mixed_stack_rejected(self, rng):
         logistic = LogisticCost(feature=rng.standard_normal(1), label=1, reg=1.0, n_nodes=2)
         quadratic = QuadraticCost(matrix=np.eye(2), linear=np.zeros(2))
-        with pytest.raises(ValueError, match="only logistic or only quadratic"):
-            ObjectiveStack((logistic, quadratic))
+        with pytest.raises(ValueError, match=exactly(
+                "a stack holds only logistic or only quadratic costs")):
+            ObjectiveStack.of((logistic, quadratic))
 
     def test_logistic_cost_caches_its_sample(self):
         cost = LogisticCost(feature=np.array([1.0, -2.0]), label=-1, reg=3.0, n_nodes=6)

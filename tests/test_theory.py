@@ -25,6 +25,7 @@ from dalopt.theory import (
     saddle_residuals,
     xi_det_gradient,
     xi_det_jacobi,
+    xi_threshold,
 )
 
 getcontext().prec = 50
@@ -148,6 +149,30 @@ class TestSelectTau:
         oracle = decimal_ceil_log_ratio(6 * gamma / lam2, 1 + 1 / gamma)
         assert resolve_recipe("section4_jacobi", 1.0, gamma, lam2)[4] == oracle
 
+    @pytest.mark.parametrize("recipe, h_min, h_max, lam2, quotient", [
+        ("section4_jacobi", 5.0, 4048.0, 0.5011674072582931, 7436),
+        ("section4_gradient", 2.0, 1718.0, 0.5005417332084736, 15869),
+    ])
+    def test_exact_ceiling_where_the_quotient_rounds_below(self, recipe, h_min, h_max, lam2,
+                                                          quotient):
+        # section 4 takes rho = h_max; lam2 puts xi^quotient about 9 ulps above
+        # the threshold, and the float quotient of logs rounds to quotient
+        h, rho = Decimal(h_min), Decimal(h_max)
+        if recipe.endswith("jacobi"):
+            xi = rho / (rho + h)
+        else:
+            xi = 1 - Decimal(1.0 / (h_max + h_max)) * h
+        threshold = Decimal(lam2) * h / (3 * (rho + rho))
+        exact = math.ceil(threshold.ln() / xi.ln())
+        rate = -math.log(inner_contraction(RECIPES[recipe][0], rho=h_max, h_min=h_min, tau=1,
+                                           beta=1.0 / (h_max + h_max)))
+        assert math.ceil(math.log(6.0 * (h_max / h_min) / lam2) / rate) == quotient == exact - 1
+        tau = resolve_recipe(recipe, h_min, h_max, lam2)[4]
+        assert tau == exact
+        xi_tau = inner_contraction(RECIPES[recipe][0], rho=h_max, h_min=h_min, tau=tau,
+                                   beta=1.0 / (h_max + h_max))
+        assert xi_tau < xi_threshold(lam2, h_min, h_max, h_max)
+
     def test_randomized_need_node_count(self):
         with pytest.raises(ValueError, match="node count"):
             resolve_recipe("section5_rand_gs", 1.0, 2.0, 0.5)
@@ -199,7 +224,7 @@ class TestCertificate:
         net = build_network(build_geometric_graph(4, radius=1.5, rng_seed=0)[0])
         center = np.array([1.0, -2.0])
         cost = QuadraticCost(matrix=np.eye(2), linear=-center)
-        stack = ObjectiveStack(tuple(cost for _ in range(4)))
+        stack = ObjectiveStack.of(tuple(cost for _ in range(4)))
         cfg = AlgorithmConfig(variant="det_jacobi", alpha=1.0, rho=1.0, tau=3)
         cert = certificate(cfg, stack, net, center, x_init=center)
         assert cert.d_x == 0.0 and cert.d_mu == pytest.approx(0.0, abs=1e-14)
