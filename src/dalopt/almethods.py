@@ -142,21 +142,19 @@ def jacobi_sweeps(stack, net, x, mu, rho, tau, solve, xbar):
     solve is node_prox_solver(stack, rho, epsilon), built once per run;
     xbar must be (W (x) I) x, which the outer loop passes and forms anew
     after the call: W is applied between sweeps only. Returns (x_new,
-    gradient_evaluations). Within one sweep the per-node solves read only
-    the previous sweep's state, so they are order-independent.
+    gradient_evaluations). Within one sweep the nodes read only the previous
+    sweep's state, so solve.sweep solves them all at once.
     """
     n, d = stack.n_nodes, stack.dimension
-    x = np.array(x, dtype=float).reshape(n, d)  # a copy, updated in place
+    x = np.asarray(x, dtype=float).reshape(n, d)
     mu = np.asarray(mu, dtype=float).reshape(n, d)
     xbar = np.asarray(xbar, dtype=float).reshape(n, d)
     grads = 0
     for sweep in range(tau):
         if sweep:
             xbar = net.weights_apply(x, d).reshape(n, d)
-        v = mu - rho * xbar
-        for i in range(n):
-            x[i], g = solve(i, v[i], x[i])
-            grads += g
+        x, g = solve.sweep(mu - rho * xbar, x)
+        grads += g
     return x.reshape(-1), grads
 
 

@@ -7,8 +7,8 @@ minimizer of the full augmented objective used as a test oracle. That
 minimizer and harness.reference_solve run one accelerated-gradient loop,
 accelerated_gradient. The
 runs use array-form kernels of the first two. One prox kernel,
-node_prox_solver, solves one node at a time for both the Jacobi sweeps
-and the Gauss-Seidel ticks. The gradient step runs on all nodes at once
+node_prox_solver, solves all nodes at once for the Jacobi sweeps and one
+node at a time for the Gauss-Seidel ticks. The gradient step runs on all nodes at once
 for the synchronized sweeps and one node at a time for the randomized
 ticks, where a tick is one row product over the current blocks. The
 per-node forms, prox_local_info and gradient_step_local, are the kernels'
@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from .network import NetworkModel
-from .objective import ObjectiveStack, grad_stack
+from .objective import ObjectiveStack, grad_stack, row_dots
 
 __all__ = [
     "SolverError",
@@ -151,13 +151,14 @@ BAND = 1e-12  # a polish check decides from scalars outside BAND * S^2 of target
 
 def node_prox_solver(stack: ObjectiveStack, rho, epsilon, max_iterations=MAX_ITERATIONS):
     """The prox kernel of the Jacobi sweeps and of the Gauss-Seidel ticks:
-    prox_local_info for one node of the stack at a time, from its array form.
+    prox_local_info for the nodes of the stack, from its array form.
 
     Returns solve(i, v, x0) -> (y, gradient evaluations): node i's prox
     problem min_y f_i(y) + v'y + (rho/2)||y||^2 solved from the warm start
     x0 on prox_local_info's schedule (R' from the warm start, the planned
     step count, polish rounds of max(planned, 8) steps, SolverError naming
-    the node at the iteration cap). A Nesterov step y -> y - g(y)/L_i
+    the node at the iteration cap). solve.sweep(v, x0) solves every node
+    from (N, d) rows, bit for bit as solve would. A Nesterov step y -> y - g(y)/L_i
     splits into modes with step factors a, each iterate p times the mode's
     start plus q times its step, where p and q depend on a and the step
     count alone. Walk tables, built here and shared by every solve, hold p
@@ -227,6 +228,7 @@ def node_prox_solver(stack: ObjectiveStack, rho, epsilon, max_iterations=MAX_ITE
                                       node_a[i], node_mom[i])
         return rows
 
+    nus, lips, targets = nu, lip, np.array(target)
     nu, lip, q, momentum = nu.tolist(), lip.tolist(), q.tolist(), momentum.tolist()
     node_grad = stack.node_grad
     # a solve keeps its state in one list, not in closures made per solve:
@@ -281,9 +283,23 @@ def node_prox_solver(stack: ObjectiveStack, rho, epsilon, max_iterations=MAX_ITE
         def point(i, state):
             _, rx, _, px, qx, x0, w = state[:7]
             return px * x0 + qx * w + rx * samples[i]
+
+        def first_round(plans, v, x0, ng):
+            """begin and advance for every node: (|g|^2, S^2, x) rows."""
+            w = v / lips[:, None]
+            dots = [row_dots(a, b).tolist() for a, b in
+                    ((samples, x0), (samples, w), (x0, x0), (x0, w), (w, w))]
+            rows = []
+            for i, (n, cx0, cw, x0x0, x0w, ww) in enumerate(zip(plans.tolist(), *dots)):
+                state = [0, 0.0, 0.0, 1.0, 0.0, None, None, cx0, cw, x0x0, x0w, ww,
+                         math.sqrt(x0x0), math.sqrt(ww)]
+                rows.append(advance(i, state, n) + tuple(state[1:5]))
+            g2, s2, rx, _, px, qx = np.array(rows).T[:, :, None]
+            return g2[:, 0], s2[:, 0], px * x0 + qx * w + rx * samples
     else:
         bases = list(vectors)
-        coordinates = list(vectors.transpose(0, 2, 1) / np.array(lip)[:, None, None])  # Q_i'/L_i
+        scaled = vectors.transpose(0, 2, 1) / lips[:, None, None]  # Q_i'/L_i
+        coordinates = list(scaled)
         matrices, linears = list(stack.matrices), list(stack.linears)
 
         def node_grad(i, x):  # stack.node_grad's arithmetic, without its dispatch
@@ -308,6 +324,21 @@ def node_prox_solver(stack: ObjectiveStack, rho, epsilon, max_iterations=MAX_ITE
 
         def point(i, state):
             return state[1] + bases[i] @ state[4]
+
+        def first_round(plans, v, x0, ng):
+            """begin and advance for every node: (|g|^2, S^2, x) rows."""
+            sigma = np.matmul(scaled, (ng + v + rho * x0)[:, :, None])[:, :, 0]  # stacked, exact
+            reach = 2.0 * np.sqrt(row_dots(x0, x0)) + np.sqrt(row_dots(sigma, sigma))
+            ys = np.empty((len(plans), 2, width))
+            for nodes in bands.values():  # each node's row from its band's table
+                steps = plans[nodes] - 1
+                walk(nodes[0], steps.max(), True)  # grows the band's table
+                rows = where[nodes[0]][0][0]
+                ys[nodes] = rows.reshape(len(rows), 2, -1, width)[steps, :, range(len(nodes))]
+            p, e = (_x_after(a.reshape(-1, 1, width), ys) * sigma[:, None]).swapaxes(0, 1)
+            terms = lips * (reach + np.sqrt(row_dots(e, e)))
+            y = x0 + np.matmul(vectors, e[:, :, None])[:, :, 0]
+            return lips * lips * row_dots(p, p), terms * terms, y
 
     def solve(i, v, x0):
         """Node i's prox solve: (y, gradient evaluations)."""
@@ -340,6 +371,26 @@ def node_prox_solver(stack: ObjectiveStack, rho, epsilon, max_iterations=MAX_ITE
                 )
             planned = min(max(planned, 8), max_iterations - it)
 
+    def sweep(v, x0):
+        """solve for every node, from (N, d) rows v and x0: (y, gradient
+        evaluations). Every solve's first round and polish check run as array
+        work that rounds as solve does; a node at its optimum, with a check
+        inside the band or one that fails, takes solve, in node order."""
+        ng = stack.node_grad_rows(x0)
+        g = ng + nus[:, None] * x0 + v
+        r_dist = np.sqrt(row_dots(g, g)) / nus
+        plans = np.array([min(_planned_iterations(epsilon, r, lip[i], q[i]), max_iterations)
+                          if r else 1 for i, r in enumerate(r_dist.tolist())])
+        g2, s2, y = first_round(plans, v, x0, ng)
+        done = ((np.abs(g2 - targets * targets) > BAND * s2) & (r_dist != 0.0)
+                & (np.sqrt(np.maximum(g2, 0.0)) <= targets))
+        grads = int((plans[done] + 2).sum())
+        for i in np.flatnonzero(~done).tolist():
+            y[i], g_i = solve(i, v[i], x0[i])
+            grads += g_i
+        return y, grads
+
+    solve.sweep = sweep
     return solve
 
 

@@ -295,38 +295,36 @@ def build_network(graph: Graph, meta=None) -> NetworkModel:
     return NetworkModel(graph=graph, weights=w, meta=dict(meta or {}))
 
 
-class _Reprs(dict):
-    """The repr of a float by its bit pattern, formatted once per pattern;
-    keys by value would merge 0.0 and -0.0."""
-
-    def __missing__(self, bits):
-        text = self[bits] = repr(np.uint64(bits).view(np.float64).item())
-        return text
-
-
 def save_network(net: NetworkModel, path):
     """Serialize node positions, edge list, and W entries to a JSON file.
 
     The file is byte for byte what json.dump(doc, fh, indent=1,
-    sort_keys=True) writes. "edges" is the first key and "weights" the
-    last: the pairs (i <= j, sorted) and the N x N weights go out one row
-    at a time, each float as its repr, as json writes it, formatted once
-    per distinct value, and the keys between them are one json.dumps. The
-    pure-Python encoder that indent selects is several times slower, and
-    the whole document as one string would cost its size in memory.
+    sort_keys=True) writes: "edges" first, one join of texts made per node,
+    "weights" last, one row at a time with each float as its repr, made once
+    per bit pattern (by value, 0.0 and -0.0 would merge), and the keys
+    between them as one json.dumps. The pure-Python encoder that indent
+    selects is several times slower, and the whole document as one string
+    would cost its size in memory.
     """
     head = json.dumps({"meta": net.meta, "node_count": net.node_count,
                        "positions": net.graph.positions}, indent=1, sort_keys=True)
+    nodes = range(net.node_count)
+    rows, cols = np.triu(net.graph.adjacency).nonzero()
+    pieces = np.empty(2 * len(rows), dtype=object)  # "[i, j]," texts, opening and closing
+    pieces[0::2] = np.array([f"\n  [\n   {i},\n   " for i in nodes], dtype=object)[rows]
+    pieces[1::2] = np.array([f"{j}\n  ]," for j in nodes], dtype=object)[cols]
+    bits = net.weights.entries.view(np.uint64)
+    ranked = np.sort(bits, axis=None)  # np.unique would import numpy.ma, 1 MB of RSS
+    distinct = ranked[np.concatenate(([True], ranked[1:] != ranked[:-1]))]
+    codes = np.searchsorted(distinct, bits)  # W's entries as indices into texts
+    texts = np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype=object)
     with open(path, "w") as fh:
-        fh.write('{\n "edges": [')
-        for k, (i, j) in enumerate(np.argwhere(np.triu(net.graph.adjacency)).tolist()):
-            fh.write(("," if k else "") + f"\n  [\n   {i},\n   {j}\n  ]")
+        fh.write('{\n "edges": [' + "".join(pieces.tolist())[:-1])
         fh.write("\n ],\n" + head[2:-2])  # head without its "{\n" and "\n}"
         fh.write(',\n "weights": [')
-        reprs = _Reprs()
-        for k, row in enumerate(net.weights.entries.view(np.uint64)):
-            fh.write(("," if k else "") + "\n  [\n   "
-                     + ",\n   ".join(map(reprs.__getitem__, row.tolist())) + "\n  ]")
+        for k, row in enumerate(codes):
+            fh.write(("," if k else "") + "\n  [\n   " + ",\n   ".join(texts[row].tolist())
+                     + "\n  ]")
         fh.write("\n ]\n}")
 
 

@@ -111,6 +111,12 @@ class LogisticCost:
         return -_sigmoid(-z) * c + (self.reg / self.n_nodes) * x
 
 
+def row_dots(a, b):
+    """a[i].dot(b[i]) for every row i, bit for bit: a stacked matmul, where
+    einsum and (a * b).sum(1) sum in another order."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
 def _row_products(x, m):
     """x @ m.T as a C-ordered array, summed feature by feature in a fixed order.
 
@@ -218,6 +224,16 @@ class ObjectiveStack:
             s = np.exp(-np.logaddexp(0.0, (self.samples * x).sum(axis=1)))
             return self.node_reg[:, None] * x - s[:, None] * self.samples
         return np.matmul(self.matrices, x[:, :, None])[:, :, 0] + self.linears
+
+    def node_grad_rows(self, x):
+        """Row i is node_grad(i, x[i]) bit for bit; node_grads' logistic form
+        rounds otherwise, and the gradient sweeps' traces are made with it."""
+        if self.kind == "quadratic":
+            return self.node_grads(x)
+        u = row_dots(self.samples, x)
+        e = np.exp(-np.abs(u))  # _sigmoid(-u) on either branch
+        s = np.where(u <= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+        return self.node_reg[:, None] * x - s[:, None] * self.samples
 
     def node_grad(self, i, x):
         """grad f_i(x) at one block x, from row i of the array form."""

@@ -15,7 +15,7 @@ import numpy as np
 
 from .almethods import check_beta
 from .network import NetworkModel
-from .objective import ObjectiveStack, grad_stack
+from .objective import ObjectiveStack, grad_stack, row_dots
 
 __all__ = [
     "RateCertificate",
@@ -210,12 +210,9 @@ def certificate(cfg, stack: ObjectiveStack, net: NetworkModel, x_star, x_init=No
     x_star = np.asarray(x_star, dtype=float)
     x_init = np.zeros_like(x_star) if x_init is None else np.asarray(x_init, dtype=float)
     d_x = float(np.linalg.norm(x_init - x_star))
-    d_mu = float(
-        math.sqrt(
-            np.mean([np.linalg.norm(stack.node_grad(i, x_star)) ** 2
-                     for i in range(stack.n_nodes)])
-        )
-    )
+    grads = stack.node_grad_rows(np.tile(x_star, (stack.n_nodes, 1)))
+    # each row's norm(grad) ** 2, with ** as libm's pow: an array's square rounds otherwise
+    d_mu = math.sqrt(np.mean([g ** 2 for g in np.sqrt(row_dots(grads, grads)).tolist()]))
     bound = math.sqrt(stack.n_nodes) * max(d_x, 2.0 * d_mu / (math.sqrt(lam2) * h_min))
     cert = RateCertificate(
         xi=xi, alpha_ok=alpha_ok, xi_ok=xi_ok, r=r, d_x=d_x, d_mu=d_mu,

@@ -1,9 +1,15 @@
 """Per-node prox solver, gradient step, exact augmented-objective oracle."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dalopt import local_solve
 from dalopt.local_solve import (
+    BAND,
     SolverError,
     al_objective_grad,
     exact_al_minimizer,
@@ -105,15 +111,16 @@ def jacobi_sweep(stack, rho, v, x0, epsilon):
 
 class TestJacobiSweepSolves:
     """A Jacobi sweep solves every node's prox problem on node_prox_solver,
-    as prox_local_info would, node by node."""
+    bit for bit as its per-node solve does, and so within rounding as
+    prox_local_info would (TestNodeProxSolver)."""
 
     def test_matches_per_node_solves(self, rng, quad5_stack):
         for stack in (quad5_stack, generate_logistic_data(7, 4, reg=0.5, seed=3)):
             n, d = stack.n_nodes, stack.dimension
             x0 = rng.standard_normal((n, d))
             y, grads, v = jacobi_sweep(stack, 0.8, rng.standard_normal((n, d)), x0, 1e-9)
-            y_ref, grads_ref = per_node_prox(stack, 0.8, v, x0, 1e-9)
-            assert np.abs(y - y_ref).max() <= 1e-12
+            y_ref, grads_ref = TestNodeProxSolver.solve_all(stack, 0.8, v, x0, 1e-9)
+            assert np.array_equal(y, y_ref)
             assert grads == grads_ref.sum()
 
     def test_polish_round_counts_match(self):
@@ -300,6 +307,85 @@ class TestNodeProxSolver:
             x0 = np.full((n, d), 500.0 * sign)
             v = np.full((n, d), -500.0 * sign)
             self.check(stack, 0.5, v, x0, 1e-6, tol=1e-12 * 500.0)
+
+
+def sweep_stack(kind, n, d, spread, rng):
+    """A stack whose nodes' condition numbers span up to spread, so that
+    their solves fall in several bands."""
+    if kind == "quadratic":
+        return rotated_stack(spread ** rng.uniform(0.0, 1.0, size=(n, d)), rng)
+    labels = rng.choice([-1.0, 1.0], size=(n, 1))
+    scales = np.sqrt(spread) ** rng.uniform(0.0, 1.0, size=(n, 1))
+    features = labels * scales * rng.standard_normal((n, d - 1))
+    return ObjectiveStack.logistic(np.hstack([features, labels]), rng.uniform(0.1, 1.0, n))
+
+
+class TestSweep:
+    """node_prox_solver's sweep against its per-node solve, node by node:
+    the same points bit for bit and the same gradient evaluations, on rows
+    at their optimum, rows that take polish rounds and, with BAND widened,
+    checks that fall inside the rounding band."""
+
+    @staticmethod
+    def rows(stack, rho, rng):
+        """v and x0 with node 0 at its optimum, 0, where R' is 0, and node
+        1's distance estimate understated, so that its solve takes polish
+        rounds; the others are random."""
+        n, d = stack.n_nodes, stack.dimension
+        v, x0 = 3.0 * rng.standard_normal((2, n, d))
+        x0[0] = 0.0
+        nu = stack.node_h_min + rho
+        for i, offset in ((0, 0.0), (1, 1e-3)):
+            v[i] = -(stack.node_grad(i, x0[i]) + nu[i] * x0[i]) + offset
+        return v, x0
+
+    def check(self, stack, rho, epsilon, v, x0, band=BAND, max_iterations=200_000):
+        with mock.patch.object(local_solve, "BAND", band):
+            y, grads = node_prox_solver(stack, rho, epsilon, max_iterations).sweep(v, x0)
+            y_ref, grads_ref = TestNodeProxSolver.solve_all(stack, rho, v, x0, epsilon,
+                                                            max_iterations)
+        assert np.array_equal(y, y_ref)
+        assert grads == grads_ref.sum()
+        return grads_ref
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(kind=st.sampled_from(["quadratic", "logistic"]), n=st.integers(2, 9),
+           d=st.integers(1, 5), spread=st.sampled_from([2.0, 1e2, 1e4]),
+           rho=st.sampled_from([0.0, 0.3, 2.0]), epsilon=st.sampled_from([1e-4, 1e-8, 1e-12]),
+           band=st.sampled_from([BAND, 1e-4, 1.0]), seed=st.integers(0, 1 << 16))
+    def test_matches_per_node_solves(self, kind, n, d, spread, rho, epsilon, band, seed):
+        rng = np.random.default_rng(seed)
+        stack = sweep_stack(kind, n, d, spread, rng)
+        v, x0 = self.rows(stack, rho, rng)
+        grads = self.check(stack, rho, epsilon, v, x0, band)
+        assert grads[0] == 1
+
+    @pytest.mark.parametrize("kind", ["quadratic", "logistic"])
+    def test_rows_of_every_kind(self, kind):
+        # node 0 at its optimum, node 1 past its planned steps; the ill-
+        # conditioned stack puts its nodes in several bands; BAND = 1
+        # sends every check to the vector check
+        stack = sweep_stack(kind, 8, 3, 1e4, np.random.default_rng(1))
+        rho, eps = 0.3, 1e-9
+        v, x0 = self.rows(stack, rho, np.random.default_rng(2))
+        nu, lip = stack.node_h_min + rho, stack.node_h_max + stack.node_h_min + rho
+        assert len(set(np.frexp(-1.0 / np.log1p(-np.sqrt(nu / lip)))[1].tolist())) >= 3
+        r_dist = np.linalg.norm(stack.node_grad(1, x0[1]) + nu[1] * x0[1] + v[1]) / nu[1]
+        planned = local_solve._planned_iterations(eps, r_dist, lip[1], nu[1] / lip[1])
+        for band in (BAND, 1.0):
+            grads = self.check(stack, rho, eps, v, x0, band)
+            assert grads[0] == 1 and grads[1] > planned + 2
+
+    @pytest.mark.parametrize("kind", ["quadratic", "logistic"])
+    def test_cap_names_the_lowest_failing_node(self, kind):
+        # node 0 is at its optimum and returns; every other check fails at
+        # the 3-step cap, and the error names node 1, as the per-node path's
+        stack = sweep_stack(kind, 6, 3, 1e2, np.random.default_rng(3))
+        v, x0 = self.rows(stack, 1.0, np.random.default_rng(4))
+        solve = node_prox_solver(stack, 1.0, 1e-300, max_iterations=3)
+        with pytest.raises(SolverError, match="at node 1 exceeded 3 iterations"):
+            solve.sweep(v, x0)
+        assert solve(0, v[0], x0[0])[1] == 1
 
 
 class TestNodeGradientStep:

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dalopt.almethods import AlgorithmConfig, ConfigError
-from dalopt.harness import generate_quadratic_stack, reference_solve
+from dalopt.harness import generate_logistic_data, generate_quadratic_stack, reference_solve
 from dalopt.network import build_geometric_graph, build_network
 from dalopt.objective import ObjectiveStack, QuadraticCost
 from dalopt.theory import (
@@ -229,6 +229,18 @@ class TestCertificate:
         cert = certificate(cfg, stack, net, center, x_init=center)
         assert cert.d_x == 0.0 and cert.d_mu == pytest.approx(0.0, abs=1e-14)
         assert cert.bound_constant == pytest.approx(0.0, abs=1e-13)
+
+    @pytest.mark.parametrize("kind", ["quadratic", "logistic"])
+    def test_d_mu_is_the_rms_of_node_gradient_norms(self, kind):
+        # bit for bit, as the certificate files print it to 17 digits
+        net, stack = self.quad_pair()
+        if kind == "logistic":
+            stack = generate_logistic_data(6, 3, reg=1.0, seed=2)
+        x_star = reference_solve(stack).x_star
+        cfg = AlgorithmConfig(variant="det_jacobi", alpha=1.0, rho=1.0, tau=3)
+        norms = [np.linalg.norm(stack.node_grad(i, x_star)) for i in range(stack.n_nodes)]
+        assert certificate(cfg, stack, net, x_star).d_mu == math.sqrt(np.mean(
+            [g ** 2 for g in norms]))
 
     def test_xi_zero_limit_of_r(self):
         net, stack = self.quad_pair()
