@@ -8,9 +8,7 @@ L = I - W.
 
 from __future__ import annotations
 
-import itertools
 import json
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,48 +38,51 @@ class NetworkError(ValueError):
     """Invalid graph or weight-matrix construction."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
     """Undirected connected graph with explicit self-loops.
 
-    ``edges`` holds pairs (i, j) of integer node ids, 0 <= i <= j < N,
-    including every self-loop (i, i). Every Graph is valid: construction
-    raises NetworkError, naming the first bad pair, unless N >= 2 and the
-    graph is as above and connected. ``adjacency`` is the read-only boolean
-    N x N adjacency; its diagonal holds the self-loops.
+    ``adjacency`` is the read-only boolean N x N adjacency; its diagonal
+    holds the self-loops. Every Graph is valid: construction raises
+    NetworkError unless the adjacency is square with N >= 2, has a self-loop
+    at every node, is symmetric and connected, and ``positions`` is None or
+    one (x, y) per node. ``Graph.from_edges`` makes one from node-id pairs.
     """
 
-    node_count: int
-    edges: frozenset
+    adjacency: np.ndarray
     positions: tuple | None = None
-    adjacency: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        n = self.node_count
-        if n < 2:
-            raise NetworkError("graph needs at least 2 nodes")
-        for i in range(n):
-            if (i, i) not in self.edges:
-                raise NetworkError(f"missing self-loop at node {i}")
-        # numpy infers an integer dtype only if every id is an integer or a
-        # boolean, so booleans are looked for by type; one scan finds both
-        ids = list(itertools.chain.from_iterable(self.edges))
-        types = set(map(type, ids))
-        try:
-            ij = (np.fromiter(ids, dtype=np.int64, count=len(ids)) if types == {int}
-                  else np.array(ids)).reshape(-1, 2)
-        except OverflowError:  # an int id past int64 is out of range
-            raise NetworkError(_edge_fault(self.edges, n)) from None
-        if (ij.dtype.kind not in "iu" or not {bool, np.bool_}.isdisjoint(types)
-                or np.any((ij[:, 0] < 0) | (ij[:, 0] > ij[:, 1]) | (ij[:, 1] >= n))):
-            raise NetworkError(_edge_fault(self.edges, n))
-        adj = np.zeros((n, n), dtype=bool)
-        adj[ij[:, 0], ij[:, 1]] = True
-        adj[ij[:, 1], ij[:, 0]] = True
-        adj.flags.writeable = False
+        adj = np.array(self.adjacency, dtype=bool)
+        if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
+            raise NetworkError("adjacency must be square")
+        n = _node_count(len(adj))
+        if not adj.diagonal().all():
+            raise NetworkError(f"missing self-loop at node {np.argmin(adj.diagonal())}")
+        if not np.array_equal(adj, adj.T):
+            raise NetworkError("adjacency not symmetric")
         if not _connected(adj):
             raise NetworkError("graph is disconnected")
+        pts = self.positions
+        if pts is not None and (len(pts) != n or any(len(p) != 2 for p in pts)):
+            raise NetworkError(f"positions must be one (x, y) per node: {len(pts)} for {n} nodes")
+        adj.flags.writeable = False
         object.__setattr__(self, "adjacency", adj)
+
+    @classmethod
+    def from_edges(cls, n, pairs, positions=None):
+        """The graph with a self-loop at each of n nodes and a link for each
+        (i, j) or (j, i) in the sequence pairs; NetworkError names a bad pair."""
+        adj = np.eye(_node_count(n), dtype=bool)
+        if fault := _edge_fault(pairs, n):
+            raise NetworkError(fault)
+        i, j = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+        adj[i, j] = adj[j, i] = True
+        return cls(adj, positions)
+
+    @property
+    def node_count(self):
+        return len(self.adjacency)
 
     @property
     def link_count(self):
@@ -89,13 +90,23 @@ class Graph:
         return int(np.count_nonzero(np.triu(self.adjacency, 1)))
 
 
-def _edge_fault(edges, n):
-    """The message naming the first pair that is not integer ids 0 <= i <= j < n."""
-    for i, j in edges:
-        if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in (i, j)):
+def _node_count(n):
+    if n < 2:
+        raise NetworkError("graph needs at least 2 nodes")
+    return n
+
+
+def _edge_fault(pairs, n):
+    """The message naming the first pair that is not two integer ids in [0, n)."""
+    for pair in pairs:
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+            return f"edge {pair!r} is not a pair of node ids"
+        i, j = pair
+        if (not isinstance(i, (int, np.integer)) or not isinstance(j, (int, np.integer))
+                or isinstance(i, bool) or isinstance(j, bool)):
             return f"edge ({i},{j}) does not join two integer node ids"
-        if not (0 <= i <= j < n):
-            return f"edge ({i},{j}) out of range or unordered"
+        if not (0 <= i < n and 0 <= j < n):
+            return f"edge ({i},{j}) out of range"
 
 
 def _connected(adj):
@@ -110,19 +121,12 @@ def _connected(adj):
     return bool(seen.all())
 
 
-def _make_graph(n, pair_edges, positions=None):
-    edges = {(i, i) for i in range(n)}
-    edges.update((i, j) if i <= j else (j, i) for i, j in pair_edges)
-    return Graph(node_count=n, edges=frozenset(edges), positions=positions)
-
-
 def build_geometric_graph(n, radius=0.45, rng_seed=0, max_attempts=100):
     """Random geometric graph on the unit square.
 
     Nodes are placed uniformly at random in [0,1]^2 and joined when their
-    Euclidean distance is below ``radius``. If the draw is disconnected,
-    the placement is resampled with the next seed; the seed that succeeded
-    is recorded in ``Graph.positions`` metadata via the returned attempts.
+    Euclidean distance is below ``radius``. A disconnected draw is redrawn
+    with the next seed; ``Graph.positions`` holds the connected one.
 
     Returns (graph, attempts_used). Raises NetworkError after
     ``max_attempts`` failed draws (infeasible radius).
@@ -132,14 +136,11 @@ def build_geometric_graph(n, radius=0.45, rng_seed=0, max_attempts=100):
     radius = min(radius, np.sqrt(2.0) + 1e-9)
     for attempt in range(max_attempts):
         rng = np.random.default_rng(rng_seed + attempt)
-        pts = rng.uniform(0.0, 1.0, size=(n, 2))
+        pts = rng.uniform(0.0, 1.0, size=(_node_count(n), 2))
         dx, dy = (pts[:, None, k] - pts[None, :, k] for k in (0, 1))
         close = np.sqrt(dx * dx + dy * dy) < radius  # bit for bit np.linalg.norm's
         if _connected(close):
-            i, j = np.nonzero(np.triu(close))  # the self-loops and the links
-            g = Graph(node_count=n, edges=frozenset(zip(i.tolist(), j.tolist())),
-                      positions=tuple(map(tuple, pts)))
-            return g, attempt + 1
+            return Graph(close, positions=tuple(map(tuple, pts))), attempt + 1
     raise NetworkError(
         f"no connected geometric graph in {max_attempts} attempts "
         f"(n={n}, radius={radius}); radius likely infeasible"
@@ -148,11 +149,11 @@ def build_geometric_graph(n, radius=0.45, rng_seed=0, max_attempts=100):
 
 def build_chain_graph(n):
     """Path graph 0-1-...-(n-1) with self-loops."""
-    return _make_graph(n, [(i, i + 1) for i in range(n - 1)])
+    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def build_complete_graph(n):
-    return _make_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+    return Graph(np.ones((_node_count(n),) * 2, dtype=bool))
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,12 +170,11 @@ class WeightMatrix:
     def __post_init__(self):
         w = np.asarray(self.entries, dtype=float)
         object.__setattr__(self, "entries", w)
-        n = w.shape[0]
-        if w.shape != (n, n):
+        if w.ndim != 2 or len(w) != w.shape[1]:
             raise NetworkError("weight matrix must be square")
         if np.max(np.abs(w - w.T)) > SYMMETRY_TOL:
             raise NetworkError("weight matrix not symmetric")
-        if np.max(np.abs(w @ np.ones(n) - 1.0)) > STOCHASTIC_TOL:
+        if np.max(np.abs(w @ np.ones(len(w)) - 1.0)) > STOCHASTIC_TOL:
             raise NetworkError("weight matrix rows do not sum to 1")
         if np.min(w) < -STOCHASTIC_TOL:
             raise NetworkError("weight matrix has negative entries")
@@ -225,10 +225,8 @@ def spectrum(w: WeightMatrix) -> LaplacianSpectrum:
     Raises if lambda_2 <= LAMBDA2_TOL (disconnected or numerically
     degenerate).
     """
-    n = w.node_count
-    lap = np.eye(n) - w.entries
+    lap = np.eye(w.node_count) - w.entries
     vals, vecs = np.linalg.eigh(lap)
-    # the smallest eigenvalue is analytically 0 (all-ones eigenvector)
     if vals[1] <= LAMBDA2_TOL:
         raise NetworkError(f"lambda_2 = {vals[1]:.3e} <= tol; graph degenerate")
     return LaplacianSpectrum(
@@ -331,13 +329,14 @@ def save_network(net: NetworkModel, path):
 def load_network(path) -> NetworkModel:
     with open(path) as fh:
         doc = json.load(fh)
-    n = doc["node_count"]
-    positions = doc.get("positions")
-    # json reads true and false as bools, which equal and hash as 1 and 0: a
-    # pair [false, true] would merge with a pair [0, 1] in the graph's set
-    booleans = [(i, j) for i, j in doc["edges"] if isinstance(i, bool) or isinstance(j, bool)]
-    if booleans:
-        raise NetworkError(_edge_fault(booleans, n))
-    g = _make_graph(n, doc["edges"], positions=tuple(map(tuple, positions)) if positions else None)
+    for key in ("node_count", "edges", "weights"):
+        if key not in doc:
+            raise NetworkError(f"missing key {key!r}")
+    n, edges, positions = doc["node_count"], doc["edges"], doc.get("positions")
+    if type(n) is not int:
+        raise NetworkError(f"node_count must be an integer >= 2, not {n!r}")
+    if not isinstance(edges, list):
+        raise NetworkError("edges must be a list of pairs of node ids")
+    g = Graph.from_edges(n, edges, positions=tuple(map(tuple, positions)) if positions else None)
     w = WeightMatrix(np.array(doc["weights"], dtype=float))
     return NetworkModel(graph=g, weights=w, meta=doc.get("meta", {}))

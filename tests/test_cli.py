@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 from dalopt.almethods import VARIANTS
 from dalopt.cli import main
 from dalopt.harness import _REQUIRED, _VALUES, ExperimentConfig, build_problem
-from dalopt.network import (build_chain_graph, build_complete_graph, build_network,
-                            save_network)
+from dalopt.network import (build_chain_graph, build_complete_graph, build_geometric_graph,
+                            build_network, save_network)
 from dalopt.objective import LogisticCost, QuadraticCost
 from dalopt.theory import RECIPES
 
@@ -265,7 +265,7 @@ class TestSpectrum:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("pair, message", [
-        ([9, 9], "edge (9,9) out of range or unordered"),
+        ([9, 9], "edge (9,9) out of range"),
         ([0.5, 0.5], "edge (0.5,0.5) does not join two integer node ids"),
     ], ids=["out_of_range", "fractional"])
     def test_bad_self_loop(self, tmp_path, capsys, pair, message):
@@ -287,8 +287,7 @@ class TestSpectrum:
         (True, [True, True], "(True,True)"),
     ], ids=["replacing_0_1", "beside_0_1", "self_loop"])
     def test_boolean_node_id(self, tmp_path, capsys, keep, pair, shown):
-        # numpy reads [false, true] among integer pairs as (0, 1), and beside
-        # [0, 1] a set keeps one of the two equal pairs
+        # an int64 array reads [false, true] as (0, 1), the same link as [0, 1]
         path = tmp_path / "net.json"
         save_network(build_network(build_chain_graph(4)), path)
         doc = json.loads(path.read_text())
@@ -300,6 +299,31 @@ class TestSpectrum:
         err = capsys.readouterr().err
         assert err.startswith("error [network] cannot load")
         assert f"edge {shown} does not join two integer node ids" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc.pop("edges"), "missing key 'edges'"),
+        (lambda doc: doc.pop("weights"), "missing key 'weights'"),
+        (lambda doc: doc.update(edges=5), "edges must be a list of pairs of node ids"),
+        (lambda doc: doc["edges"].append([1]), "edge [1] is not a pair of node ids"),
+        (lambda doc: doc["edges"].append([0, 1, 2]), "edge [0, 1, 2] is not a pair of node ids"),
+        (lambda doc: doc.update(node_count=6.0), "node_count must be an integer >= 2, not 6.0"),
+        (lambda doc: doc.update(node_count=1), "graph needs at least 2 nodes"),
+        (lambda doc: doc.update(weights=5), "weight matrix must be square"),
+        (lambda doc: doc.update(positions=doc["positions"][:3]),
+         "positions must be one (x, y) per node: 3 for 6 nodes"),
+    ], ids=["no_edges", "no_weights", "edges_int", "short_pair", "long_pair", "node_count_float",
+            "node_count_one", "weights_scalar", "short_positions"])
+    def test_malformed_part_is_named(self, tmp_path, capsys, edit, message):
+        path = tmp_path / "net.json"
+        save_network(build_network(build_geometric_graph(6, radius=0.7, rng_seed=1)[0]), path)
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        assert main(["spectrum", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error [network] cannot load")
+        assert message in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("n, message", [

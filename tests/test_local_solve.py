@@ -1,5 +1,6 @@
 """Per-node prox solver, gradient step, exact augmented-objective oracle."""
 
+import math
 from unittest import mock
 
 import numpy as np
@@ -375,6 +376,37 @@ class TestSweep:
         for band in (BAND, 1.0):
             grads = self.check(stack, rho, eps, v, x0, band)
             assert grads[0] == 1 and grads[1] > planned + 2
+
+    @pytest.mark.parametrize("kind", ["quadratic", "logistic"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_decisions_at_the_threshold_are_the_vector_checks(self, kind, seed):
+        # with the planned steps fixed, a node's first-round point x does not
+        # depend on epsilon; epsilon stepped ulp by ulp across |g|^2 / (2 nu)
+        # at x puts every check in the rounding band, where |g|^2 from
+        # scalars and the vector check disagree on about half the decisions
+        rng = np.random.default_rng(seed)
+        stack, rho, planned = sweep_stack(kind, 4, 3, 1e2, rng), 0.3, 5
+        v, x0 = 3.0 * rng.standard_normal((2, 4, 3))
+        nu = (stack.node_h_min + rho).tolist()
+        with mock.patch.object(local_solve, "_planned_iterations", lambda *args: planned):
+            first = node_prox_solver(stack, rho, 1e300)  # every first check passes
+            for i in range(4):
+                x = first(i, v[i], x0[i])[0]
+                g = stack.node_grad(i, x) + v[i] + rho * x
+                eps = g.dot(g) / (2.0 * nu[i])
+                for _ in range(8):
+                    eps = math.nextafter(eps, 0.0)
+                decisions = set()
+                for _ in range(17):
+                    passes = math.sqrt(g.dot(g)) <= math.sqrt(2.0 * nu[i] * eps)
+                    solve = node_prox_solver(stack, rho, eps)
+                    grads = [solve(j, v[j], x0[j])[1] for j in range(4)]
+                    swept = solve.sweep(v, x0)[1] - sum(grads) + grads[i]
+                    assert (grads[i] == planned + 2) == passes
+                    assert (swept == planned + 2) == passes
+                    decisions.add(passes)
+                    eps = math.nextafter(eps, math.inf)
+                assert decisions == {True, False}
 
     @pytest.mark.parametrize("kind", ["quadratic", "logistic"])
     def test_cap_names_the_lowest_failing_node(self, kind):

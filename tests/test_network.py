@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -22,6 +23,12 @@ from dalopt.network import (
 )
 
 
+def edge_set(g):
+    """The graph's pairs (i, j), i <= j, read one adjacency entry at a time."""
+    n = g.node_count
+    return {(i, j) for i in range(n) for j in range(i, n) if g.adjacency[i, j]}
+
+
 def chain_metropolis_lambda2(n):
     # chain Metropolis gives L = (1/3) * path Laplacian, whose second
     # eigenvalue is 4 sin^2(pi/(2n))
@@ -32,7 +39,7 @@ class TestGeometricGraph:
     def test_two_nodes_any_radius_complete(self):
         g, attempts = build_geometric_graph(2, radius=10.0, rng_seed=0)
         assert attempts == 1
-        assert (0, 1) in g.edges and (0, 0) in g.edges and (1, 1) in g.edges
+        assert g.adjacency.all()
 
     def test_28_link_instance(self):
         g, attempts = build_geometric_graph(10, radius=0.45, rng_seed=668)
@@ -51,11 +58,11 @@ class TestGeometricGraph:
 class TestChainGraph:
     def test_two_nodes(self):
         g = build_chain_graph(2)
-        assert g.edges == frozenset({(0, 0), (1, 1), (0, 1)})
+        assert edge_set(g) == {(0, 0), (1, 1), (0, 1)}
 
     def test_four_nodes(self):
         g = build_chain_graph(4)
-        links = {e for e in g.edges if e[0] != e[1]}
+        links = {e for e in edge_set(g) if e[0] != e[1]}
         assert links == {(0, 1), (1, 2), (2, 3)}
 
     def test_chain50_lambda2_oracle(self):
@@ -72,7 +79,7 @@ class TestMetropolisWeights:
         assert np.allclose(w.entries, 0.5 * np.ones((2, 2)), atol=1e-15)
 
     def test_three_node_star(self):
-        g = Graph(node_count=3, edges=frozenset({(0, 0), (1, 1), (2, 2), (0, 1), (0, 2)}))
+        g = Graph.from_edges(3, [(0, 1), (0, 2)])
         w = metropolis_weights(g).entries
         assert w[0, 1] == pytest.approx(1 / 3) and w[0, 2] == pytest.approx(1 / 3)
         assert w[0, 0] == pytest.approx(1 / 3)
@@ -173,9 +180,10 @@ class TestSpectrum:
     def test_edge_removal_never_increases_lambda2(self):
         g = build_complete_graph(5)
         base = build_network(g).lambda2
-        for edge in [(0, 1), (1, 2), (2, 3)]:
-            g2 = Graph(node_count=5, edges=frozenset(set(g.edges) - {edge}))
-            assert build_network(g2).lambda2 <= base + 1e-10
+        for i, j in [(0, 1), (1, 2), (2, 3)]:
+            adj = g.adjacency.copy()
+            adj[i, j] = adj[j, i] = False
+            assert build_network(Graph(adj)).lambda2 <= base + 1e-10
 
 
 class TestGraphValidation:
@@ -183,20 +191,41 @@ class TestGraphValidation:
 
     def test_disconnected_rejected(self):
         with pytest.raises(NetworkError, match="disconnected"):
-            Graph(node_count=4, edges=frozenset({(0, 0), (1, 1), (2, 2), (3, 3), (0, 1), (2, 3)}))
+            Graph.from_edges(4, [(0, 1), (2, 3)])
 
     def test_missing_self_loop_rejected(self):
-        with pytest.raises(NetworkError, match="self-loop"):
-            Graph(node_count=2, edges=frozenset({(0, 0), (0, 1)}))
+        with pytest.raises(NetworkError, match="missing self-loop at node 1"):
+            Graph(np.array([[True, True], [True, False]]))
 
     def test_single_node_rejected(self):
         with pytest.raises(NetworkError, match="graph needs at least 2 nodes"):
-            Graph(node_count=1, edges=frozenset({(0, 0)}))
+            Graph(np.ones((1, 1), dtype=bool))
+
+    @pytest.mark.parametrize("adjacency", [np.ones((2, 3), dtype=bool), np.ones(4, dtype=bool),
+                                           np.array(True)], ids=["2x3", "vector", "scalar"])
+    def test_non_square_adjacency_rejected(self, adjacency):
+        with pytest.raises(NetworkError, match="adjacency must be square"):
+            Graph(adjacency)
+
+    def test_asymmetric_adjacency_rejected(self):
+        adj = np.eye(3, dtype=bool)
+        adj[0, 1] = adj[1, 2] = adj[2, 1] = True
+        with pytest.raises(NetworkError, match="adjacency not symmetric"):
+            Graph(adj)
+
+    @pytest.mark.parametrize("positions", [((0.0, 0.0),) * 2, ((0.0, 0.0),) * 4,
+                                           ((0.0, 0.0), (1.0,), (0.5, 0.5))],
+                             ids=["too_few", "too_many", "not_a_pair"])
+    def test_positions_not_one_pair_per_node_rejected(self, positions):
+        with pytest.raises(NetworkError, match=f"positions must be one \\(x, y\\) per node: "
+                                               f"{len(positions)} for 3 nodes"):
+            Graph(np.ones((3, 3), dtype=bool), positions=positions)
 
     @pytest.mark.parametrize("build", [build_chain_graph, build_complete_graph,
-                                       lambda n: build_geometric_graph(n)[0]],
-                             ids=["chain", "complete", "geometric"])
-    @pytest.mark.parametrize("n", [1, 0])
+                                       lambda n: build_geometric_graph(n)[0],
+                                       lambda n: Graph.from_edges(n, [(0, 0)])],
+                             ids=["chain", "complete", "geometric", "from_edges"])
+    @pytest.mark.parametrize("n", [1, 0, -1])
     def test_builders_need_two_nodes(self, build, n):
         with pytest.raises(NetworkError, match="graph needs at least 2 nodes"):
             build(n)
@@ -208,30 +237,37 @@ class TestGraphValidation:
                              ids=["fraction", "float", "string", "none"])
     def test_non_integer_node_id_rejected(self, edge, shown):
         # a fractional id would otherwise be cast to an array index: 0.5 -> 0
-        edges = {(0, 0), (1, 1), (2, 2), (0, 1), (1, 2), edge}
         with pytest.raises(NetworkError, match=shown + " does not join two integer node ids"):
-            Graph(node_count=3, edges=frozenset(edges))
+            Graph.from_edges(3, [(0, 1), (1, 2), edge])
 
     @pytest.mark.parametrize("edge, shown", [((False, True), r"\(False,True\)"),
                                              ((np.False_, 1), r"\(False,1\)")],
                              ids=["bool", "numpy_bool"])
     def test_boolean_node_id_rejected(self, edge, shown):
-        # among integer ids numpy infers an integer dtype: False, True -> 0, 1
-        edges = {(0, 0), (1, 1), (2, 2), edge, (1, 2)}
+        # an int64 array reads False, True as 0, 1
         with pytest.raises(NetworkError, match=shown + " does not join two integer node ids"):
-            Graph(node_count=3, edges=frozenset(edges))
-
+            Graph.from_edges(3, [(1, 2), edge])
 
     @pytest.mark.parametrize("edge", [(0, 2**63), (0, 2**70), (-2**64, 1)])
     def test_id_past_int64_is_out_of_range(self, edge):
-        edges = {(0, 0), (1, 1), (2, 2), (0, 1), (1, 2), edge}
-        with pytest.raises(NetworkError, match=r"out of range or unordered"):
-            Graph(node_count=3, edges=frozenset(edges))
+        with pytest.raises(NetworkError, match=r"\) out of range$"):
+            Graph.from_edges(3, [(0, 1), (1, 2), edge])
+
+    @pytest.mark.parametrize("pair", [[1], [0, 1, 2], (), 5, "01"])
+    def test_edge_not_a_pair_rejected(self, pair):
+        message = f"edge {pair!r} is not a pair of node ids"
+        with pytest.raises(NetworkError, match=re.escape(message)):
+            Graph.from_edges(3, [(0, 1), pair, (1, 2)])
 
     def test_numpy_integer_ids(self):
-        edges = {(np.int64(i), np.int32(i)) for i in range(3)} | {(0, 1), (np.int64(1), 2)}
-        g = Graph(node_count=3, edges=frozenset(edges))
+        pairs = [(np.int64(i), np.int32(i)) for i in range(3)] + [(0, 1), (np.int64(1), 2)]
+        g = Graph.from_edges(3, pairs)
         assert g.link_count == 2 and g.adjacency[1, 2]
+
+    def test_a_pair_in_either_order_is_one_link(self):
+        # (j, i) is the link (i, j); a repeated pair or a self-loop adds nothing
+        g = Graph.from_edges(4, [(1, 0), (2, 1), (1, 2), (3, 2), (3, 3)])
+        assert np.array_equal(g.adjacency, build_chain_graph(4).adjacency)
 
 class TestNetworkModel:
     def test_w_of_another_size_rejected(self):
@@ -257,7 +293,8 @@ class TestSerialization:
         path = tmp_path / "net.json"
         save_network(net, path)
         loaded = load_network(path)
-        assert loaded.graph.edges == net.graph.edges
+        assert np.array_equal(loaded.graph.adjacency, net.graph.adjacency)
+        assert loaded.graph.positions == net.graph.positions
         assert np.allclose(loaded.weights.entries, net.weights.entries, atol=0)
         assert loaded.lambda2 == pytest.approx(net.lambda2, abs=1e-14)
         assert loaded.meta == {"seed": 2}
@@ -286,7 +323,7 @@ class TestSerialization:
         doc = {
             "node_count": net.node_count,
             "positions": net.graph.positions,
-            "edges": sorted(list(e) for e in net.graph.edges),
+            "edges": sorted(list(e) for e in edge_set(net.graph)),
             "weights": net.weights.entries.tolist(),
             "meta": net.meta,
         }
@@ -299,12 +336,12 @@ def metropolis_oracle(g):
     """Per-edge Metropolis rule, one Python step per edge and per row."""
     n = g.node_count
     hoods = [{i} for i in range(n)]
-    for i, j in g.edges:
+    for i, j in edge_set(g):
         hoods[i].add(j)
         hoods[j].add(i)
     deg = [len(h) - 1 for h in hoods]
     w = np.zeros((n, n))
-    for i, j in g.edges:
+    for i, j in edge_set(g):
         if i != j:
             w[i, j] = w[j, i] = 1.0 / (1.0 + max(deg[i], deg[j]))
     for i in range(n):
@@ -363,8 +400,7 @@ GEOMETRIC_GRID = [(n, radius, seed) for n, radius, seeds in [
 
 
 def star_graph(n):
-    edges = {(i, i) for i in range(n)} | {(0, i) for i in range(1, n)}
-    return Graph(node_count=n, edges=frozenset(edges))
+    return Graph.from_edges(n, [(0, i) for i in range(1, n)])
 
 
 def oracle_graphs():
@@ -397,7 +433,7 @@ class TestNetworkOracles:
                 build_geometric_graph(n, radius=radius, rng_seed=seed)
             return
         g, attempts = build_geometric_graph(n, radius=radius, rng_seed=seed)
-        assert (g.edges, attempts) == expected
+        assert (edge_set(g), attempts) == expected
 
     @pytest.mark.parametrize("n, radius, seed", GEOMETRIC_GRID)
     def test_geometric_matches_the_norm_builder(self, n, radius, seed):
@@ -407,7 +443,7 @@ class TestNetworkOracles:
                 build_geometric_graph(n, radius=radius, rng_seed=seed)
             return
         g, attempts = build_geometric_graph(n, radius=radius, rng_seed=seed)
-        assert (g.edges, g.positions, attempts) == expected
+        assert (edge_set(g), g.positions, attempts) == expected
 
     def test_geometric_grid_has_redraws(self):
         attempts = [geometric_by_norm(*case) for case in GEOMETRIC_GRID]
@@ -416,9 +452,9 @@ class TestNetworkOracles:
 
     @pytest.mark.parametrize("name", ["star10", "geometric50_s3", "chain2", "complete10"])
     def test_degree_links_and_neighborhoods_follow_the_edges(self, name):
-        g = ORACLE_GRAPHS[name]
-        n = g.node_count
-        links = {e for e in g.edges if e[0] != e[1]}
+        links = {e for e in edge_set(ORACLE_GRAPHS[name]) if e[0] != e[1]}
+        n = ORACLE_GRAPHS[name].node_count
+        g = Graph.from_edges(n, sorted(links))
         assert g.link_count == len(links)
         for i in range(n):
             hood = {i} | {b for a, b in links if a == i} | {a for a, b in links if b == i}
@@ -426,8 +462,7 @@ class TestNetworkOracles:
         with pytest.raises(ValueError):
             g.adjacency[0, 0] = False
 
-    @pytest.mark.parametrize("edge", [(0, 5), (-1, 0), (2, 1)])
+    @pytest.mark.parametrize("edge", [(0, 5), (-1, 0)])
     def test_bad_edge_is_a_network_error(self, edge):
-        edges = {(0, 0), (1, 1), (2, 2), (0, 1), (1, 2), edge}
-        with pytest.raises(NetworkError, match="out of range or unordered"):
-            Graph(node_count=3, edges=frozenset(edges))
+        with pytest.raises(NetworkError, match=r"edge \(%d,%d\) out of range$" % edge):
+            Graph.from_edges(3, [(0, 1), (1, 2), edge])
