@@ -25,9 +25,7 @@ from .harness import (
 from .local_solve import exact_al_minimizer
 from .network import (
     Graph,
-    LaplacianSpectrum,
     NetworkModel,
-    WeightMatrix,
     build_chain_graph,
     build_complete_graph,
     build_geometric_graph,

@@ -249,7 +249,7 @@ def _tick_phase(stack, net, cfg, k_max, schedule):
         raise ConfigError("schedule shorter than k_max")
     else:
         draws = (s.nodes for s in schedule)
-    weights = net.weights.entries
+    weights = net.weights
     if cfg.variant == "rand_gradient":
         gradient_ticks = node_gradient_step(stack, weights, cfg.beta, cfg.rho)
 

@@ -46,8 +46,8 @@ def _cmd_spectrum(args):
     print(f"nodes: {net.node_count}")
     print(f"links: {net.graph.link_count}")
     print(f"lambda2: {net.lambda2:.17g}")
-    print(f"lambda_max: {net.spec.lambda_max:.17g}")
-    vals = ", ".join(f"{v:.12g}" for v in net.spec.eigvals_reduced)
+    print(f"lambda_max: {net.lambda_max:.17g}")
+    vals = ", ".join(f"{v:.12g}" for v in net.eigvals_reduced)
     print(f"reduced eigenvalues: {vals}")
     return 0
 

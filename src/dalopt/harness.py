@@ -313,7 +313,7 @@ def trace_metrics(stack, net: NetworkModel, ref: ReferenceSolution, trace: RunTr
         rel.append(relative_cost_error(stack, ref, x))
         prim.append(float(np.linalg.norm(x - saddle.x_bullet)))
         dual.append(np.linalg.norm(mu.reshape(stack.n_nodes, -1).sum(axis=0)))
-        lyap.append(lyapunov_value(x, mu, saddle, net.spec, stack.h_min))
+        lyap.append(lyapunov_value(x, mu, saddle, net, stack.h_min))
     return np.array(rel), np.array(prim), np.array(dual), np.array(lyap)
 
 

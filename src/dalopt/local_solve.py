@@ -522,7 +522,7 @@ def exact_al_minimizer(
     mu = np.asarray(mu, dtype=float)
     x = np.zeros(n * d) if x0 is None else np.asarray(x0, dtype=float)
     x = accelerated_gradient(lambda z: al_objective_grad(stack, net, z, mu, rho), x,
-                             stack.h_min, stack.h_max + rho * net.spec.lambda_max, tol,
+                             stack.h_min, stack.h_max + rho * net.lambda_max, tol,
                              max_iterations)
     if x is None:
         raise SolverError(f"augmented-objective solve did not reach tol={tol}")
@@ -538,5 +538,5 @@ def exact_al_minimizer_direct(stack: ObjectiveStack, net: NetworkModel, mu, rho)
     mu = np.asarray(mu, dtype=float)
     h = np.zeros((n, d, n, d))
     h[np.arange(n), :, np.arange(n), :] = stack.matrices
-    h = h.reshape(n * d, n * d) + rho * np.kron(net.spec.laplacian, np.eye(d))
+    h = h.reshape(n * d, n * d) + rho * np.kron(net.laplacian, np.eye(d))
     return np.linalg.solve(h, -(stack.linears.reshape(-1) + mu))

@@ -1,9 +1,9 @@
-"""Communication graphs, weight matrices, and Laplacian spectral objects.
+"""Communication graphs, their weight matrices and Laplacian spectra.
 
 All downstream algorithm and rate computations consume the objects built
-here: an undirected connected graph with self-loops, a symmetric stochastic
-weight matrix W, and the eigendecomposition of the weighted Laplacian
-L = I - W.
+here: an undirected connected graph with self-loops, and the network on it,
+a symmetric stochastic weight matrix W with the eigendecomposition of the
+weighted Laplacian L = I - W.
 """
 
 from __future__ import annotations
@@ -15,8 +15,6 @@ import numpy as np
 
 __all__ = [
     "Graph",
-    "WeightMatrix",
-    "LaplacianSpectrum",
     "NetworkModel",
     "NetworkError",
     "build_geometric_graph",
@@ -46,7 +44,8 @@ class Graph:
     holds the self-loops. Every Graph is valid: construction raises
     NetworkError unless the adjacency is square with N >= 2, has a self-loop
     at every node, is symmetric and connected, and ``positions`` is None or
-    one (x, y) per node. ``Graph.from_edges`` makes one from node-id pairs.
+    one (x, y) of two real numbers per node, kept as a tuple of tuples.
+    ``Graph.from_edges`` makes one from node-id pairs.
     """
 
     adjacency: np.ndarray
@@ -63,9 +62,8 @@ class Graph:
             raise NetworkError("adjacency not symmetric")
         if not _connected(adj):
             raise NetworkError("graph is disconnected")
-        pts = self.positions
-        if pts is not None and (len(pts) != n or any(len(p) != 2 for p in pts)):
-            raise NetworkError(f"positions must be one (x, y) per node: {len(pts)} for {n} nodes")
+        if self.positions is not None:
+            object.__setattr__(self, "positions", _points(self.positions, n))
         adj.flags.writeable = False
         object.__setattr__(self, "adjacency", adj)
 
@@ -94,6 +92,23 @@ def _node_count(n):
     if n < 2:
         raise NetworkError("graph needs at least 2 nodes")
     return n
+
+
+def _points(pts, n):
+    """pts as n (x, y) tuples of two real numbers; NetworkError names the first fault."""
+    if not isinstance(pts, (list, tuple, np.ndarray)):
+        raise NetworkError(f"positions must be a list of (x, y), not {type(pts).__name__}")
+    if len(pts) != n:
+        raise NetworkError(f"positions must be one (x, y) per node: {len(pts)} for {n} nodes")
+    for i, p in enumerate(pts):
+        if not (isinstance(p, (list, tuple, np.ndarray)) and len(p) == 2 and _real(p[0])
+                and _real(p[1])):
+            raise NetworkError(f"positions[{i}] = {p!r} is not two real numbers")
+    return tuple(map(tuple, pts))
+
+
+def _real(v):
+    return isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
 
 
 def _edge_fault(pairs, n):
@@ -140,7 +155,7 @@ def build_geometric_graph(n, radius=0.45, rng_seed=0, max_attempts=100):
         dx, dy = (pts[:, None, k] - pts[None, :, k] for k in (0, 1))
         close = np.sqrt(dx * dx + dy * dy) < radius  # bit for bit np.linalg.norm's
         if _connected(close):
-            return Graph(close, positions=tuple(map(tuple, pts))), attempt + 1
+            return Graph(close, positions=pts), attempt + 1
     raise NetworkError(
         f"no connected geometric graph in {max_attempts} attempts "
         f"(n={n}, radius={radius}); radius likely infeasible"
@@ -156,35 +171,7 @@ def build_complete_graph(n):
     return Graph(np.ones((_node_count(n),) * 2, dtype=bool))
 
 
-@dataclass(frozen=True, eq=False)
-class WeightMatrix:
-    """Symmetric stochastic weight matrix with support on the graph edges.
-
-    Positive definiteness is not enforced here: the plain Metropolis matrix
-    of e.g. a 2-node graph is singular. ``build_network`` makes the
-    positive definite matrix the algorithms require.
-    """
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.entries, dtype=float)
-        object.__setattr__(self, "entries", w)
-        if w.ndim != 2 or len(w) != w.shape[1]:
-            raise NetworkError("weight matrix must be square")
-        if np.max(np.abs(w - w.T)) > SYMMETRY_TOL:
-            raise NetworkError("weight matrix not symmetric")
-        if np.max(np.abs(w @ np.ones(len(w)) - 1.0)) > STOCHASTIC_TOL:
-            raise NetworkError("weight matrix rows do not sum to 1")
-        if np.min(w) < -STOCHASTIC_TOL:
-            raise NetworkError("weight matrix has negative entries")
-
-    @property
-    def node_count(self):
-        return self.entries.shape[0]
-
-
-def metropolis_weights(g: Graph) -> WeightMatrix:
+def metropolis_weights(g: Graph) -> np.ndarray:
     """Metropolis rule: W_ij = 1/(1+max(deg_i,deg_j)) on edges, diagonal
     fills the row to 1. Degrees count neighbors excluding the self-loop."""
     adj = g.adjacency
@@ -192,21 +179,79 @@ def metropolis_weights(g: Graph) -> WeightMatrix:
     links = adj & ~np.eye(g.node_count, dtype=bool)
     w = np.where(links, 1.0 / (1.0 + np.maximum.outer(deg, deg)), 0.0)
     w[np.diag_indices_from(w)] = 1.0 - w.sum(axis=1)
-    return WeightMatrix(w)
+    return w
+
+
+def spectrum(w):
+    """(laplacian, eigvals_reduced, q_reduced): L = I - W and its full
+    symmetric eigendecomposition with the zero mode split off.
+
+    The smallest eigenvalue is analytically 0 (the all-ones vector) and is
+    dropped: ``eigvals_reduced`` holds lambda_2 <= ... <= lambda_N and
+    ``q_reduced`` the matching eigenvectors (N x (N-1)); the excluded pair
+    is (0, 1/sqrt(N)). Raises if lambda_2 <= LAMBDA2_TOL (disconnected or
+    numerically degenerate).
+    """
+    lap = np.eye(len(w)) - w
+    vals, vecs = np.linalg.eigh(lap)
+    if vals[1] <= LAMBDA2_TOL:
+        raise NetworkError(f"lambda_2 = {vals[1]:.3e} <= tol; graph degenerate")
+    return lap, vals[1:].copy(), vecs[:, 1:].copy()
 
 
 @dataclass(frozen=True, eq=False)
-class LaplacianSpectrum:
-    """Eigendecomposition of L = I - W with the zero mode split off.
+class NetworkModel:
+    """A graph, its weight matrix W and the spectrum of L = I - W.
 
-    ``eigvals_reduced`` holds lambda_2 <= ... <= lambda_N and ``q_reduced``
-    the matching eigenvectors (N x (N-1)); the excluded pair is
-    (0, 1/sqrt(N)).
+    Construction raises NetworkError unless ``weights`` is a square W of the
+    graph's size, finite and symmetric, with rows that sum to 1 and no
+    negative entry, vanishing off the links and self-loops (a node reads
+    only its neighbors' blocks); ``build_network`` makes the positive
+    definite W the algorithms require. ``laplacian``, ``eigvals_reduced`` and ``q_reduced``
+    are ``spectrum(W)``. W is a private copy; it and the spectrum are
+    read-only, so a network is safe to share across threads.
     """
 
-    laplacian: np.ndarray
-    eigvals_reduced: np.ndarray
-    q_reduced: np.ndarray
+    graph: Graph
+    weights: np.ndarray
+    meta: dict = field(default_factory=dict)
+    laplacian: np.ndarray = field(init=False)
+    eigvals_reduced: np.ndarray = field(init=False)
+    q_reduced: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        try:
+            w = np.array(self.weights)
+        except ValueError:  # rows of unequal length
+            w = None
+        if w is None or w.dtype.kind not in "iuf":
+            raise NetworkError("weights must be equal-length rows of real numbers")
+        w, n = w.astype(float, copy=False), self.graph.node_count
+        if w.ndim != 2 or len(w) != w.shape[1]:
+            raise NetworkError("weight matrix must be square")
+        if len(w) != n:
+            raise NetworkError(f"W is {len(w)} x {len(w)} but the graph has {n} nodes")
+        if not np.isfinite(w).all():
+            raise NetworkError("weight matrix has non-finite entries")
+        if np.max(np.abs(w - w.T)) > SYMMETRY_TOL:
+            raise NetworkError("weight matrix not symmetric")
+        if np.max(np.abs(w @ np.ones(len(w)) - 1.0)) > STOCHASTIC_TOL:
+            raise NetworkError("weight matrix rows do not sum to 1")
+        if np.min(w) < -STOCHASTIC_TOL:
+            raise NetworkError("weight matrix has negative entries")
+        off_graph = np.argwhere((w != 0) & ~self.graph.adjacency)
+        if off_graph.size:
+            i, j = off_graph[0].tolist()
+            raise NetworkError(f"W[{i}, {j}] = {float(w[i, j])!r} but ({i}, {j}) is not a link "
+                               f"of the graph: a node reads only its neighbors' blocks")
+        fields = ("weights", "laplacian", "eigvals_reduced", "q_reduced")
+        for name, value in zip(fields, (w, *spectrum(w))):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
+
+    @property
+    def node_count(self):
+        return self.graph.node_count
 
     @property
     def lambda2(self):
@@ -216,70 +261,15 @@ class LaplacianSpectrum:
     def lambda_max(self):
         return float(self.eigvals_reduced[-1])
 
-
-def spectrum(w: WeightMatrix) -> LaplacianSpectrum:
-    """Full symmetric eigendecomposition of L = I - W.
-
-    The smallest eigenvalue is analytically 0 (the all-ones vector) and is
-    clamped to exact 0; the remaining eigenpairs form the reduced spectrum.
-    Raises if lambda_2 <= LAMBDA2_TOL (disconnected or numerically
-    degenerate).
-    """
-    lap = np.eye(w.node_count) - w.entries
-    vals, vecs = np.linalg.eigh(lap)
-    if vals[1] <= LAMBDA2_TOL:
-        raise NetworkError(f"lambda_2 = {vals[1]:.3e} <= tol; graph degenerate")
-    return LaplacianSpectrum(
-        laplacian=lap,
-        eigvals_reduced=vals[1:].copy(),
-        q_reduced=vecs[:, 1:].copy(),
-    )
-
-
-@dataclass(frozen=True, eq=False)
-class NetworkModel:
-    """Bundle of graph, weight matrix, and the Laplacian spectrum of W.
-
-    W lives on its graph: it has the graph's size and vanishes off the
-    links and self-loops, so a node reads only its neighbors' blocks.
-    Construction raises NetworkError otherwise, naming the first off-graph
-    pair, and then computes ``spec`` from W. Immutable after construction;
-    safe to share read-only across threads.
-    """
-
-    graph: Graph
-    weights: WeightMatrix
-    meta: dict = field(default_factory=dict)
-    spec: LaplacianSpectrum = field(init=False)
-
-    def __post_init__(self):
-        w, n = self.weights.entries, self.graph.node_count
-        if len(w) != n:
-            raise NetworkError(f"W is {len(w)} x {len(w)} but the graph has {n} nodes")
-        off_graph = np.argwhere((w != 0) & ~self.graph.adjacency)
-        if off_graph.size:
-            i, j = off_graph[0].tolist()
-            raise NetworkError(f"W[{i}, {j}] = {float(w[i, j])!r} but ({i}, {j}) is not a link "
-                               f"of the graph: a node reads only its neighbors' blocks")
-        object.__setattr__(self, "spec", spectrum(self.weights))
-
-    @property
-    def node_count(self):
-        return self.graph.node_count
-
-    @property
-    def lambda2(self):
-        return self.spec.lambda2
-
     def laplacian_apply(self, x, d):
         """(L (x) I) x for stacked x in R^{N d}."""
         xm = np.asarray(x).reshape(self.node_count, d)
-        return (self.spec.laplacian @ xm).reshape(-1)
+        return (self.laplacian @ xm).reshape(-1)
 
     def weights_apply(self, x, d):
         """(W (x) I) x, i.e. per-node neighbor averages."""
         xm = np.asarray(x).reshape(self.node_count, d)
-        return (self.weights.entries @ xm).reshape(-1)
+        return (self.weights @ xm).reshape(-1)
 
 
 def build_network(graph: Graph, meta=None) -> NetworkModel:
@@ -288,8 +278,7 @@ def build_network(graph: Graph, meta=None) -> NetworkModel:
 
     M has its eigenvalues in [-1, 1], so W has them in [0.1, 1]: it is
     positive definite, as the rate analysis assumes."""
-    w = WeightMatrix(1.1 / 2.0 * np.eye(graph.node_count)
-                     + 0.9 / 2.0 * metropolis_weights(graph).entries)
+    w = 1.1 / 2.0 * np.eye(graph.node_count) + 0.9 / 2.0 * metropolis_weights(graph)
     return NetworkModel(graph=graph, weights=w, meta=dict(meta or {}))
 
 
@@ -311,7 +300,7 @@ def save_network(net: NetworkModel, path):
     pieces = np.empty(2 * len(rows), dtype=object)  # "[i, j]," texts, opening and closing
     pieces[0::2] = np.array([f"\n  [\n   {i},\n   " for i in nodes], dtype=object)[rows]
     pieces[1::2] = np.array([f"{j}\n  ]," for j in nodes], dtype=object)[cols]
-    bits = net.weights.entries.view(np.uint64)
+    bits = net.weights.view(np.uint64)
     ranked = np.sort(bits, axis=None)  # np.unique would import numpy.ma, 1 MB of RSS
     distinct = ranked[np.concatenate(([True], ranked[1:] != ranked[:-1]))]
     codes = np.searchsorted(distinct, bits)  # W's entries as indices into texts
@@ -332,11 +321,12 @@ def load_network(path) -> NetworkModel:
     for key in ("node_count", "edges", "weights"):
         if key not in doc:
             raise NetworkError(f"missing key {key!r}")
-    n, edges, positions = doc["node_count"], doc["edges"], doc.get("positions")
+    n, edges, meta = doc["node_count"], doc["edges"], doc.get("meta", {})
     if type(n) is not int:
         raise NetworkError(f"node_count must be an integer >= 2, not {n!r}")
     if not isinstance(edges, list):
         raise NetworkError("edges must be a list of pairs of node ids")
-    g = Graph.from_edges(n, edges, positions=tuple(map(tuple, positions)) if positions else None)
-    w = WeightMatrix(np.array(doc["weights"], dtype=float))
-    return NetworkModel(graph=g, weights=w, meta=doc.get("meta", {}))
+    if not isinstance(meta, dict):
+        raise NetworkError(f"meta must be an object, not {type(meta).__name__}")
+    g = Graph.from_edges(n, edges, positions=doc.get("positions"))
+    return NetworkModel(graph=g, weights=doc["weights"], meta=meta)

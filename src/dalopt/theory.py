@@ -260,7 +260,7 @@ def saddle_residuals(stack: ObjectiveStack, net: NetworkModel, x, mu, rho):
     )
 
 
-def lyapunov_value(x, mu, saddle: SaddlePoint, spec, h_min) -> float:
+def lyapunov_value(x, mu, saddle: SaddlePoint, net: NetworkModel, h_min) -> float:
     """max(primal error norm, (2/h_min) * transformed dual error norm).
 
     The dual error is projected onto the reduced Laplacian eigenbasis and
@@ -269,11 +269,11 @@ def lyapunov_value(x, mu, saddle: SaddlePoint, spec, h_min) -> float:
     """
     x = np.asarray(x, dtype=float)
     mu = np.asarray(mu, dtype=float)
-    n = spec.q_reduced.shape[0]
+    n = net.node_count
     d = x.size // n
     primal = float(np.linalg.norm(x - saddle.x_bullet))
     mu_err = (mu - saddle.mu_bullet).reshape(n, d)
-    proj = spec.q_reduced.T @ mu_err  # (N-1) x d
-    scaled = proj / np.sqrt(spec.eigvals_reduced)[:, None]
+    proj = net.q_reduced.T @ mu_err  # (N-1) x d
+    scaled = proj / np.sqrt(net.eigvals_reduced)[:, None]
     dual = 2.0 / h_min * float(np.linalg.norm(scaled))
     return max(primal, dual)

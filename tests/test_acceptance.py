@@ -198,7 +198,7 @@ def test_criterion_5_global_linear_rate(rate_instance):
             cert = certificate(cfg, stack, net, ref.x_star)
             assert cert.alpha_ok and cert.xi_ok, recipe
             lyap = np.array([
-                lyapunov_value(x, mu, saddle, net.spec, stack.h_min)
+                lyapunov_value(x, mu, saddle, net, stack.h_min)
                 for x, mu in zip(trace.xs, trace.mus)
             ])
             floor = lyap.min()

@@ -80,7 +80,7 @@ class TestDualUpdate:
         d = 3
         x1, x2 = rng.standard_normal(15), rng.standard_normal(15)
         mus = self.dual_iterates(chain5_net, d, 0.3, [x1, x2])
-        lap = np.kron(chain5_net.spec.laplacian, np.eye(d))
+        lap = np.kron(chain5_net.laplacian, np.eye(d))
         assert np.allclose(mus[1], 0.3 * lap @ x1, atol=1e-12)
         # the second step starts from the nonzero dual the first one left
         assert np.allclose(mus[2], mus[1] + 0.3 * lap @ x2, atol=1e-12)

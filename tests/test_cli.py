@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import re
 import tempfile
 from pathlib import Path
@@ -312,8 +313,27 @@ class TestSpectrum:
         (lambda doc: doc.update(weights=5), "weight matrix must be square"),
         (lambda doc: doc.update(positions=doc["positions"][:3]),
          "positions must be one (x, y) per node: 3 for 6 nodes"),
+        (lambda doc: doc.update(positions=5), "positions must be a list of (x, y), not int"),
+        (lambda doc: doc.update(positions=False), "positions must be a list of (x, y), not bool"),
+        (lambda doc: doc.update(positions=""), "positions must be a list of (x, y), not str"),
+        (lambda doc: doc.update(positions={}), "positions must be a list of (x, y), not dict"),
+        (lambda doc: doc.update(positions=[]), "positions must be one (x, y) per node: 0 for 6 nodes"),
+        (lambda doc: doc["positions"][1].__setitem__(0, "a"), "positions[1] = ['a', "),
+        (lambda doc: doc["positions"][1].__setitem__(1, None), "positions[1] = [0."),
+        (lambda doc: doc["positions"][1].__setitem__(0, [0.5]), "positions[1] = [[0.5], "),
+        (lambda doc: doc.update(meta=[1]), "meta must be an object, not list"),
+        (lambda doc: doc.update(weights=[["a"]]), "weights must be equal-length rows of real numbers"),
+        (lambda doc: doc["weights"][3].pop(), "weights must be equal-length rows of real numbers"),
+        (lambda doc: doc["weights"][2].__setitem__(2, math.inf), "weight matrix has non-finite entries"),
+        (lambda doc: doc["weights"][2].__setitem__(2, math.nan), "weight matrix has non-finite entries"),
+        (lambda doc: doc["weights"][0].__setitem__(1, math.inf), "weight matrix has non-finite entries"),
+        (lambda doc: doc["weights"][0].__setitem__(1, math.nan), "weight matrix has non-finite entries"),
     ], ids=["no_edges", "no_weights", "edges_int", "short_pair", "long_pair", "node_count_float",
-            "node_count_one", "weights_scalar", "short_positions"])
+            "node_count_one", "weights_scalar", "short_positions", "positions_int",
+            "positions_false", "positions_empty_string", "positions_object", "positions_empty_list",
+            "coordinate_string", "coordinate_null", "coordinate_list", "meta_list",
+            "weights_string", "weights_ragged", "weight_inf_diagonal", "weight_nan_diagonal",
+            "weight_inf_off_diagonal", "weight_nan_off_diagonal"])
     def test_malformed_part_is_named(self, tmp_path, capsys, edit, message):
         path = tmp_path / "net.json"
         save_network(build_network(build_geometric_graph(6, radius=0.7, rng_seed=1)[0]), path)
@@ -326,6 +346,18 @@ class TestSpectrum:
         assert message in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("edit", [lambda doc: doc.pop("positions"),
+                                      lambda doc: doc.update(positions=None)],
+                             ids=["missing", "null"])
+    def test_no_positions_is_accepted(self, tmp_path, capsys, edit):
+        path = tmp_path / "net.json"
+        save_network(build_network(build_geometric_graph(6, radius=0.7, rng_seed=1)[0]), path)
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        assert main(["spectrum", str(path)]) == 0
+        assert "nodes: 6" in capsys.readouterr().out
+
     @pytest.mark.parametrize("n, message", [
         (3, r"W\[0, 2\] = .* but \(0, 2\) is not a link of the graph"),
         (4, "W is 4 x 4 but the graph has 3 nodes"),
@@ -335,7 +367,7 @@ class TestSpectrum:
         path = tmp_path / "net.json"
         save_network(build_network(build_chain_graph(3)), path)
         doc = json.loads(path.read_text())
-        doc["weights"] = build_network(build_complete_graph(n)).weights.entries.tolist()
+        doc["weights"] = build_network(build_complete_graph(n)).weights.tolist()
         path.write_text(json.dumps(doc))
         assert main(["spectrum", str(path)]) == 1
         err = capsys.readouterr().err

@@ -429,7 +429,7 @@ class TestNodeGradientStep:
         beta, rho = 0.05, 1.3
         for stack in TestNodeProxSolver.stacks(quad5_stack):
             n, d = stack.n_nodes, stack.dimension
-            w = build_network(build_chain_graph(n)).weights.entries
+            w = build_network(build_chain_graph(n)).weights
             x0, mu = (scale * rng.standard_normal((n, d)) for _ in range(2))
             ticks, costs = node_gradient_step(stack, w, beta, rho), node_costs(stack)
             nodes = [*range(n), 2, 2, 0, n - 1, 2]
@@ -447,7 +447,7 @@ class TestNodeGradientStep:
 
     def test_rejects_nonpositive_beta(self, chain5_net, quad5_stack):
         with pytest.raises(ValueError, match="beta"):
-            node_gradient_step(quad5_stack, chain5_net.weights.entries, 0.0, 1.0)
+            node_gradient_step(quad5_stack, chain5_net.weights, 0.0, 1.0)
 
 
 class TestGradientStepLocal:

@@ -11,7 +11,6 @@ from dalopt.network import (
     Graph,
     NetworkError,
     NetworkModel,
-    WeightMatrix,
     build_chain_graph,
     build_complete_graph,
     build_geometric_graph,
@@ -66,21 +65,21 @@ class TestChainGraph:
         assert links == {(0, 1), (1, 2), (2, 3)}
 
     def test_chain50_lambda2_oracle(self):
-        w = metropolis_weights(build_chain_graph(50))
-        spec = spectrum(w)
-        assert spec.lambda2 == pytest.approx(chain_metropolis_lambda2(50), abs=1e-10)
+        g = build_chain_graph(50)
+        net = NetworkModel(graph=g, weights=metropolis_weights(g))
+        assert net.lambda2 == pytest.approx(chain_metropolis_lambda2(50), abs=1e-10)
         # Theta(1/N^2) scaling
-        assert 0.1 / 50**2 < spec.lambda2 < 10.0 / 50**2
+        assert 0.1 / 50**2 < net.lambda2 < 10.0 / 50**2
 
 
 class TestMetropolisWeights:
     def test_two_node(self):
         w = metropolis_weights(build_chain_graph(2))
-        assert np.allclose(w.entries, 0.5 * np.ones((2, 2)), atol=1e-15)
+        assert np.allclose(w, 0.5 * np.ones((2, 2)), atol=1e-15)
 
     def test_three_node_star(self):
         g = Graph.from_edges(3, [(0, 1), (0, 2)])
-        w = metropolis_weights(g).entries
+        w = metropolis_weights(g)
         assert w[0, 1] == pytest.approx(1 / 3) and w[0, 2] == pytest.approx(1 / 3)
         assert w[0, 0] == pytest.approx(1 / 3)
         assert w[1, 1] == pytest.approx(2 / 3) and w[2, 2] == pytest.approx(2 / 3)
@@ -89,7 +88,7 @@ class TestMetropolisWeights:
     def test_row_sums_one(self):
         g, _ = build_geometric_graph(12, radius=0.6, rng_seed=5)
         w = metropolis_weights(g)
-        assert np.max(np.abs(w.entries @ np.ones(12) - 1.0)) <= 1e-12
+        assert np.max(np.abs(w @ np.ones(12) - 1.0)) <= 1e-12
 
 
 class TestScaleWeights:
@@ -97,8 +96,8 @@ class TestScaleWeights:
 
     def test_default_scaling_positive_definite(self):
         g, _ = build_geometric_graph(10, radius=0.45, rng_seed=668)
-        w = build_network(g).weights.entries
-        m = metropolis_weights(g).entries
+        w = build_network(g).weights
+        m = metropolis_weights(g)
         assert np.array_equal(w, 1.1 / 2.0 * np.eye(10) + 0.9 / 2.0 * m)
         assert np.linalg.eigvalsh(w)[0] > 0.0
 
@@ -109,7 +108,7 @@ class TestScaleWeights:
     ], ids=["chain2", "chain30", "complete2", "complete25", "geometric40", "geometric60"])
     def test_smallest_eigenvalue_at_least_a_tenth(self, graph):
         # M has its eigenvalues in [-1, 1], so W has them in [0.1, 1]
-        assert np.linalg.eigvalsh(build_network(graph).weights.entries)[0] >= 0.1 - 1e-12
+        assert np.linalg.eigvalsh(build_network(graph).weights)[0] >= 0.1 - 1e-12
 
     def test_one_eigendecomposition_per_network(self, monkeypatch):
         # build_network runs eigh once, for the spectrum, and never eigvalsh
@@ -125,32 +124,62 @@ class TestScaleWeights:
         assert len(calls) == 1
 
 
-class TestWeightMatrixValidation:
+class TestWeightValidation:
+    """A NetworkModel checks its W before it computes the spectrum."""
+
     def test_asymmetric_rejected(self):
         m = np.array([[0.5, 0.5], [0.4, 0.6]])
-        with pytest.raises(NetworkError, match="symmetric"):
-            WeightMatrix(m)
+        with pytest.raises(NetworkError, match="weight matrix not symmetric"):
+            NetworkModel(graph=build_complete_graph(2), weights=m)
 
     def test_bad_row_sum_rejected(self):
         m = np.array([[0.5, 0.4], [0.4, 0.5]])
-        with pytest.raises(NetworkError, match="sum"):
-            WeightMatrix(m)
+        with pytest.raises(NetworkError, match="weight matrix rows do not sum to 1"):
+            NetworkModel(graph=build_complete_graph(2), weights=m)
 
     def test_negative_entry_rejected(self):
         m = np.array([[1.2, -0.2], [-0.2, 1.2]])
-        with pytest.raises(NetworkError, match="negative"):
-            WeightMatrix(m)
+        with pytest.raises(NetworkError, match="weight matrix has negative entries"):
+            NetworkModel(graph=build_complete_graph(2), weights=m)
+
+    @pytest.mark.parametrize("weights", [np.ones((2, 3)) / 3, np.ones(3) / 3, np.array(1.0)],
+                             ids=["2x3", "vector", "scalar"])
+    def test_non_square_rejected(self, weights):
+        with pytest.raises(NetworkError, match="weight matrix must be square"):
+            NetworkModel(graph=build_complete_graph(3), weights=weights)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "minus_inf"])
+    @pytest.mark.parametrize("at", [(0, 0), (0, 1)], ids=["diagonal", "off_diagonal"])
+    def test_non_finite_rejected(self, value, at):
+        # each NaN comparison is False, so a NaN would pass every other check
+        w = build_network(build_complete_graph(3)).weights.copy()
+        w[at] = w[at[::-1]] = value
+        with pytest.raises(NetworkError, match="weight matrix has non-finite entries"):
+            NetworkModel(graph=build_complete_graph(3), weights=w)
+
+    @pytest.mark.parametrize("weights", [[["a", 0.5], [0.5, 0.5]], [[0.5, 0.5], [0.5]],
+                                         [[None, 0.5], [0.5, 0.5]], [[True, False], [False, True]],
+                                         [[2**70, 0], [0, 1]]],
+                             ids=["string", "ragged", "none", "bool", "past_int64"])
+    def test_not_real_numbers_rejected(self, weights):
+        with pytest.raises(NetworkError, match="weights must be equal-length rows of real numbers"):
+            NetworkModel(graph=build_complete_graph(2), weights=weights)
+
+    def test_integer_entries_are_read_as_floats(self):
+        net = NetworkModel(graph=build_complete_graph(2), weights=[[0, 1], [1, 0]])
+        assert net.weights.dtype == np.float64 and net.lambda2 == pytest.approx(2.0, abs=1e-12)
 
 
 class TestSpectrum:
     def test_ideal_consensus_matrix(self):
         n = 4
-        spec = spectrum(WeightMatrix(np.full((n, n), 1.0 / n)))
-        assert np.allclose(spec.eigvals_reduced, 1.0, atol=1e-12)
+        lap, eigvals, q = spectrum(np.full((n, n), 1.0 / n))
+        assert np.allclose(eigvals, 1.0, atol=1e-12)
+        assert lap.shape == (n, n) and q.shape == (n, n - 1)
 
     def test_two_node_metropolis(self):
-        spec = spectrum(metropolis_weights(build_chain_graph(2)))
-        assert spec.eigvals_reduced == pytest.approx([1.0], abs=1e-12)
+        _, eigvals, _ = spectrum(metropolis_weights(build_chain_graph(2)))
+        assert eigvals == pytest.approx([1.0], abs=1e-12)
 
     def test_chain10_scaled_lambda2_oracle(self):
         net = build_network(build_chain_graph(10))
@@ -160,22 +189,24 @@ class TestSpectrum:
     def test_eigen_invariants(self):
         g, _ = build_geometric_graph(9, radius=0.55, rng_seed=4)
         net = build_network(g)
-        spec, w = net.spec, net.weights
-        lap, q, lam = spec.laplacian, spec.q_reduced, spec.eigvals_reduced
+        lap, q, lam = net.laplacian, net.q_reduced, net.eigvals_reduced
         assert np.max(np.abs(lap @ q - q * lam)) <= 1e-10
         assert np.max(np.abs(q.T @ np.ones(9))) <= 1e-10
         assert np.max(np.abs(q.T @ q - np.eye(8))) <= 1e-10
-        w_eigs = np.linalg.eigvalsh(w.entries)
-        assert spec.lambda2 + w_eigs[-2] == pytest.approx(1.0, abs=1e-12)
+        w_eigs = np.linalg.eigvalsh(net.weights)
+        assert net.lambda2 + w_eigs[-2] == pytest.approx(1.0, abs=1e-12)
+        assert net.lambda_max + w_eigs[0] == pytest.approx(1.0, abs=1e-12)
         assert np.max(np.abs(lap @ np.ones(9))) <= 1e-12
 
     def test_degenerate_lambda2_rejected(self):
-        # block-diagonal (disconnected) stochastic matrix
+        # block-diagonal (disconnected) stochastic matrix on a connected graph
         m = np.zeros((4, 4))
         m[:2, :2] = 0.5
         m[2:, 2:] = 0.5
+        with pytest.raises(NetworkError, match="lambda_2 = .* <= tol; graph degenerate"):
+            NetworkModel(graph=build_complete_graph(4), weights=m)
         with pytest.raises(NetworkError, match="lambda_2"):
-            spectrum(WeightMatrix(m))
+            spectrum(m)
 
     def test_edge_removal_never_increases_lambda2(self):
         g = build_complete_graph(5)
@@ -213,12 +244,25 @@ class TestGraphValidation:
         with pytest.raises(NetworkError, match="adjacency not symmetric"):
             Graph(adj)
 
-    @pytest.mark.parametrize("positions", [((0.0, 0.0),) * 2, ((0.0, 0.0),) * 4,
-                                           ((0.0, 0.0), (1.0,), (0.5, 0.5))],
-                             ids=["too_few", "too_many", "not_a_pair"])
-    def test_positions_not_one_pair_per_node_rejected(self, positions):
-        with pytest.raises(NetworkError, match=f"positions must be one \\(x, y\\) per node: "
-                                               f"{len(positions)} for 3 nodes"):
+    @pytest.mark.parametrize("positions, message", [
+        (((0.0, 0.0),) * 2, "positions must be one (x, y) per node: 2 for 3 nodes"),
+        (((0.0, 0.0),) * 4, "positions must be one (x, y) per node: 4 for 3 nodes"),
+        (((0.0, 0.0), (1.0,), (0.5, 0.5)), "positions[1] = (1.0,) is not two real numbers"),
+        (5, "positions must be a list of (x, y), not int"),
+        (False, "positions must be a list of (x, y), not bool"),
+        ("", "positions must be a list of (x, y), not str"),
+        ({}, "positions must be a list of (x, y), not dict"),
+        ([], "positions must be one (x, y) per node: 0 for 3 nodes"),
+        ([(0.0, 0.0), ("a", 0.0), (1.0, 1.0)], "positions[1] = ('a', 0.0) is not two real"),
+        ([(0.0, 0.0), (1.0, 1.0), [0.5, None]], "positions[2] = [0.5, None] is not two real"),
+        ([[0.0, [1.0]], (1.0, 1.0), (0.5, 0.5)], "positions[0] = [0.0, [1.0]] is not two real"),
+        ([(0.0, 0.0), (True, 1.0), (0.5, 0.5)], "positions[1] = (True, 1.0) is not two real"),
+        ([(0.0, 0.0), 5, (0.5, 0.5)], "positions[1] = 5 is not two real numbers"),
+    ], ids=["too_few", "too_many", "not_a_pair", "int", "bool", "empty_string", "object",
+            "empty_list", "string_coordinate", "none_coordinate", "list_coordinate",
+            "bool_coordinate", "int_point"])
+    def test_positions_not_one_pair_per_node_rejected(self, positions, message):
+        with pytest.raises(NetworkError, match=re.escape(message)):
             Graph(np.ones((3, 3), dtype=bool), positions=positions)
 
     @pytest.mark.parametrize("build", [build_chain_graph, build_complete_graph,
@@ -278,12 +322,25 @@ class TestNetworkModel:
     def test_spectrum_is_that_of_its_w(self):
         # W moved off build_network's scaling: the spectrum follows W
         net = build_network(build_complete_graph(4))
-        w = 0.5 * net.weights.entries + 0.5 * np.eye(4)
-        model = NetworkModel(graph=net.graph, weights=WeightMatrix(w))
-        oracle = spectrum(WeightMatrix(w))
-        assert np.array_equal(model.spec.eigvals_reduced, oracle.eigvals_reduced)
-        assert np.array_equal(model.spec.laplacian, np.eye(4) - w)
+        w = 0.5 * net.weights + 0.5 * np.eye(4)
+        model = NetworkModel(graph=net.graph, weights=w)
+        _, oracle, _ = spectrum(w)
+        assert np.array_equal(model.eigvals_reduced, oracle)
+        assert np.array_equal(model.laplacian, np.eye(4) - w)
         assert model.lambda2 == pytest.approx(net.lambda2 / 2.0, rel=1e-12)
+
+    @pytest.mark.parametrize("name", ["weights", "laplacian", "eigvals_reduced", "q_reduced"])
+    def test_arrays_are_read_only(self, name):
+        # a write would leave lambda2 describing another W
+        array = getattr(build_network(build_chain_graph(4)), name)
+        with pytest.raises(ValueError, match="read-only"):
+            array[(0,) * array.ndim] = 7.0
+
+    def test_w_is_a_private_copy(self):
+        w = build_network(build_chain_graph(4)).weights.copy()
+        net = NetworkModel(graph=build_chain_graph(4), weights=w)
+        w[0, 0] = 7.0
+        assert net.weights[0, 0] != 7.0 and w.flags.writeable
 
 
 class TestSerialization:
@@ -295,7 +352,7 @@ class TestSerialization:
         loaded = load_network(path)
         assert np.array_equal(loaded.graph.adjacency, net.graph.adjacency)
         assert loaded.graph.positions == net.graph.positions
-        assert np.allclose(loaded.weights.entries, net.weights.entries, atol=0)
+        assert np.array_equal(loaded.weights, net.weights)
         assert loaded.lambda2 == pytest.approx(net.lambda2, abs=1e-14)
         assert loaded.meta == {"seed": 2}
 
@@ -304,10 +361,10 @@ class TestSerialization:
     def negative_zeros(net):
         """net with W's zeros above the diagonal stored as -0.0: each row
         then holds 0.0, -0.0 and repeated weights."""
-        w = net.weights.entries.copy()
+        w = net.weights.copy()
         w[np.triu(w == 0.0)] = -0.0
         assert np.signbit(w).any() and (np.signbit(w) & (w == 0.0)).sum() < (w == 0.0).sum()
-        return NetworkModel(graph=net.graph, weights=WeightMatrix(w), meta=net.meta)
+        return NetworkModel(graph=net.graph, weights=w, meta=net.meta)
 
     @pytest.mark.parametrize("make", [
         lambda: build_network(build_chain_graph(6), meta={"type": "chain"}),
@@ -324,7 +381,7 @@ class TestSerialization:
             "node_count": net.node_count,
             "positions": net.graph.positions,
             "edges": sorted(list(e) for e in edge_set(net.graph)),
-            "weights": net.weights.entries.tolist(),
+            "weights": net.weights.tolist(),
             "meta": net.meta,
         }
         with open(tmp_path / "dump.json", "w") as fh:
@@ -422,7 +479,7 @@ class TestNetworkOracles:
     @pytest.mark.parametrize("name", sorted(ORACLE_GRAPHS))
     def test_metropolis_matches_per_edge_loop(self, name):
         g = ORACLE_GRAPHS[name]
-        assert np.array_equal(metropolis_weights(g).entries, metropolis_oracle(g))
+        assert np.array_equal(metropolis_weights(g), metropolis_oracle(g))
 
     @pytest.mark.parametrize("radius", [0.2, 0.45, 1.5])
     @pytest.mark.parametrize("n, seed", [(12, 0), (12, 5), (40, 1), (40, 8)])

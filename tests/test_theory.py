@@ -299,7 +299,7 @@ class TestSaddleResiduals:
         x = rng.standard_normal(15)
         mu = rng.standard_normal(15)
         _, r2, _ = saddle_residuals(quad5_stack, chain5_net, x, mu, rho=0.5)
-        dense = np.kron(chain5_net.spec.laplacian, np.eye(3)) @ x
+        dense = np.kron(chain5_net.laplacian, np.eye(3)) @ x
         assert r2 == pytest.approx(np.linalg.norm(dense), rel=1e-12)
 
     def test_block_sum_residual_exact(self, chain5_net, quad5_stack, rng):
@@ -312,24 +312,24 @@ class TestLyapunovValue:
     def test_zero_at_saddle(self, chain5_net, quad5_stack, quad5_ref):
         saddle = saddle_point(quad5_stack, quad5_ref.x_star)
         v = lyapunov_value(
-            saddle.x_bullet, saddle.mu_bullet, saddle, chain5_net.spec, quad5_stack.h_min
+            saddle.x_bullet, saddle.mu_bullet, saddle, chain5_net, quad5_stack.h_min
         )
         assert v == 0.0
 
     def test_dual_term_vanishes(self, chain5_net, quad5_stack, quad5_ref, rng):
         saddle = saddle_point(quad5_stack, quad5_ref.x_star)
         x = rng.standard_normal(15)
-        v = lyapunov_value(x, saddle.mu_bullet, saddle, chain5_net.spec, quad5_stack.h_min)
+        v = lyapunov_value(x, saddle.mu_bullet, saddle, chain5_net, quad5_stack.h_min)
         assert v == pytest.approx(np.linalg.norm(x - saddle.x_bullet), rel=1e-14)
 
     def test_matches_dense_evaluation(self, chain5_net, quad5_stack, quad5_ref, rng):
-        spec = chain5_net.spec
+        net = chain5_net
         saddle = saddle_point(quad5_stack, quad5_ref.x_star)
         x = rng.standard_normal(15)
         mu = rng.standard_normal(15)
         h_min = quad5_stack.h_min
-        v = lyapunov_value(x, mu, saddle, spec, h_min)
-        t = np.kron(np.diag(spec.eigvals_reduced ** -0.5) @ spec.q_reduced.T, np.eye(3))
+        v = lyapunov_value(x, mu, saddle, net, h_min)
+        t = np.kron(np.diag(net.eigvals_reduced ** -0.5) @ net.q_reduced.T, np.eye(3))
         dual = 2.0 / h_min * np.linalg.norm(t @ (mu - saddle.mu_bullet))
         oracle = max(np.linalg.norm(x - saddle.x_bullet), dual)
         assert v == pytest.approx(oracle, rel=1e-12)
