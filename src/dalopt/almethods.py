@@ -126,12 +126,14 @@ class RunTrace:
 
 def check_beta(cfg: AlgorithmConfig, stack: ObjectiveStack):
     """Reject a gradient variant's step beta above 1/(h_max + rho), where
-    contraction is not guaranteed. Runs and certificates share this check."""
+    contraction is not guaranteed, naming the entry. Runs and certificates
+    share this check."""
     if cfg.variant.endswith("_gradient"):
         limit = 1.0 / (stack.h_max + cfg.rho)
         if cfg.beta > limit * (1.0 + 1e-12):
             raise ConfigError(
-                f"beta={cfg.beta} exceeds 1/(h_max+rho)={limit}; contraction not guaranteed"
+                f"{cfg.name}: beta={cfg.beta} exceeds 1/(h_max+rho)={limit}; "
+                f"contraction not guaranteed"
             )
 
 

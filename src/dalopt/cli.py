@@ -15,9 +15,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .harness import ExperimentConfig, StageError, build_problem, run_experiment, stage
+from .harness import ExperimentConfig, StageError, build_problem, run_experiment
 from .network import load_network
-from .theory import certificate
 
 
 def _cmd_run(args):
@@ -28,11 +27,8 @@ def _cmd_run(args):
 
 
 def _cmd_certify(args):
-    cfg = ExperimentConfig.from_file(args.config)
-    net, stack, ref, acfgs = build_problem(cfg)
-    for acfg in acfgs:
-        with stage(f"certify:{acfg.name}"):
-            cert = certificate(acfg, stack, net, ref.x_star)
+    *_, algorithms = build_problem(ExperimentConfig.from_file(args.config))
+    for acfg, cert in algorithms:
         print(f"algorithm: {acfg.name} ({acfg.variant}), tau={acfg.tau}")
         print(cert.report())
     return 0

@@ -176,9 +176,9 @@ class ExperimentConfig:
 
     Every key, its default and its check are in harness._VALUES. Making a
     config fails at [config], naming the key, on every bad input that can
-    be seen without building the problem, duplicate labels included (a
-    label defaults to the entry's recipe or variant). network and objective
-    are kept with their defaults filled in.
+    be seen without building the problem, a gradient variant without beta
+    and duplicate labels (a label defaults to the entry's recipe or
+    variant) included. network and objective are kept with their defaults.
     """
 
     network: dict
@@ -204,6 +204,8 @@ class ExperimentConfig:
             level = _entry_level(entry)
             spec = _complete(level, entry, f"algorithms[{i}].")
             labels.append(spec["label"] or spec[level])
+            if spec.get("variant", "").endswith("_gradient") and spec["beta"] is None:
+                raise StageError("config", f"missing algorithm key 'algorithms[{i}].beta'")
         if len(set(labels)) != len(labels):
             raise StageError("config", f"duplicate algorithm labels: {labels}")
 
@@ -382,9 +384,11 @@ def render_plots(out_dir):
 def build_problem(cfg: ExperimentConfig):
     """The problem `run` and `certify` share: (net, stack, ref, algorithms).
 
-    Builds the network, the node costs, the reference solution and the
-    resolved AlgorithmConfig of every entry. Any failure raises StageError
-    naming the stage. Writes no file.
+    Builds the network, the node costs, the reference solution and, for
+    every entry, its resolved AlgorithmConfig paired with its
+    RateCertificate; a gradient step above 1/(h_max + rho) fails at
+    [config], naming the entry. Any failure raises StageError naming the
+    stage. Writes no file.
     """
     with stage("network"):
         graph, meta = _build_graph(cfg.network)
@@ -396,7 +400,8 @@ def build_problem(cfg: ExperimentConfig):
     ref = reference_solve(stack)
     with stage("config"):
         acfgs = [resolve_algorithm(e, stack, net, cfg.epsilon) for e in cfg.algorithms]
-    return net, stack, ref, acfgs
+        algorithms = [(a, certificate(a, stack, net, ref.x_star)) for a in acfgs]
+    return net, stack, ref, algorithms
 
 
 def run_experiment(cfg: ExperimentConfig):
@@ -408,10 +413,10 @@ def run_experiment(cfg: ExperimentConfig):
     stage failure raises StageError naming the stage.
     """
     out = Path(os.environ.get(OUTPUT_DIR_ENV) or cfg.output_dir)
-    net, stack, ref, acfgs = build_problem(cfg)
+    net, stack, ref, algorithms = build_problem(cfg)
     with stage("output"):
         out.mkdir(parents=True, exist_ok=True)
-        names = {f"trace_{acfg.name}.csv" for acfg in acfgs}
+        names = {f"trace_{acfg.name}.csv" for acfg, _ in algorithms}
         foreign = sorted(p for p in out.glob("trace_*.csv") if p.name not in names)
         if foreign:
             raise ValueError(f"{foreign[0]} is not a trace of this config, and the plots "
@@ -422,7 +427,7 @@ def run_experiment(cfg: ExperimentConfig):
         with stage("objective"):
             save_dataset(stack, out / "dataset.csv")
 
-    for acfg in acfgs:
+    for acfg, cert in algorithms:
         with stage(f"run:{acfg.name}"):
             stop = None
             if cfg.stop_rel_cost is not None:
@@ -434,7 +439,6 @@ def run_experiment(cfg: ExperimentConfig):
             trace = run_variant(stack, net, acfg, cfg.k_max, stop=stop)
             write_trace_csv(out / f"trace_{acfg.name}.csv", trace,
                             *trace_metrics(stack, net, ref, trace))
-            cert = certificate(acfg, stack, net, ref.x_star)
             # cost translation: f(x_i) - f* <= (sum_j h_max_j)/2 ||x_i - x*||^2,
             # so rel_cost_error <= cost_factor * (r^k * bound_constant)^2
             cost_factor = float(stack.node_h_max.sum()) / (2.0 * (ref.f_zero - ref.f_star))

@@ -9,6 +9,7 @@ weighted Laplacian L = I - W.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -95,7 +96,7 @@ def _node_count(n):
 
 
 def _points(pts, n):
-    """pts as n (x, y) tuples of two real numbers; NetworkError names the first fault."""
+    """pts as n (x, y) tuples of two finite real numbers; NetworkError names the first fault."""
     if not isinstance(pts, (list, tuple, np.ndarray)):
         raise NetworkError(f"positions must be a list of (x, y), not {type(pts).__name__}")
     if len(pts) != n:
@@ -108,7 +109,8 @@ def _points(pts, n):
 
 
 def _real(v):
-    return isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
+    return (isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+            or isinstance(v, (float, np.floating)) and math.isfinite(v))
 
 
 def _edge_fault(pairs, n):
@@ -220,15 +222,7 @@ class NetworkModel:
     q_reduced: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        try:
-            w = np.array(self.weights)
-        except ValueError:  # rows of unequal length
-            w = None
-        if w is None or w.dtype.kind not in "iuf":
-            raise NetworkError("weights must be equal-length rows of real numbers")
-        w, n = w.astype(float, copy=False), self.graph.node_count
-        if w.ndim != 2 or len(w) != w.shape[1]:
-            raise NetworkError("weight matrix must be square")
+        w, n = _square(self.weights), self.graph.node_count
         if len(w) != n:
             raise NetworkError(f"W is {len(w)} x {len(w)} but the graph has {n} nodes")
         if not np.isfinite(w).all():
@@ -270,6 +264,23 @@ class NetworkModel:
         """(W (x) I) x, i.e. per-node neighbor averages."""
         xm = np.asarray(x).reshape(self.node_count, d)
         return (self.weights @ xm).reshape(-1)
+
+
+def _square(weights):
+    """A float copy of weights; NetworkError unless it is square, in
+    equal-length rows of real numbers."""
+    try:
+        w = np.array(weights)
+    except ValueError:  # rows of unequal length
+        w = None
+    if isinstance(weights, list) and w is not None and w.ndim == 2 and any(
+            type(v) is bool for row in weights for v in row):
+        w = None  # numpy reads a bool beside numbers as 0 or 1
+    if w is None or w.dtype.kind not in "iuf":
+        raise NetworkError("weights must be equal-length rows of real numbers")
+    if w.ndim != 2 or len(w) != w.shape[1]:
+        raise NetworkError("weight matrix must be square")
+    return w.astype(float, copy=False)
 
 
 def build_network(graph: Graph, meta=None) -> NetworkModel:
@@ -318,15 +329,20 @@ def save_network(net: NetworkModel, path):
 def load_network(path) -> NetworkModel:
     with open(path) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise NetworkError(f"a network file must be a JSON object, not {type(doc).__name__}")
     for key in ("node_count", "edges", "weights"):
         if key not in doc:
             raise NetworkError(f"missing key {key!r}")
     n, edges, meta = doc["node_count"], doc["edges"], doc.get("meta", {})
     if type(n) is not int:
         raise NetworkError(f"node_count must be an integer >= 2, not {n!r}")
+    w = _square(doc["weights"])
+    if n > len(w):  # before an n x n adjacency is made
+        raise NetworkError(f"node_count {n} is more than the {len(w)} rows of W")
     if not isinstance(edges, list):
         raise NetworkError("edges must be a list of pairs of node ids")
     if not isinstance(meta, dict):
         raise NetworkError(f"meta must be an object, not {type(meta).__name__}")
     g = Graph.from_edges(n, edges, positions=doc.get("positions"))
-    return NetworkModel(graph=g, weights=doc["weights"], meta=meta)
+    return NetworkModel(graph=g, weights=w, meta=meta)

@@ -1,6 +1,7 @@
 """Command-line entry points."""
 
 import contextlib
+import functools
 import io
 import json
 import math
@@ -17,7 +18,7 @@ from dalopt.almethods import VARIANTS
 from dalopt.cli import main
 from dalopt.harness import _REQUIRED, _VALUES, ExperimentConfig, build_problem
 from dalopt.network import (build_chain_graph, build_complete_graph, build_geometric_graph,
-                            build_network, save_network)
+                            build_network, load_network, save_network)
 from dalopt.objective import LogisticCost, QuadraticCost
 from dalopt.theory import RECIPES
 
@@ -136,11 +137,14 @@ class TestBadConfig:
          "duplicate algorithm labels"),
         ({"algorithms": [{"variant": "nope", "alpha": 1.0, "rho": 1.0, "tau": 1}]},
          "config", "nope"),
-        ({"algorithms": [{"recipe": "section5_gradient", "beta": 100, "label": "steep"}]},
-         "{command}:steep", "beta"),
+        # a bad beta in a second entry fails before the first is run or certified
+        ({"algorithms": [{"recipe": "section4_jacobi"},
+                         {"recipe": "section5_gradient", "beta": 100, "label": "steep"}]},
+         "config", "steep: beta=100 exceeds"),
         # below 1/h_min, so the certificate's formulas hold, but above 1/(h_max+rho)
-        ({"algorithms": [{"recipe": "section5_gradient", "beta": 0.6, "label": "mild"}]},
-         "{command}:mild", "beta"),
+        ({"algorithms": [{"recipe": "section4_jacobi"},
+                         {"recipe": "section5_gradient", "beta": 0.6, "label": "mild"}]},
+         "config", "mild: beta=0.6 exceeds"),
         # a change that is not an object is the whole config document
         (5, "config", "top level"),
         (None, "config", "top level"),
@@ -170,6 +174,9 @@ class TestBadConfig:
         ({"algorithms": [{"variant": "det_jacobi", "alpha": 1.0, "tau": 1}]}, "config",
          "missing algorithm key 'algorithms[0].rho'"),
         ({"algorithms": [{"recipe": "wat"}]}, "config", "algorithms[0].recipe must be"),
+        ({"algorithms": [{"recipe": "section4_jacobi"},
+                         {"variant": "det_gradient", "alpha": 0.5, "rho": 1.0, "tau": 2}]},
+         "config", "missing algorithm key 'algorithms[1].beta'"),
     ], ids=["node_count", "duplicate_labels", "unknown_variant", "beta_too_large",
             "beta_above_contraction_limit", "top_level_number", "top_level_null",
             "top_level_pairs", "output_dir_number", "stop_rel_cost_negative",
@@ -177,7 +184,7 @@ class TestBadConfig:
             "label_with_slash", "network_n_string", "network_n_fraction", "network_type",
             "objective_d_zero", "objective_h_lo_above_h_hi", "network_n_one", "objective_n_one",
             "logistic_d_one", "default_type_d_one", "network_n_missing", "entry_unknown_key",
-            "entry_missing_key", "unknown_recipe"])
+            "entry_missing_key", "unknown_recipe", "gradient_entry_without_beta"])
     def test_fails_with_stage(self, tmp_path, capsys, command, change, stage, names):
         path = tmp_path / "cfg.json"
         doc = change
@@ -192,13 +199,12 @@ class TestBadConfig:
             }
         path.write_text(json.dumps(doc))
         assert main([command, str(path)]) == 1
-        err = capsys.readouterr().err
-        stage = stage.format(command=command)
-        assert f"error [{stage}]" in err
+        out, err = capsys.readouterr()
+        assert err.startswith(f"error [{stage}]")
         assert names in err
         assert "Traceback" not in err
-        if not stage.startswith("run:"):
-            assert not (tmp_path / "out").exists()
+        assert out == ""
+        assert not (tmp_path / "out").exists()
 
 
     @pytest.mark.parametrize("key, value", [
@@ -242,14 +248,18 @@ class TestSpectrum:
         assert main(["spectrum", str(tmp_path / "nope.json")]) == 1
         assert "error [network]" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("doc", [[], {"node_count": "x", "edges": [], "weights": []}],
-                             ids=["top_level_list", "node_count_string"])
-    def test_malformed_file(self, tmp_path, capsys, doc):
+    @pytest.mark.parametrize("doc, message", [
+        ([], "a network file must be a JSON object, not list"),
+        (5, "a network file must be a JSON object, not int"),
+        ({"node_count": "x", "edges": [], "weights": []}, "node_count must be an integer >= 2"),
+    ], ids=["top_level_list", "top_level_number", "node_count_string"])
+    def test_malformed_file(self, tmp_path, capsys, doc, message):
         path = tmp_path / "net.json"
         path.write_text(json.dumps(doc))
         assert main(["spectrum", str(path)]) == 1
         err = capsys.readouterr().err
         assert "error [network]" in err
+        assert message in err
         assert "Traceback" not in err
 
     def test_fractional_node_id(self, tmp_path, capsys):
@@ -310,6 +320,9 @@ class TestSpectrum:
         (lambda doc: doc["edges"].append([0, 1, 2]), "edge [0, 1, 2] is not a pair of node ids"),
         (lambda doc: doc.update(node_count=6.0), "node_count must be an integer >= 2, not 6.0"),
         (lambda doc: doc.update(node_count=1), "graph needs at least 2 nodes"),
+        # refused before a 10^12-entry adjacency is allocated
+        (lambda doc: doc.update(node_count=10**6),
+         "node_count 1000000 is more than the 6 rows of W"),
         (lambda doc: doc.update(weights=5), "weight matrix must be square"),
         (lambda doc: doc.update(positions=doc["positions"][:3]),
          "positions must be one (x, y) per node: 3 for 6 nodes"),
@@ -324,15 +337,17 @@ class TestSpectrum:
         (lambda doc: doc.update(meta=[1]), "meta must be an object, not list"),
         (lambda doc: doc.update(weights=[["a"]]), "weights must be equal-length rows of real numbers"),
         (lambda doc: doc["weights"][3].pop(), "weights must be equal-length rows of real numbers"),
+        (lambda doc: doc["weights"][0].__setitem__(1, True),
+         "weights must be equal-length rows of real numbers"),
         (lambda doc: doc["weights"][2].__setitem__(2, math.inf), "weight matrix has non-finite entries"),
         (lambda doc: doc["weights"][2].__setitem__(2, math.nan), "weight matrix has non-finite entries"),
         (lambda doc: doc["weights"][0].__setitem__(1, math.inf), "weight matrix has non-finite entries"),
         (lambda doc: doc["weights"][0].__setitem__(1, math.nan), "weight matrix has non-finite entries"),
     ], ids=["no_edges", "no_weights", "edges_int", "short_pair", "long_pair", "node_count_float",
-            "node_count_one", "weights_scalar", "short_positions", "positions_int",
+            "node_count_one", "node_count_huge", "weights_scalar", "short_positions", "positions_int",
             "positions_false", "positions_empty_string", "positions_object", "positions_empty_list",
             "coordinate_string", "coordinate_null", "coordinate_list", "meta_list",
-            "weights_string", "weights_ragged", "weight_inf_diagonal", "weight_nan_diagonal",
+            "weights_string", "weights_ragged", "weights_bool", "weight_inf_diagonal", "weight_nan_diagonal",
             "weight_inf_off_diagonal", "weight_nan_off_diagonal"])
     def test_malformed_part_is_named(self, tmp_path, capsys, edit, message):
         path = tmp_path / "net.json"
@@ -441,6 +456,9 @@ def configs(draw, out):
     levels = draw(st.lists(st.sampled_from(["recipe", "variant"]), min_size=1, max_size=2))
     doc["algorithms"] = [dict(draw(specs(level)), label=f"run{i}")  # unique labels
                          for i, level in enumerate(levels)]
+    for entry in doc["algorithms"]:  # an explicit gradient variant needs its step
+        if entry.get("variant", "").endswith("_gradient") and "beta" not in entry:
+            entry["beta"] = draw(st.sampled_from(pool("variant", "beta", True)))
     doc["output_dir"] = str(out)
     targets = [("", doc, "config"), ("network.", doc["network"], "network"),
                ("objective.", obj, "objective")]
@@ -496,3 +514,91 @@ class TestConfigFuzz:
                 assert stage == "config" and names in err, err
             if not stage.startswith("run:"):
                 assert not out.exists()
+
+
+@functools.cache
+def criterion9_network():
+    """The network.json that `dalopt run` saves for acceptance criterion 9's
+    config, and the path of every value in it, grouped by top-level key."""
+    doc = {"network": {"type": "geometric", "n": 6, "radius": 0.7, "seed": 3},
+           "objective": {"type": "quadratic", "d": 2, "seed": 5, "h_lo": 1.0, "h_hi": 2.0},
+           "algorithms": [{"recipe": "section5_jacobi"}]}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "network.json"
+        save_network(build_problem(ExperimentConfig.from_dict(doc))[0], path)
+        text = path.read_text()
+    groups = {}
+    for place in places(json.loads(text)):
+        groups.setdefault(place[:1], []).append(place)
+    return text, groups
+
+
+def places(value, path=()):
+    """The path of value itself and of every key or item in it, at any depth."""
+    yield path
+    if isinstance(value, (dict, list)):
+        for key, item in value.items() if isinstance(value, dict) else enumerate(value):
+            yield from places(item, path + (key,))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 8) | st.just(2**70) | st.floats()
+    | st.text(max_size=2),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner,
+                                                               max_size=2),
+    max_leaves=6)
+
+# what a failure must name, by the top-level key of network.json that was
+# edited (None: the whole document was replaced)
+PARTS = {
+    None: r"a network file must be a JSON object|missing key 'node_count'",
+    "node_count": r"node_count|graph needs at least 2 nodes|for \d+ nodes|out of range",
+    "edges": r"edge|not a link of the graph|graph is disconnected",
+    "weights": r"weight|W\[|W is",
+    "positions": r"positions",
+    "meta": r"meta",
+}
+
+
+class TestNetworkFuzz:
+    """Criterion 9's saved network.json with one key or item deleted, or one
+    value at any depth replaced by a drawn JSON value, through `dalopt
+    spectrum`: each file loads, and then saves and loads again to the same
+    graph, W and positions, or fails at [network] naming the part, with no
+    traceback."""
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_loads_or_names_the_part(self, data):
+        text, groups = criterion9_network()
+        doc = json.loads(text)
+        # a part, then a place in it, so that W's 36 entries do not crowd out the rest
+        path = data.draw(st.sampled_from(groups[data.draw(st.sampled_from(sorted(groups)))]))
+        if path:
+            parent = functools.reduce(lambda value, key: value[key], path[:-1], doc)
+            if data.draw(st.booleans()):
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = data.draw(JSON_VALUES)
+        else:
+            doc = data.draw(JSON_VALUES)
+        with tempfile.TemporaryDirectory() as tmp, \
+                contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()) as stderr:
+            file = Path(tmp) / "network.json"
+            file.write_text(json.dumps(doc))
+            code = main(["spectrum", str(file)])
+            err = stderr.getvalue()
+            if code == 0:
+                first = load_network(file)
+                save_network(first, file)
+                again = load_network(file)
+                assert np.array_equal(again.graph.adjacency, first.graph.adjacency)
+                assert np.array_equal(again.weights, first.weights)
+                assert again.graph.positions == first.graph.positions
+                return
+        assert code == 1
+        assert err.startswith("error [network] cannot load"), err
+        assert re.search(PARTS[path[0] if path else None], err), err
+        assert "Traceback" not in err and "Warning" not in err

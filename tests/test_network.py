@@ -159,8 +159,9 @@ class TestWeightValidation:
 
     @pytest.mark.parametrize("weights", [[["a", 0.5], [0.5, 0.5]], [[0.5, 0.5], [0.5]],
                                          [[None, 0.5], [0.5, 0.5]], [[True, False], [False, True]],
-                                         [[2**70, 0], [0, 1]]],
-                             ids=["string", "ragged", "none", "bool", "past_int64"])
+                                         [[2**70, 0], [0, 1]], [[0.0, True], [True, 0.0]]],
+                             ids=["string", "ragged", "none", "bool", "past_int64",
+                                  "bool_beside_numbers"])
     def test_not_real_numbers_rejected(self, weights):
         with pytest.raises(NetworkError, match="weights must be equal-length rows of real numbers"):
             NetworkModel(graph=build_complete_graph(2), weights=weights)
@@ -258,9 +259,11 @@ class TestGraphValidation:
         ([[0.0, [1.0]], (1.0, 1.0), (0.5, 0.5)], "positions[0] = [0.0, [1.0]] is not two real"),
         ([(0.0, 0.0), (True, 1.0), (0.5, 0.5)], "positions[1] = (True, 1.0) is not two real"),
         ([(0.0, 0.0), 5, (0.5, 0.5)], "positions[1] = 5 is not two real numbers"),
+        ([(0.0, 0.0), (np.nan, 1.0), (0.5, 0.5)], "positions[1] = (nan, 1.0) is not two real"),
+        ([(0.0, -np.inf), (1.0, 1.0), (0.5, 0.5)], "positions[0] = (0.0, -inf) is not two real"),
     ], ids=["too_few", "too_many", "not_a_pair", "int", "bool", "empty_string", "object",
             "empty_list", "string_coordinate", "none_coordinate", "list_coordinate",
-            "bool_coordinate", "int_point"])
+            "bool_coordinate", "int_point", "nan_coordinate", "infinite_coordinate"])
     def test_positions_not_one_pair_per_node_rejected(self, positions, message):
         with pytest.raises(NetworkError, match=re.escape(message)):
             Graph(np.ones((3, 3), dtype=bool), positions=positions)
