@@ -9,7 +9,6 @@ from .almethods import (
     AlgorithmConfig,
     PoissonSchedule,
     RunTrace,
-    run_inexact_al,
     run_variant,
     sample_poisson_schedule,
 )

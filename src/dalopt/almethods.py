@@ -4,8 +4,7 @@ Every variant runs one outer loop, the paper's template: an inexact primal
 phase, then the dual ascent step mu <- mu + alpha (L (x) I) x. Four primal
 phases are provided: synchronized Jacobi sweeps, synchronized gradient
 sweeps, and their randomized single-node counterparts driven by a Poisson
-tick schedule. run_variant runs the variant an AlgorithmConfig names;
-run_inexact_al runs the same loop with any other policy.
+tick schedule. run_variant runs the variant an AlgorithmConfig names.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .local_solve import gradient_step, node_gradient_step, node_prox_solver
+from .local_solve import SolverError, gradient_step, node_gradient_step, node_prox_solver
 from .objective import ObjectiveStack
 
 __all__ = [
@@ -31,7 +30,6 @@ __all__ = [
     "jacobi_sweeps",
     "gradient_sweeps",
     "sample_poisson_schedule",
-    "run_inexact_al",
     "run_variant",
     "write_trace_csv",
     "read_trace_csv",
@@ -182,8 +180,9 @@ def _outer_loop(stack, net, cfg, k_max, inner, x0=None, stop=None) -> RunTrace:
     It receives xbar = (W (x) I) x, may update x in place, and returns
     (x, transmissions, grad_evals). The loop then forms xbar = (W (x) I) x
     of the new x, so the dual step mu + alpha (x - xbar) is
-    mu + alpha (L (x) I) x. The run raises once x or mu is not finite, and
-    ends after k_max outer iterations or once stop(x, mu, k) holds.
+    mu + alpha (L (x) I) x, and overflows unwarned: the run raises, naming k,
+    once x or mu is not finite or a prox solve fails. It ends after k_max
+    outer iterations or once stop(x, mu, k) holds.
     """
     n, d = stack.n_nodes, stack.dimension
     x = np.zeros(n * d) if x0 is None else np.array(x0, dtype=float)
@@ -197,11 +196,15 @@ def _outer_loop(stack, net, cfg, k_max, inner, x0=None, stop=None) -> RunTrace:
     t0 = time.perf_counter()
     trace.record(x, mu, tx, ge, 0.0)
     for k in range(1, k_max + 1):
-        x, sent, grads = inner(x, mu, xbar)
-        xbar = net.weights_apply(x, d)
+        try:
+            x, sent, grads = inner(x, mu, xbar)
+        except SolverError as exc:
+            raise SolverError(f"{exc}, at outer iteration k={k}") from exc
+        with np.errstate(over="ignore", invalid="ignore"):
+            xbar = net.weights_apply(x, d)
+            mu = mu + cfg.alpha * (x - xbar)
         tx += sent
         ge += grads
-        mu = mu + cfg.alpha * (x - xbar)
         if not (np.isfinite(x).all() and np.isfinite(mu).all()):
             raise FloatingPointError(f"iterates are not finite at outer iteration k={k}")
         trace.record(x, mu, tx, ge, time.perf_counter() - t0)
@@ -275,20 +278,6 @@ def _tick_phase(stack, net, cfg, k_max, schedule):
         return x, len(nodes), grads
 
     return inner
-
-
-def run_inexact_al(stack, net, cfg: AlgorithmConfig, inner_policy, k_max, x0=None) -> RunTrace:
-    """Inexact AL with any primal policy, through the loop every variant runs.
-
-    inner_policy(x, mu) -> x_next produces the new stacked primal; the dual
-    then ascends along (L (x) I) x_next. The policy's communication and
-    gradient work are not counted: both trace columns stay 0.
-    """
-
-    def inner(x, mu, xbar):
-        return np.asarray(inner_policy(x, mu), dtype=float), 0, 0
-
-    return _outer_loop(stack, net, cfg, k_max, inner, x0)
 
 
 def run_variant(stack, net, cfg: AlgorithmConfig, k_max, x0=None, stop=None,

@@ -60,6 +60,7 @@ __all__ = [
 ]
 
 OUTPUT_DIR_ENV = "DALOPT_OUTPUT_DIR"
+REFERENCE_MAX_ITERATIONS = 2_000_000  # cap of the accelerated reference solve
 
 
 class StageError(RuntimeError):
@@ -118,9 +119,8 @@ _ENTRY = {"label": _Key(None, lambda v: isinstance(v, str) and re.fullmatch(r"[A
 # The config table: level -> key -> _Key. "config" is the top level; an
 # algorithm entry is checked at level "recipe" if it has that key, else at
 # "variant". A default of None leaves the value unset or to be worked out:
-# objective.n is the network's n, an entry's label its recipe or variant
-# name, its epsilon the top-level epsilon, and a recipe entry's alpha, rho,
-# beta and tau are its recipe's.
+# an entry's label is its recipe or variant name, its epsilon the top-level
+# epsilon, and a recipe entry's alpha, rho, beta and tau are its recipe's.
 _VALUES = {
     "config": {
         "network": _Key(_REQUIRED, *_OBJECT),
@@ -137,7 +137,7 @@ _VALUES = {
                 "n": _Key(_REQUIRED, *_NODES), "radius": _Key(0.45, *_POSITIVE),
                 "seed": _Key(0, *_SEED)},
     "objective": {"type": _Key("logistic", *_one_of("logistic", "quadratic")),
-                  "n": _Key(None, *_NODES), "d": _Key(15, *_COUNT), "reg": _Key(1.0, *_POSITIVE),
+                  "d": _Key(15, *_COUNT), "reg": _Key(1.0, *_POSITIVE),
                   "seed": _Key(0, *_SEED), "h_lo": _Key(0.5, *_POSITIVE),
                   "h_hi": _Key(5.0, *_POSITIVE)},
     "recipe": {"recipe": _Key(_REQUIRED, *_one_of(*RECIPES)), "alpha": _Key(None, *_POSITIVE),
@@ -272,12 +272,12 @@ def generate_quadratic_stack(n, d, seed=_OBJECTIVE["seed"].default,
     return ObjectiveStack.quadratic(0.5 * (a + a.transpose(0, 2, 1)), b)
 
 
-def reference_solve(stack: ObjectiveStack, max_iterations=2_000_000) -> ReferenceSolution:
+def reference_solve(stack: ObjectiveStack) -> ReferenceSolution:
     """Centralized minimizer of f(x) = sum_i f_i(x).
 
     All-quadratic stacks are solved in closed form; otherwise an
     accelerated gradient method runs until the gradient norm is below
-    1e-12 * max(1, ||grad f(0)||).
+    1e-12 * max(1, ||grad f(0)||), in at most REFERENCE_MAX_ITERATIONS steps.
     """
     d = stack.dimension
     g0 = float(np.linalg.norm(stack.aggregate_grad(np.zeros(d))))
@@ -286,7 +286,7 @@ def reference_solve(stack: ObjectiveStack, max_iterations=2_000_000) -> Referenc
         x = np.linalg.solve(stack.matrices.sum(axis=0), -stack.linears.sum(axis=0))
     else:
         x = accelerated_gradient(stack.aggregate_grad, np.zeros(d), float(stack.node_h_min.sum()),
-                                 float(stack.node_h_max.sum()), tol, max_iterations)
+                                 float(stack.node_h_max.sum()), tol, REFERENCE_MAX_ITERATIONS)
         if x is None:
             raise StageError("reference", f"did not reach gradient norm {tol}")
     gn = float(np.linalg.norm(stack.aggregate_grad(x)))
@@ -298,24 +298,28 @@ def reference_solve(stack: ObjectiveStack, max_iterations=2_000_000) -> Referenc
 
 def relative_cost_error(stack: ObjectiveStack, ref: ReferenceSolution, x) -> float:
     """(1/N) sum_i (f(x_i) - f*) / (f(0) - f*), f evaluated at every
-    node's local copy. Tiny negative rounding residue clamps to 0."""
+    node's local copy. Tiny negative rounding residue clamps to 0; an
+    overflow is unwarned."""
     denom = ref.f_zero - ref.f_star
     if denom <= 0:
         raise StageError("metrics", "degenerate instance: f(0) equals f*")
     x = np.asarray(x, dtype=float).reshape(stack.n_nodes, stack.dimension)
-    total = float((stack.aggregate_values(x) - ref.f_star).sum())
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = float((stack.aggregate_values(x) - ref.f_star).sum())
     return max(total / (stack.n_nodes * denom), 0.0)
 
 
 def trace_metrics(stack, net: NetworkModel, ref: ReferenceSolution, trace: RunTrace):
-    """Per-row arrays of the four float columns of a trace CSV, in its order."""
+    """Per-row arrays of the four float columns of a trace CSV, in its order;
+    an overflow is left unwarned, as inf or nan, for write_trace_csv to name."""
     saddle = saddle_point(stack, ref.x_star)
     rel, prim, dual, lyap = [], [], [], []
-    for x, mu in zip(trace.xs, trace.mus):
-        rel.append(relative_cost_error(stack, ref, x))
-        prim.append(float(np.linalg.norm(x - saddle.x_bullet)))
-        dual.append(np.linalg.norm(mu.reshape(stack.n_nodes, -1).sum(axis=0)))
-        lyap.append(lyapunov_value(x, mu, saddle, net, stack.h_min))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for x, mu in zip(trace.xs, trace.mus):
+            rel.append(relative_cost_error(stack, ref, x))
+            prim.append(float(np.linalg.norm(x - saddle.x_bullet)))
+            dual.append(np.linalg.norm(mu.reshape(stack.n_nodes, -1).sum(axis=0)))
+            lyap.append(lyapunov_value(x, mu, saddle, net, stack.h_min))
     return np.array(rel), np.array(prim), np.array(dual), np.array(lyap)
 
 
@@ -394,8 +398,6 @@ def build_problem(cfg: ExperimentConfig):
         graph, meta = _build_graph(cfg.network)
         net = build_network(graph, meta=meta)
     with stage("objective"):
-        if cfg.objective["n"] not in (None, net.node_count):
-            raise ValueError("objective node count differs from the network's")
         stack = _build_objective(cfg.objective, net.node_count)
     ref = reference_solve(stack)
     with stage("config"):

@@ -31,6 +31,7 @@ __all__ = [
 SYMMETRY_TOL = 1e-12
 STOCHASTIC_TOL = 1e-12
 LAMBDA2_TOL = 1e-12
+GEOMETRIC_ATTEMPTS = 100  # draws of a geometric graph before its radius is deemed infeasible
 
 
 class NetworkError(ValueError):
@@ -138,7 +139,7 @@ def _connected(adj):
     return bool(seen.all())
 
 
-def build_geometric_graph(n, radius=0.45, rng_seed=0, max_attempts=100):
+def build_geometric_graph(n, radius=0.45, rng_seed=0):
     """Random geometric graph on the unit square.
 
     Nodes are placed uniformly at random in [0,1]^2 and joined when their
@@ -146,12 +147,12 @@ def build_geometric_graph(n, radius=0.45, rng_seed=0, max_attempts=100):
     with the next seed; ``Graph.positions`` holds the connected one.
 
     Returns (graph, attempts_used). Raises NetworkError after
-    ``max_attempts`` failed draws (infeasible radius).
+    GEOMETRIC_ATTEMPTS failed draws (infeasible radius).
     """
     if not (0.0 < radius):
         raise NetworkError("radius must be positive")
     radius = min(radius, np.sqrt(2.0) + 1e-9)
-    for attempt in range(max_attempts):
+    for attempt in range(GEOMETRIC_ATTEMPTS):
         rng = np.random.default_rng(rng_seed + attempt)
         pts = rng.uniform(0.0, 1.0, size=(_node_count(n), 2))
         dx, dy = (pts[:, None, k] - pts[None, :, k] for k in (0, 1))
@@ -159,7 +160,7 @@ def build_geometric_graph(n, radius=0.45, rng_seed=0, max_attempts=100):
         if _connected(close):
             return Graph(close, positions=pts), attempt + 1
     raise NetworkError(
-        f"no connected geometric graph in {max_attempts} attempts "
+        f"no connected geometric graph in {GEOMETRIC_ATTEMPTS} attempts "
         f"(n={n}, radius={radius}); radius likely infeasible"
     )
 

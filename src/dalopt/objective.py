@@ -140,8 +140,8 @@ class ObjectiveStack:
     - quadratic: ``matrices`` A in R^{N x d x d} and ``linears`` B in R^{N x d};
     - both: ``node_h_min`` and ``node_h_max``.
 
-    Make one with ``logistic``, ``quadratic`` or ``of``. Each runs the checks
-    of every row at once and works out the bounds.
+    Make one with ``logistic`` or ``quadratic``. Each runs the checks of
+    every row at once and works out the bounds.
     """
 
     kind: str  # "logistic" or "quadratic"
@@ -182,18 +182,6 @@ class ObjectiveStack:
         if (eigs[:, 0] <= 0.0).any():
             raise ValueError("quadratic matrix must be positive definite")
         return cls("quadratic", eigs[:, 0].copy(), eigs[:, -1].copy(), matrices=a, linears=b)
-
-    @classmethod
-    def of(cls, costs):
-        """The stack of the rows of per-node LogisticCost or QuadraticCost objects."""
-        costs = tuple(costs)
-        if len({c.dimension for c in costs}) > 1:
-            raise ValueError("node costs must share a common dimension")
-        if all(isinstance(c, LogisticCost) for c in costs):
-            return cls.logistic([c.stacked_sample for c in costs], [c.h_min for c in costs])
-        if all(isinstance(c, QuadraticCost) for c in costs):
-            return cls.quadratic([c.matrix for c in costs], [c.linear for c in costs])
-        raise ValueError("a stack holds only logistic or only quadratic costs")
 
     @property
     def n_nodes(self):

@@ -1,7 +1,10 @@
-"""Per-node cost objects of a stack's rows, the reference that tests hold
-the array form against."""
+"""Test-only reference forms: per-node cost objects of a stack's rows, the
+stack of such objects, and the outer loop run with any primal policy."""
 
-from dalopt.objective import LogisticCost, QuadraticCost
+import numpy as np
+
+from dalopt.almethods import _outer_loop
+from dalopt.objective import LogisticCost, ObjectiveStack, QuadraticCost
 
 
 def node_costs(stack):
@@ -13,3 +16,19 @@ def node_costs(stack):
                      for a, b in zip(stack.matrices, stack.linears))
     return tuple(LogisticCost(feature=c[-1] * c[:-1], label=int(c[-1]), reg=float(r), n_nodes=1)
                  for c, r in zip(stack.samples, stack.node_reg))
+
+
+def stack_of(costs):
+    """The stack of a sequence of all-QuadraticCost or all-LogisticCost node
+    costs, the inverse of node_costs."""
+    if isinstance(costs[0], QuadraticCost):
+        return ObjectiveStack.quadratic([c.matrix for c in costs], [c.linear for c in costs])
+    return ObjectiveStack.logistic([c.stacked_sample for c in costs], [c.h_min for c in costs])
+
+
+def run_policy(stack, net, cfg, policy, k_max, x0=None):
+    """The outer loop with policy(x, mu) -> x_next as its primal phase, whose
+    transmissions and gradient evaluations the trace does not count."""
+    def inner(x, mu, xbar):
+        return np.asarray(policy(x, mu), dtype=float), 0, 0
+    return _outer_loop(stack, net, cfg, k_max, inner, x0)

@@ -12,7 +12,6 @@ from dalopt.almethods import (
     gradient_sweeps,
     jacobi_sweeps,
     read_trace_csv,
-    run_inexact_al,
     run_variant,
     sample_poisson_schedule,
     write_trace_csv,
@@ -33,10 +32,10 @@ from dalopt.network import (
     build_network,
     metropolis_weights,
 )
-from dalopt.objective import ObjectiveStack, QuadraticCost
+from dalopt.objective import QuadraticCost
 from dalopt.theory import saddle_point
 
-from oracles import node_costs
+from oracles import node_costs, run_policy, stack_of
 
 
 def scalar_quadratic(center):
@@ -56,14 +55,14 @@ def quad10_stack():
 
 class TestDualUpdate:
     """The dual step of the outer loop, mu <- mu + alpha (L (x) I) x, run
-    through run_inexact_al with a policy that returns given iterates."""
+    through the outer loop with a policy that returns given iterates."""
 
     @staticmethod
     def dual_iterates(net, d, alpha, xs):
         stack = generate_quadratic_stack(net.node_count, d, seed=0)
         cfg = AlgorithmConfig(variant="det_jacobi", alpha=alpha, rho=1.0, tau=1)
         given = iter(xs)
-        return run_inexact_al(stack, net, cfg, lambda x, mu: next(given), len(xs)).mus
+        return run_policy(stack, net, cfg, lambda x, mu: next(given), len(xs)).mus
 
     def test_consensus_leaves_dual_unchanged(self, chain5_net, rng):
         x = np.tile(rng.standard_normal(2), 5)
@@ -89,7 +88,7 @@ class TestDualUpdate:
 class TestDetJacobi:
     def test_identical_quadratics_stationary(self):
         net = build_network(build_chain_graph(3))
-        stack = ObjectiveStack.of(tuple(scalar_quadratic(2.5) for _ in range(3)))
+        stack = stack_of(tuple(scalar_quadratic(2.5) for _ in range(3)))
         cfg = AlgorithmConfig(variant="det_jacobi", alpha=1.0, rho=1.0, tau=2)
         tr = run_variant(stack, net, cfg, 4, x0=np.full(3, 2.5))
         for x, mu in zip(tr.xs, tr.mus):
@@ -98,7 +97,7 @@ class TestDetJacobi:
 
     def test_chain3_converges_to_consensus_optimum(self):
         net = build_network(build_chain_graph(3))
-        stack = ObjectiveStack.of(tuple(scalar_quadratic(c) for c in (0.0, 3.0, 6.0)))
+        stack = stack_of(tuple(scalar_quadratic(c) for c in (0.0, 3.0, 6.0)))
         rho = stack.h_max
         alpha = stack.h_min + rho
         from dalopt.theory import resolve_recipe
@@ -114,7 +113,7 @@ class TestDetJacobi:
 
     def test_rho_zero_tau_one_decouples(self):
         net = build_network(build_chain_graph(3))
-        stack = ObjectiveStack.of(tuple(scalar_quadratic(c) for c in (1.0, -2.0, 5.0)))
+        stack = stack_of(tuple(scalar_quadratic(c) for c in (1.0, -2.0, 5.0)))
         cfg = AlgorithmConfig(variant="det_jacobi", alpha=0.5, rho=0.0, tau=1, epsilon=1e-14)
         tr = run_variant(stack, net, cfg, 1)
         assert np.allclose(tr.xs[1], [1.0, -2.0, 5.0], atol=1e-6)
@@ -496,7 +495,7 @@ class TestJacobiReplay:
         else:
             # f_0 = (y - c)^2 / 2 with c = 2 x0 + 1e-3: R' = |2 x0 - c| / (1 + rho)
             centers = [2.0 + 1e-3, -3.0, 0.5, 4.0, -1.0, 2.5, 0.0, -2.0, 1.5, 3.0]
-            stack, x0 = ObjectiveStack.of(tuple(scalar_quadratic(c) for c in centers)), np.ones(10)
+            stack, x0 = stack_of(tuple(scalar_quadratic(c) for c in centers)), np.ones(10)
         d, costs = stack.dimension, node_costs(stack)
         for rho in (1.0, 0.0):
             cfg = AlgorithmConfig(variant="det_jacobi", alpha=0.1, rho=rho, tau=tau,
@@ -536,14 +535,14 @@ class TestInexactAlDriver:
         def policy(x, mu):
             return exact_al_minimizer_direct(stack, net, mu, rho)
 
-        tr = run_inexact_al(stack, net, cfg, policy, 1000)
+        tr = run_policy(stack, net, cfg, policy, 1000)
         saddle = saddle_point(stack, quad5_ref.x_star)
         assert np.linalg.norm(tr.xs[-1] - saddle.x_bullet) <= 1e-8
 
     def test_identity_policy_from_consensus_is_stationary(self, chain5_net, quad5_stack, quad5_ref):
         saddle = saddle_point(quad5_stack, quad5_ref.x_star)
         cfg = AlgorithmConfig(variant="det_jacobi", alpha=0.5, rho=1.0, tau=1)
-        tr = run_inexact_al(
+        tr = run_policy(
             quad5_stack, chain5_net, cfg, lambda x, mu: x, 3, x0=saddle.x_bullet
         )
         for x, mu in zip(tr.xs, tr.mus):
@@ -560,7 +559,7 @@ class TestInexactAlDriver:
             return jacobi_sweeps(stack, net, x, mu, cfg.rho, 1, solve,
                                  net.weights_apply(x, stack.dimension))[0]
 
-        a = run_inexact_al(stack, net, cfg, policy, 10)
+        a = run_policy(stack, net, cfg, policy, 10)
         b = run_variant(stack, net, cfg, 10)
         for xa, xb in zip(a.xs, b.xs):
             assert np.array_equal(xa, xb)

@@ -14,11 +14,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from dalopt import almethods
 from dalopt.almethods import VARIANTS
 from dalopt.cli import main
 from dalopt.harness import _REQUIRED, _VALUES, ExperimentConfig, build_problem
 from dalopt.network import (build_chain_graph, build_complete_graph, build_geometric_graph,
                             build_network, load_network, save_network)
+from dalopt.local_solve import node_prox_solver
 from dalopt.objective import LogisticCost, QuadraticCost
 from dalopt.theory import RECIPES
 
@@ -95,6 +97,44 @@ class TestCertify:
         assert "r " in out or "r  " in out
 
 
+class TestDivergentRun:
+    """A dual step alpha = 1e6 on a chain of 5 diverges. The run stops at its
+    [run:<label>] stage with one stderr line naming the outer iteration k,
+    and no numpy warning: tier-1 turns a RuntimeWarning into an error."""
+
+    @staticmethod
+    def run(tmp_path, capsys, variant, kind):
+        entry = {"variant": variant, "alpha": 1e6, "rho": 1.0, "tau": 2}
+        if variant.endswith("gradient"):
+            entry["beta"] = 0.1
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "network": {"type": "chain", "n": 5}, "objective": {"type": kind, "d": 3},
+            "algorithms": [entry], "output_dir": str(tmp_path / "out")}))
+        assert main(["run", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert not list((tmp_path / "out").glob("trace_*.csv"))
+        return err
+
+    @pytest.mark.parametrize("kind", ["quadratic", "logistic"])
+    @pytest.mark.parametrize("variant", ["det_gradient", "rand_gradient"])
+    def test_gradient_run_names_k(self, tmp_path, capsys, variant, kind):
+        err = self.run(tmp_path, capsys, variant, kind)
+        assert re.fullmatch(rf"error \[run:{variant}\] iterates are not finite "
+                            r"at outer iteration k=\d+\n", err), err
+
+    @pytest.mark.parametrize("kind", ["quadratic", "logistic"])
+    @pytest.mark.parametrize("variant", ["det_jacobi", "rand_gauss_seidel"])
+    def test_prox_solve_at_its_cap_names_k(self, tmp_path, capsys, monkeypatch, variant, kind):
+        # the same failure as at the default cap of 200,000 steps, without the walk
+        monkeypatch.setattr(almethods, "node_prox_solver",
+                            functools.partial(node_prox_solver, max_iterations=1000))
+        err = self.run(tmp_path, capsys, variant, kind)
+        assert re.fullmatch(rf"error \[run:{variant}\] prox solve at node \d+ exceeded 1000 "
+                            r"iterations \(.*\); Hessian bounds suspect, "
+                            r"at outer iteration k=\d+\n", err), err
+
 
 class TestNoPerNodeCosts:
     """run and certify build the node costs as arrays, never one object per node."""
@@ -131,7 +171,10 @@ class TestBadConfig:
 
     @pytest.mark.parametrize("command", ["run", "certify"])
     @pytest.mark.parametrize("change, stage, names", [
-        ({"objective": {"type": "quadratic", "d": 2, "n": 5}}, "objective", "node count"),
+        # the objective has one cost per network node: a node count, even the
+        # network's, is an unknown key
+        ({"objective": {"type": "quadratic", "d": 2, "n": 3}}, "config",
+         "unknown config keys: ['objective.n']"),
         ({"algorithms": [{"recipe": "section4_jacobi", "label": "a"},
                          {"recipe": "section5_jacobi", "label": "a"}]}, "config",
          "duplicate algorithm labels"),
@@ -164,7 +207,7 @@ class TestBadConfig:
          "objective.h_lo must be <= objective.h_hi"),
         ({"network": {"type": "chain", "n": 1}}, "config", "network.n must be an integer >= 2"),
         ({"objective": {"type": "quadratic", "d": 2, "n": 1}}, "config",
-         "objective.n must be an integer >= 2"),
+         "unknown config keys: ['objective.n']"),
         ({"objective": {"type": "logistic", "d": 1}}, "config",
          "objective.d must be >= 2 for a logistic objective, got 1"),
         ({"objective": {"d": 1}}, "config", "objective.d must be >= 2 for a logistic"),

@@ -26,7 +26,7 @@ from dalopt.network import build_chain_graph, build_network
 from dalopt.objective import LogisticCost, ObjectiveStack, QuadraticCost, grad_stack
 from dalopt.theory import saddle_point
 
-from oracles import node_costs
+from oracles import node_costs, stack_of
 
 
 def scalar_quadratic(center, curvature=1.0):
@@ -93,7 +93,7 @@ def rotated_stack(spectra, rng):
         q, _ = np.linalg.qr(rng.standard_normal((len(eigs), len(eigs))))
         a = q @ np.diag(eigs) @ q.T
         costs.append(QuadraticCost(matrix=0.5 * (a + a.T), linear=rng.standard_normal(len(eigs))))
-    return ObjectiveStack.of(tuple(costs))
+    return stack_of(tuple(costs))
 
 
 def jacobi_sweep(stack, rho, v, x0, epsilon):
@@ -129,7 +129,7 @@ class TestJacobiSweepSolves:
 
         # node 0's warm start understates its distance, so its planned
         # steps fall short and it needs polish rounds; nodes 1 and 2 do not
-        stack = ObjectiveStack.of(tuple(scalar_quadratic(c) for c in (1.0, -0.5, -2.0)))
+        stack = stack_of(tuple(scalar_quadratic(c) for c in (1.0, -0.5, -2.0)))
         rho, eps = 0.1, 1e-3
         v = np.zeros((3, 1))
         x0 = np.array([[0.5], [0.0], [1.0]])
@@ -165,7 +165,7 @@ class TestJacobiSweepSolves:
             jacobi_sweep(stack, 1.0, v, np.zeros_like(v), 1e-300)
 
     def test_node_at_its_optimum_costs_one_gradient(self):
-        stack = ObjectiveStack.of((scalar_quadratic(0.0), scalar_quadratic(3.0)))
+        stack = stack_of((scalar_quadratic(0.0), scalar_quadratic(3.0)))
         v, x0 = np.zeros((2, 1)), np.zeros((2, 1))
         y, grads, _ = jacobi_sweep(stack, 1.0, v, x0, 1e-8)
         _, grads_1 = prox_local_info(node_costs(stack)[1], 1.0, v[1], x0[1], 1e-8)
@@ -221,7 +221,7 @@ class TestNodeProxSolver:
                 assert grads[i] > planned + 2  # the initial gradient, planned steps, one check
 
     def test_optimal_warm_start_short_circuits(self):
-        stack = ObjectiveStack.of((scalar_quadratic(0.0), scalar_quadratic(3.0)))
+        stack = stack_of((scalar_quadratic(0.0), scalar_quadratic(3.0)))
         solve = node_prox_solver(stack, 1.0, 1e-8)
         x0 = np.zeros(1)
         y, grads = solve(0, np.zeros(1), x0)

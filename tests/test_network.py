@@ -47,7 +47,7 @@ class TestGeometricGraph:
 
     def test_infeasible_radius_raises(self):
         with pytest.raises(NetworkError, match="radius"):
-            build_geometric_graph(5, radius=0.01, rng_seed=0, max_attempts=20)
+            build_geometric_graph(5, radius=0.01, rng_seed=0)
 
     def test_positions_recorded(self):
         g, _ = build_geometric_graph(4, radius=1.5, rng_seed=1)

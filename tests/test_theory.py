@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dalopt.almethods import AlgorithmConfig, ConfigError
+from dalopt.almethods import AlgorithmConfig, ConfigError, run_variant
 from dalopt.harness import generate_logistic_data, generate_quadratic_stack, reference_solve
-from dalopt.network import build_geometric_graph, build_network
-from dalopt.objective import ObjectiveStack, QuadraticCost
+from dalopt.network import (build_chain_graph, build_complete_graph, build_geometric_graph,
+                            build_network)
+from dalopt.objective import QuadraticCost
 from dalopt.theory import (
     RECIPES,
     certificate,
@@ -26,6 +27,8 @@ from dalopt.theory import (
     xi_det_jacobi,
     xi_threshold,
 )
+
+from oracles import stack_of
 
 getcontext().prec = 50
 
@@ -223,7 +226,7 @@ class TestCertificate:
         net = build_network(build_geometric_graph(4, radius=1.5, rng_seed=0)[0])
         center = np.array([1.0, -2.0])
         cost = QuadraticCost(matrix=np.eye(2), linear=-center)
-        stack = ObjectiveStack.of(tuple(cost for _ in range(4)))
+        stack = stack_of(tuple(cost for _ in range(4)))
         cfg = AlgorithmConfig(variant="det_jacobi", alpha=1.0, rho=1.0, tau=3)
         cert = certificate(cfg, stack, net, center, x_init=center)
         assert cert.d_x == 0.0 and cert.d_mu == pytest.approx(0.0, abs=1e-14)
@@ -278,6 +281,53 @@ class TestCertificate:
         text = certificate(cfg, stack, net, ref.x_star).report()
         for key in ("xi", "alpha_ok", "xi_ok", "r", "D_x", "D_mu", "bound_constant"):
             assert key in text
+
+
+@st.composite
+def small_instances(draw):
+    """(net, stack): a chain, complete or radius-0.7 geometric graph on 3 to 8
+    nodes, with quadratic d=2 costs of spectra in [1, h_hi <= 4] or logistic
+    d=3 costs of per-node reg in [1, 10], condition numbers up to about 4."""
+    graph = draw(st.sampled_from(["chain", "complete", "geometric"]))
+    n, seed = draw(st.integers(3, 8)), draw(st.integers(0, 999))
+    if graph == "geometric":
+        g = build_geometric_graph(n, radius=0.7, rng_seed=seed)[0]
+    else:
+        g = (build_chain_graph if graph == "chain" else build_complete_graph)(n)
+    if draw(st.booleans()):
+        stack = generate_quadratic_stack(n, 2, seed=seed, h_lo=1.0, h_hi=draw(st.floats(1.0, 4.0)))
+    else:
+        stack = generate_logistic_data(n, 3, reg=n * draw(st.floats(1.0, 10.0)), seed=seed)
+    return build_network(g), stack
+
+
+class TestCertificateOnDrawnInstances:
+    """The deterministic recipes' certificates hold on drawn instances, run
+    from zero: max_i ||x_i(k) - x*|| <= r^k bound_constant at every k, and
+    every Lyapunov step from a value above 100x its floor contracts by at
+    most r. Criterion 5 checks one instance, with slack."""
+
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    @given(small_instances(), st.sampled_from(["section4_jacobi", "section4_gradient",
+                                               "section5_jacobi", "section5_gradient"]))
+    def test_bound_and_lyapunov_step(self, instance, recipe):
+        net, stack = instance
+        ref = reference_solve(stack)
+        variant, alpha, rho, beta, tau = resolve_recipe(recipe, stack.h_min, stack.h_max,
+                                                        net.lambda2)
+        cfg = AlgorithmConfig(variant=variant, alpha=alpha, rho=rho, tau=tau, beta=beta,
+                              epsilon=1e-10)
+        cert = certificate(cfg, stack, net, ref.x_star)
+        assert cert.alpha_ok and cert.xi_ok
+        trace = run_variant(stack, net, cfg, 80)
+        xs = np.reshape(trace.xs, (len(trace.xs), stack.n_nodes, -1))
+        worst = np.linalg.norm(xs - ref.x_star, axis=2).max(axis=1)
+        assert (worst <= cert.r ** np.arange(len(worst)) * cert.bound_constant).all()
+        saddle = saddle_point(stack, ref.x_star)
+        lyap = np.array([lyapunov_value(x, mu, saddle, net, stack.h_min)
+                         for x, mu in zip(trace.xs, trace.mus)])
+        above = lyap[:-1] >= 100.0 * lyap.min()
+        assert (lyap[1:][above] <= cert.r * lyap[:-1][above]).all()
 
 
 class TestSaddleResiduals:
