@@ -181,8 +181,9 @@ def _outer_loop(stack, net, cfg, k_max, inner, x0=None, stop=None) -> RunTrace:
     (x, transmissions, grad_evals). The loop then forms xbar = (W (x) I) x
     of the new x, so the dual step mu + alpha (x - xbar) is
     mu + alpha (L (x) I) x, and overflows unwarned: the run raises, naming k,
-    once x or mu is not finite or a prox solve fails. It ends after k_max
-    outer iterations or once stop(x, mu, k) holds.
+    once x or mu is not finite or a prox solve fails. stop(x, mu, k) sees
+    every row as it is recorded, row 0 included, and the run ends at the
+    first row for which it holds, or after k_max outer iterations.
     """
     n, d = stack.n_nodes, stack.dimension
     x = np.zeros(n * d) if x0 is None else np.array(x0, dtype=float)
@@ -195,6 +196,8 @@ def _outer_loop(stack, net, cfg, k_max, inner, x0=None, stop=None) -> RunTrace:
     tx = ge = 0
     t0 = time.perf_counter()
     trace.record(x, mu, tx, ge, 0.0)
+    if stop is not None and stop(x, mu, 0):
+        return trace
     for k in range(1, k_max + 1):
         try:
             x, sent, grads = inner(x, mu, xbar)
@@ -311,8 +314,8 @@ def write_trace_csv(path, trace: RunTrace, rel_cost_error, primal_error_norm, du
                     lyapunov_value):
     """Serialize one run: fixed header, one row per outer iteration.
 
-    The four metric columns are precomputed arrays aligned with the trace
-    rows, in header order (harness.trace_metrics computes them). Floats are
+    The four metric columns are sequences aligned with the trace rows, in
+    header order (harness.trace_metrics makes each row). Floats are
     written with 17 significant digits so identical runs produce
     byte-identical files. A non-finite value is refused before the file
     is opened.

@@ -21,14 +21,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .almethods import (
-    VARIANTS,
-    AlgorithmConfig,
-    RunTrace,
-    read_trace_csv,
-    run_variant,
-    write_trace_csv,
-)
+from .almethods import VARIANTS, AlgorithmConfig, read_trace_csv, run_variant, write_trace_csv
 from .local_solve import accelerated_gradient
 from .network import (
     NetworkModel,
@@ -40,7 +33,7 @@ from .network import (
 )
 from .objective import ObjectiveStack, save_dataset
 from .svgplot import semilog_svg
-from .theory import RECIPES, certificate, lyapunov_value, resolve_recipe, saddle_point
+from .theory import RECIPES, SaddlePoint, certificate, lyapunov_value, resolve_recipe, saddle_point
 
 __all__ = [
     "ExperimentConfig",
@@ -309,18 +302,13 @@ def relative_cost_error(stack: ObjectiveStack, ref: ReferenceSolution, x) -> flo
     return max(total / (stack.n_nodes * denom), 0.0)
 
 
-def trace_metrics(stack, net: NetworkModel, ref: ReferenceSolution, trace: RunTrace):
-    """Per-row arrays of the four float columns of a trace CSV, in its order;
-    an overflow is left unwarned, as inf or nan, for write_trace_csv to name."""
-    saddle = saddle_point(stack, ref.x_star)
-    rel, prim, dual, lyap = [], [], [], []
+def trace_metrics(stack, net: NetworkModel, ref: ReferenceSolution, saddle: SaddlePoint, x, mu):
+    """The four float columns of the trace row of (x, mu), in CSV order; an
+    overflow is left unwarned, as inf or nan, for write_trace_csv to name."""
     with np.errstate(over="ignore", invalid="ignore"):
-        for x, mu in zip(trace.xs, trace.mus):
-            rel.append(relative_cost_error(stack, ref, x))
-            prim.append(float(np.linalg.norm(x - saddle.x_bullet)))
-            dual.append(np.linalg.norm(mu.reshape(stack.n_nodes, -1).sum(axis=0)))
-            lyap.append(lyapunov_value(x, mu, saddle, net, stack.h_min))
-    return np.array(rel), np.array(prim), np.array(dual), np.array(lyap)
+        return (relative_cost_error(stack, ref, x), float(np.linalg.norm(x - saddle.x_bullet)),
+                float(np.linalg.norm(mu.reshape(stack.n_nodes, -1).sum(axis=0))),
+                lyapunov_value(x, mu, saddle, net, stack.h_min))
 
 
 def resolve_algorithm(entry, stack, net,
@@ -411,8 +399,11 @@ def run_experiment(cfg: ExperimentConfig):
 
     The DALOPT_OUTPUT_DIR environment variable overrides cfg.output_dir.
     The plots draw every trace in the directory, so a trace_<label>.csv of
-    a label not in cfg fails at [output] before anything is written. Any
-    stage failure raises StageError naming the stage.
+    a label not in cfg fails at [output] before anything is written. Each
+    trace row is made once, as the run reaches it: the stop test reads its
+    rel_cost_error, and a row that is not finite ends the run, which then
+    fails at write_trace_csv naming the column and k. Any stage failure
+    raises StageError naming the stage.
     """
     out = Path(os.environ.get(OUTPUT_DIR_ENV) or cfg.output_dir)
     net, stack, ref, algorithms = build_problem(cfg)
@@ -429,21 +420,23 @@ def run_experiment(cfg: ExperimentConfig):
         with stage("objective"):
             save_dataset(stack, out / "dataset.csv")
 
+    with stage("metrics"):
+        saddle = saddle_point(stack, ref.x_star)
+        # cost translation: f(x_i) - f* <= (sum_j h_max_j)/2 ||x_i - x*||^2,
+        # so rel_cost_error <= cost_factor * (r^k * bound_constant)^2
+        cost_factor = float(stack.node_h_max.sum()) / (2.0 * (ref.f_zero - ref.f_star))
     for acfg, cert in algorithms:
         with stage(f"run:{acfg.name}"):
-            stop = None
-            if cfg.stop_rel_cost is not None:
-                threshold = float(cfg.stop_rel_cost)
+            rows = []
 
-                def stop(x, mu, k, _t=threshold):
-                    return relative_cost_error(stack, ref, x) <= _t
+            def stop(x, mu, k):  # row 0 is not tested against stop_rel_cost
+                row = trace_metrics(stack, net, ref, saddle, x, mu)
+                rows.append(row)
+                return not all(map(math.isfinite, row)) or (
+                    k > 0 and cfg.stop_rel_cost is not None and row[0] <= cfg.stop_rel_cost)
 
             trace = run_variant(stack, net, acfg, cfg.k_max, stop=stop)
-            write_trace_csv(out / f"trace_{acfg.name}.csv", trace,
-                            *trace_metrics(stack, net, ref, trace))
-            # cost translation: f(x_i) - f* <= (sum_j h_max_j)/2 ||x_i - x*||^2,
-            # so rel_cost_error <= cost_factor * (r^k * bound_constant)^2
-            cost_factor = float(stack.node_h_max.sum()) / (2.0 * (ref.f_zero - ref.f_star))
+            write_trace_csv(out / f"trace_{acfg.name}.csv", trace, *zip(*rows))
             with open(out / f"certificate_{acfg.name}.txt", "w") as fh:
                 fh.write(f"algorithm: {acfg.name} ({acfg.variant})\n")
                 fh.write(f"tau: {acfg.tau}\n")

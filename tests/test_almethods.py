@@ -280,6 +280,36 @@ class TestLazyTicks:
         assert lazy.grad_evals == given.grad_evals
 
 
+class TestStop:
+    """stop(x, mu, k) sees every row as it is recorded, row 0 first, and the
+    run ends at the first row for which it holds."""
+
+    @staticmethod
+    def config():
+        return AlgorithmConfig(variant="det_jacobi", alpha=0.5, rho=1.0, tau=1)
+
+    def test_sees_every_row(self, chain5_net, quad5_stack):
+        seen = []
+        tr = run_variant(quad5_stack, chain5_net, self.config(), 3,
+                         stop=lambda x, mu, k: seen.append((k, x.copy(), mu.copy())))
+        assert [k for k, _, _ in seen] == [0, 1, 2, 3]
+        assert all(np.array_equal(x, tx) for (_, x, _), tx in zip(seen, tr.xs, strict=True))
+        assert all(np.array_equal(mu, tm) for (_, _, mu), tm in zip(seen, tr.mus, strict=True))
+
+    def test_stop_at_row_zero(self, chain5_net, quad5_stack):
+        tr = run_variant(quad5_stack, chain5_net, self.config(), 3, stop=lambda x, mu, k: True)
+        assert tr.outer_iterations == 0
+        assert tr.transmissions == [0]
+
+    def test_divergent_iterates_name_k(self, chain5_net):
+        # without a stop test a diverging dual step runs until x or mu overflows
+        stack = generate_quadratic_stack(5, 2, seed=0)
+        cfg = AlgorithmConfig(variant="det_gradient", alpha=5000, rho=0, tau=1, beta=0.15)
+        with pytest.raises(FloatingPointError,
+                           match=r"^iterates are not finite at outer iteration k=119$"):
+            run_variant(stack, chain5_net, cfg, 300)
+
+
 class TestSweepsReuseXbar:
     """The deterministic variants hand the loop's xbar to the sweeps, which
     apply W between sweeps; the loop applies it once after them and once at

@@ -448,6 +448,20 @@ class TestRunExperiment:
         rows = (out / "trace_section4_jacobi.csv").read_text().strip().splitlines()
         assert float(rows[-1].split(",")[3]) <= 1e-3
 
+    def test_metrics_once_per_row(self, tmp_path, monkeypatch):
+        # the stop test reads the row's rel_cost_error; nothing computes it again
+        calls = []
+        original = harness.relative_cost_error
+        monkeypatch.setattr(harness, "relative_cost_error",
+                            lambda *args: calls.append(1) or original(*args))
+        cfg = minimal_config(tmp_path, stop_rel_cost=1e-3,
+                             algorithms=[{"recipe": "section4_jacobi"},
+                                         {"recipe": "section4_gradient"}])
+        out = run_experiment(cfg)
+        rows = [len(p.read_text().splitlines()) - 1 for p in out.glob("trace_*.csv")]
+        assert len(rows) == 2 and all(n < cfg.k_max + 1 for n in rows)
+        assert len(calls) == sum(rows)
+
     def test_logistic_pipeline_writes_dataset(self, tmp_path):
         cfg = minimal_config(
             tmp_path,
@@ -461,12 +475,13 @@ class TestRunExperiment:
         assert (out / "dataset.csv").exists()
 
     @pytest.mark.parametrize("k_max, message", [
-        (300, "iterates are not finite at outer iteration k=119"),
+        (300, "lyapunov_value is not finite in trace row k=59"),
         (100, "lyapunov_value is not finite in trace row k=59"),
     ])
     def test_divergent_run_stops_at_its_run_stage(self, tmp_path, k_max, message):
         # alpha far above h_min + rho: the dual step diverges; the Lyapunov
-        # value overflows at k=59, the iterates at k=119
+        # value overflows at k=59, which ends the run there, whatever k_max,
+        # although its iterates stay finite until k=119
         cfg = minimal_config(
             tmp_path,
             network={"type": "chain", "n": 5},
