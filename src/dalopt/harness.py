@@ -273,8 +273,8 @@ def reference_solve(stack: ObjectiveStack) -> ReferenceSolution:
     1e-12 * max(1, ||grad f(0)||), in at most REFERENCE_MAX_ITERATIONS steps.
     """
     d = stack.dimension
-    g0 = float(np.linalg.norm(stack.aggregate_grad(np.zeros(d))))
-    tol = 1e-12 * max(1.0, g0)
+    g = stack.aggregate_grad(np.zeros(d))
+    tol = 1e-12 * max(1.0, math.sqrt(g.dot(g)))
     if stack.kind == "quadratic":
         x = np.linalg.solve(stack.matrices.sum(axis=0), -stack.linears.sum(axis=0))
     else:
@@ -282,11 +282,13 @@ def reference_solve(stack: ObjectiveStack) -> ReferenceSolution:
                                  float(stack.node_h_max.sum()), tol, REFERENCE_MAX_ITERATIONS)
         if x is None:
             raise StageError("reference", f"did not reach gradient norm {tol}")
-    gn = float(np.linalg.norm(stack.aggregate_grad(x)))
+    g = stack.aggregate_grad(x)
+    gn = math.sqrt(g.dot(g))
     if gn > tol:
         raise StageError("reference", f"gradient norm {gn} above tolerance {tol}")
-    return ReferenceSolution(x_star=x, f_star=stack.aggregate_value(x),
-                             grad_norm_at_solution=gn, f_zero=stack.aggregate_value(np.zeros(d)))
+    # a row of aggregate_values does not depend on the batch
+    f_star, f_zero = stack.aggregate_values(np.stack((x, np.zeros(d)))).tolist()
+    return ReferenceSolution(x_star=x, f_star=f_star, grad_norm_at_solution=gn, f_zero=f_zero)
 
 
 def relative_cost_error(stack: ObjectiveStack, ref: ReferenceSolution, x) -> float:

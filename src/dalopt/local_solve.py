@@ -479,22 +479,24 @@ def accelerated_gradient(grad, x0, m, lip, tol, max_iterations):
     """Nesterov's method for an m-strongly convex objective with an
     lip-Lipschitz gradient grad, from x0: steps y - grad(y)/lip with momentum
     (1 - sqrt(m/lip)) / (1 + sqrt(m/lip)), the gradient norm at the iterate
-    checked against tol every 10 steps and after the last. Returns the
-    first iterate that passes the check, or None if none does within
-    max_iterations steps.
+    checked against tol before every 10th step and after the last. Returns
+    the first iterate that passes the check, or None if none does within
+    max_iterations steps. grad runs once per step and once per check.
     """
     sq = math.sqrt(m / lip)
     momentum = (1.0 - sq) / (1.0 + sq)
     x = x0.copy()
     y = x0.copy()
     for it in range(max_iterations):
-        g = grad(y)
-        if it % 10 == 0 and float(np.linalg.norm(grad(x))) <= tol:
-            return x
-        x_new = y - g / lip
+        if it % 10 == 0:
+            g = grad(x)
+            if math.sqrt(g.dot(g)) <= tol:  # np.linalg.norm of a 1-D vector
+                return x
+        x_new = y - grad(y) / lip
         y = x_new + momentum * (x_new - x)
         x = x_new
-    return x if float(np.linalg.norm(grad(x))) <= tol else None
+    g = grad(x)
+    return x if math.sqrt(g.dot(g)) <= tol else None
 
 
 def al_objective_grad(stack: ObjectiveStack, net: NetworkModel, x, mu, rho):

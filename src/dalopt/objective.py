@@ -206,12 +206,14 @@ class ObjectiveStack:
         return np.linalg.eigh(self.matrices)
 
     def node_grads(self, x):
-        """Row i of the result is grad f_i(x[i]); x is (N, d)."""
+        """Row i of the result is grad f_i(x[i]) for x of shape (N, d), and
+        grad f_i(x) for one block x of shape (d,), bit for bit as that block
+        repeated N times."""
         if self.kind == "logistic":
             # sigmoid(-c'x) = exp(-log(1 + exp(c'x))), overflow-free
-            s = np.exp(-np.logaddexp(0.0, (self.samples * x).sum(axis=1)))
+            s = np.exp(-np.logaddexp(0.0, np.add.reduce(self.samples * x, axis=1)))
             return self.node_reg[:, None] * x - s[:, None] * self.samples
-        return np.matmul(self.matrices, x[:, :, None])[:, :, 0] + self.linears
+        return np.matmul(self.matrices, x[..., None])[..., 0] + self.linears
 
     def node_grad_rows(self, x):
         """Row i is node_grad(i, x[i]) bit for bit; node_grads' logistic form
@@ -250,8 +252,8 @@ class ObjectiveStack:
         return float(self.aggregate_values(np.asarray(x, dtype=float)[None, :])[0])
 
     def aggregate_grad(self, x):
-        x = np.broadcast_to(np.asarray(x, dtype=float), (self.n_nodes, self.dimension))
-        return self.node_grads(x).sum(axis=0)
+        """grad f(x) = sum_i grad f_i(x), common argument."""
+        return np.add.reduce(self.node_grads(np.asarray(x, dtype=float)), axis=0)
 
 
 def grad_stack(stack: ObjectiveStack, x) -> np.ndarray:

@@ -1,5 +1,8 @@
 """Test-only reference forms: per-node cost objects of a stack's rows, the
-stack of such objects, and the outer loop run with any primal policy."""
+stack of such objects, the outer loop run with any primal policy, and the
+accelerated-gradient loop that evaluates the gradient at y on every pass."""
+
+import math
 
 import numpy as np
 
@@ -32,3 +35,22 @@ def run_policy(stack, net, cfg, policy, k_max, x0=None):
     def inner(x, mu, xbar):
         return np.asarray(policy(x, mu), dtype=float), 0, 0
     return _outer_loop(stack, net, cfg, k_max, inner, x0)
+
+
+def accelerated_gradient_reference(grad, x0, m, lip, tol, max_iterations):
+    """The accelerated-gradient loop in its plainest form: grad(y) on every
+    pass, the pass that returns included, and the norm from np.linalg.norm.
+    local_solve.accelerated_gradient must give its iterates and its result
+    bit for bit."""
+    sq = math.sqrt(m / lip)
+    momentum = (1.0 - sq) / (1.0 + sq)
+    x = x0.copy()
+    y = x0.copy()
+    for it in range(max_iterations):
+        g = grad(y)
+        if it % 10 == 0 and float(np.linalg.norm(grad(x))) <= tol:
+            return x
+        x_new = y - g / lip
+        y = x_new + momentum * (x_new - x)
+        x = x_new
+    return x if float(np.linalg.norm(grad(x))) <= tol else None

@@ -176,6 +176,16 @@ class TestReferenceSolve:
         )
         assert ref.grad_norm_at_solution == pytest.approx(np.linalg.norm(g))
 
+    @pytest.mark.parametrize("stack", [generate_logistic_data(10, 15, reg=3.0, seed=11),
+                                       generate_quadratic_stack(12, 10, seed=3)],
+                             ids=["logistic", "quadratic"])
+    def test_values_are_aggregate_value_bit_for_bit(self, stack):
+        ref = reference_solve(stack)
+        assert ref.f_star == stack.aggregate_value(ref.x_star)
+        assert ref.f_zero == stack.aggregate_value(np.zeros(stack.dimension))
+        g = stack.aggregate_grad(ref.x_star)
+        assert ref.grad_norm_at_solution == float(np.linalg.norm(g))
+
     def test_logistic_iteration_cap(self, monkeypatch):
         stack = generate_logistic_data(6, 4, reg=2.0, seed=1)
         monkeypatch.setattr(harness, "REFERENCE_MAX_ITERATIONS", 3)

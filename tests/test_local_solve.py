@@ -12,6 +12,7 @@ from dalopt import local_solve
 from dalopt.local_solve import (
     BAND,
     SolverError,
+    accelerated_gradient,
     al_objective_grad,
     exact_al_minimizer,
     exact_al_minimizer_direct,
@@ -26,7 +27,7 @@ from dalopt.network import build_chain_graph, build_network
 from dalopt.objective import LogisticCost, ObjectiveStack, QuadraticCost, grad_stack
 from dalopt.theory import saddle_point
 
-from oracles import node_costs, stack_of
+from oracles import accelerated_gradient_reference, node_costs, stack_of
 
 
 def scalar_quadratic(center, curvature=1.0):
@@ -485,6 +486,62 @@ class TestGradientStepLocal:
         ])
         oracle = x - beta * al_objective_grad(stack, net, x, mu, rho)
         assert np.allclose(stepped, oracle, atol=1e-12)
+
+
+class TestAcceleratedGradient:
+    """The loop checks x before it evaluates grad(y), so the pass that
+    returns costs one gradient, not two; every iterate is the reference
+    loop's bit for bit."""
+
+    @staticmethod
+    def reference_problem(stack):
+        g0 = stack.aggregate_grad(np.zeros(stack.dimension))
+        return (stack.aggregate_grad, np.zeros(stack.dimension), float(stack.node_h_min.sum()),
+                float(stack.node_h_max.sum()), 1e-12 * max(1.0, float(np.linalg.norm(g0))))
+
+    @settings(max_examples=50, derandomize=True, database=None, deadline=None)
+    @given(n=st.integers(2, 12), d=st.integers(2, 16), reg=st.floats(0.1, 10.0),
+           seed=st.integers(0, 1 << 16))
+    def test_logistic_matches_the_reference_loop(self, n, d, reg, seed):
+        stack = generate_logistic_data(n, d, reg=reg, seed=seed)
+        problem = self.reference_problem(stack)
+        x = accelerated_gradient(*problem, 100_000)
+        assert x is not None
+        assert np.array_equal(x, accelerated_gradient_reference(*problem, 100_000))
+        assert accelerated_gradient(*problem, 3) is None
+        assert accelerated_gradient_reference(*problem, 3) is None
+
+    @pytest.mark.parametrize("rho", [0.0, 1.0, 2.5])
+    def test_augmented_objective_matches_the_reference_loop(self, chain5_net, quad5_stack, rng,
+                                                            rho):
+        net, stack = chain5_net, quad5_stack
+        mu = rng.standard_normal(stack.n_nodes * stack.dimension)
+        problem = (lambda z: al_objective_grad(stack, net, z, mu, rho),
+                   np.zeros(stack.n_nodes * stack.dimension), stack.h_min,
+                   stack.h_max + rho * net.lambda_max, 1e-12)
+        x = accelerated_gradient(*problem, 2_000_000)
+        assert x is not None
+        assert np.array_equal(x, accelerated_gradient_reference(*problem, 2_000_000))
+        assert accelerated_gradient(*problem, 5) is None
+        assert accelerated_gradient_reference(*problem, 5) is None
+
+    def test_one_gradient_per_step_and_per_check(self):
+        grad, x0, m, lip, tol = self.reference_problem(generate_logistic_data(10, 15, reg=3.0))
+        # the pass that returns is the first multiple of 10 whose iterate
+        # passes: the least cap, among multiples of 10, with a result
+        steps = next(k for k in range(0, 10_000, 10)
+                     if accelerated_gradient(grad, x0, m, lip, tol, k) is not None)
+        calls = []
+
+        def counted(z):
+            calls.append(z)
+            return grad(z)
+
+        assert accelerated_gradient(counted, x0, m, lip, tol, 10_000) is not None
+        assert steps > 0 and len(calls) == steps + (steps // 10 + 1)
+        calls.clear()
+        assert accelerated_gradient(counted, x0, m, lip, -1.0, 25) is None
+        assert len(calls) == 25 + 4  # checks before steps 0, 10 and 20, and after the last
 
 
 class TestExactAlMinimizer:

@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from dalopt.harness import generate_logistic_data, generate_quadratic_stack
 from dalopt.objective import (
     LogisticCost,
     ObjectiveStack,
@@ -317,6 +318,18 @@ class TestArrayForm:
         x = rng.standard_normal(stack.dimension)
         oracle = sum(c.grad(x) for c in node_costs(stack))
         assert np.allclose(stack.aggregate_grad(x), oracle, rtol=1e-13, atol=1e-14)
+
+    @pytest.mark.parametrize("kind, n, d", [("quadratic", 200, 4), ("quadratic", 10, 15),
+                                            ("quadratic", 6, 2), ("quadratic", 50, 32),
+                                            ("logistic", 10, 15)])
+    def test_one_block_is_that_block_repeated_bit_for_bit(self, kind, n, d, rng):
+        stack = (generate_quadratic_stack(n, d) if kind == "quadratic"
+                 else generate_logistic_data(n, d, reg=3.0, seed=11))
+        for scale in (0.1, 3.0, 30.0):
+            for x in scale * rng.standard_normal((200 // 3, d)):
+                rows = stack.node_grads(np.broadcast_to(x, (n, d)))
+                assert np.array_equal(stack.node_grads(x), rows)
+                assert np.array_equal(stack.aggregate_grad(x), rows.sum(axis=0))
 
     def test_bounds_match_per_node(self, stack):
         assert stack.node_h_min.tolist() == [c.h_min for c in node_costs(stack)]
