@@ -102,24 +102,22 @@ class PoissonSchedule:
 
 @dataclass
 class RunTrace:
-    """Per-outer-iteration history of one run (row 0 is the initial state)."""
+    """One run's counters, one entry per row (row 0 is the initial state):
+    running totals of transmissions and grad_evals, and wall_clock, seconds
+    since row 0. It holds no iterate; the run's stop sees them (_outer_loop)."""
 
-    xs: list = field(default_factory=list)
-    mus: list = field(default_factory=list)
     transmissions: list = field(default_factory=list)
     grad_evals: list = field(default_factory=list)
     wall_clock: list = field(default_factory=list)
 
-    def record(self, x, mu, tx, ge, t):
-        self.xs.append(x.copy())
-        self.mus.append(mu.copy())
+    def record(self, tx, ge, t):
         self.transmissions.append(int(tx))
         self.grad_evals.append(int(ge))
         self.wall_clock.append(float(t))
 
     @property
     def outer_iterations(self):
-        return len(self.xs) - 1
+        return len(self.transmissions) - 1
 
 
 def check_beta(cfg: AlgorithmConfig, stack: ObjectiveStack):
@@ -183,22 +181,23 @@ def _outer_loop(stack, net, cfg, k_max, inner, x0=None, stop=None) -> RunTrace:
     mu + alpha (L (x) I) x, and overflows unwarned: the run raises, naming k,
     once x or mu is not finite or a prox solve fails. stop(x, mu, k) sees
     every row as it is recorded, row 0 included, and the run ends at the
-    first row for which it holds, or after k_max outer iterations.
+    first row for which it holds, or after k_max outer iterations. The loop
+    holds only the current x, mu and xbar, and stop gets them live: the next
+    iteration may overwrite them, so a stop that keeps them copies them.
     """
     n, d = stack.n_nodes, stack.dimension
     x = np.zeros(n * d) if x0 is None else np.array(x0, dtype=float)
     blocks = x.reshape(n, d)
-    if np.max(np.abs(blocks - blocks[0])) > 0:
-        raise ConfigError("primal initialization must be equal across nodes")
+    if not np.isfinite(x).all() or np.max(np.abs(blocks - blocks[0])) > 0:
+        raise ConfigError("primal initialization must be finite and equal across nodes")
     mu = np.zeros(n * d)
     xbar = net.weights_apply(x, d)
     trace = RunTrace()
-    tx = ge = 0
+    tx = ge = k = 0
     t0 = time.perf_counter()
-    trace.record(x, mu, tx, ge, 0.0)
-    if stop is not None and stop(x, mu, 0):
-        return trace
-    for k in range(1, k_max + 1):
+    trace.record(tx, ge, 0.0)
+    while not (stop is not None and stop(x, mu, k)) and k < k_max:
+        k += 1
         try:
             x, sent, grads = inner(x, mu, xbar)
         except SolverError as exc:
@@ -210,9 +209,7 @@ def _outer_loop(stack, net, cfg, k_max, inner, x0=None, stop=None) -> RunTrace:
         ge += grads
         if not (np.isfinite(x).all() and np.isfinite(mu).all()):
             raise FloatingPointError(f"iterates are not finite at outer iteration k={k}")
-        trace.record(x, mu, tx, ge, time.perf_counter() - t0)
-        if stop is not None and stop(x, mu, k):
-            break
+        trace.record(tx, ge, time.perf_counter() - t0)
     return trace
 
 
@@ -291,6 +288,7 @@ def run_variant(stack, net, cfg: AlgorithmConfig, k_max, x0=None, stop=None,
     iteration; each node broadcasts once per sweep. The randomized ones
     run the Poisson ticks of the iteration, from schedule when one is
     given (a list of at least k_max PoissonSchedule); only they take one.
+    The trace holds the counters; stop sees the live iterates (_outer_loop).
     """
     check_beta(cfg, stack)
     if cfg.variant.startswith("rand_"):
@@ -320,9 +318,8 @@ def write_trace_csv(path, trace: RunTrace, rel_cost_error, primal_error_norm, du
     byte-identical files. A non-finite value is refused before the file
     is opened.
     """
-    n_rows = len(trace.xs)
     cols = (rel_cost_error, primal_error_norm, dual_sum_norm, lyapunov_value)
-    if any(len(col) != n_rows for col in cols):
+    if any(len(col) != len(trace.transmissions) for col in cols):
         raise ValueError("metric column length mismatch")
     table = np.column_stack([np.asarray(col, dtype=float) for col in cols])
     bad = np.argwhere(~np.isfinite(table))

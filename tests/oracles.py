@@ -1,6 +1,7 @@
 """Test-only reference forms: per-node cost objects of a stack's rows, the
-stack of such objects, the outer loop run with any primal policy, and the
-accelerated-gradient loop that evaluates the gradient at y on every pass."""
+stack of such objects, the outer loop run with any primal policy, a stop
+that records a run's iterates, and the accelerated-gradient loop that
+evaluates the gradient at y on every pass."""
 
 import math
 
@@ -29,12 +30,27 @@ def stack_of(costs):
     return ObjectiveStack.logistic([c.stacked_sample for c in costs], [c.h_min for c in costs])
 
 
-def run_policy(stack, net, cfg, policy, k_max, x0=None):
+def run_policy(stack, net, cfg, policy, k_max, x0=None, stop=None):
     """The outer loop with policy(x, mu) -> x_next as its primal phase, whose
     transmissions and gradient evaluations the trace does not count."""
     def inner(x, mu, xbar):
         return np.asarray(policy(x, mu), dtype=float), 0, 0
-    return _outer_loop(stack, net, cfg, k_max, inner, x0)
+    return _outer_loop(stack, net, cfg, k_max, inner, x0, stop)
+
+
+def record_iterates(stop=None):
+    """(xs, mus, record): record is a run's stop that appends a copy of each
+    row's x and mu to the lists xs and mus, then defers to stop, if given.
+    It copies because the run may overwrite the arrays it passes: the tick
+    phase updates x in place."""
+    xs, mus = [], []
+
+    def record(x, mu, k):
+        xs.append(x.copy())
+        mus.append(mu.copy())
+        return stop is not None and stop(x, mu, k)
+
+    return xs, mus, record
 
 
 def accelerated_gradient_reference(grad, x0, m, lip, tol, max_iterations):

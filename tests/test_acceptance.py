@@ -31,6 +31,8 @@ from dalopt.theory import (
     saddle_residuals,
 )
 
+from oracles import record_iterates
+
 
 @contextmanager
 def criterion(num, desc):
@@ -70,7 +72,9 @@ def rate_instance():
         cfg = AlgorithmConfig(
             variant=variant, alpha=alpha, rho=rho, tau=tau, beta=beta, epsilon=1e-9
         )
-        runs[recipe] = (cfg, run_variant(stack, net, cfg, 400))
+        xs, mus, record = record_iterates()
+        run_variant(stack, net, cfg, 400, stop=record)
+        runs[recipe] = (cfg, xs, mus)
     return net, stack, ref, saddle, runs
 
 
@@ -120,14 +124,16 @@ def measure_inner_ratios(net, stack, cfg, k_max=100, x0_scale=8.0):
     """Per-outer-iteration ‖x(k+1)-x'(k+1)‖ / ‖x(k)-x'(k+1)‖ along a run,
     with x'(k+1) the exact augmented-objective minimizer at mu(k)."""
     n, d = stack.n_nodes, stack.dimension
-    trace = run_variant(stack, net, cfg, k_max, x0=np.full(n * d, x0_scale))
+    xs, mus, record = record_iterates()
+    run_variant(stack, net, cfg, k_max, x0=np.full(n * d, x0_scale), stop=record)
+    assert len(xs) == k_max + 1
     ratios = []
     for k in range(k_max):
         xp = exact_al_minimizer(
-            stack, net, trace.mus[k], cfg.rho, tol=1e-12, x0=trace.xs[k + 1]
+            stack, net, mus[k], cfg.rho, tol=1e-12, x0=xs[k + 1]
         )
-        num = np.linalg.norm(trace.xs[k + 1] - xp)
-        den = np.linalg.norm(trace.xs[k] - xp)
+        num = np.linalg.norm(xs[k + 1] - xp)
+        den = np.linalg.norm(xs[k] - xp)
         ratios.append(num / den)
     return np.array(ratios)
 
@@ -182,8 +188,9 @@ def test_criterion_4_randomized_expectation_bounds():
                     variant=variant, alpha=0.1, rho=rho, tau=1, beta=b,
                     seed=seed, epsilon=1e-10,
                 )
-                trace = run_variant(stack, net, cfg, 1, x0=x0)
-                post.append(np.linalg.norm(trace.xs[1] - xp))
+                xs, _, record = record_iterates()
+                run_variant(stack, net, cfg, 1, x0=x0, stop=record)
+                post.append(np.linalg.norm(xs[1] - xp))
             post = np.array(post)
             mean = post.mean()
             se = post.std(ddof=1) / math.sqrt(post.size)
@@ -194,19 +201,20 @@ def test_criterion_4_randomized_expectation_bounds():
 def test_criterion_5_global_linear_rate(rate_instance):
     with criterion(5, "deterministic recipes satisfy the global linear rate"):
         net, stack, ref, saddle, runs = rate_instance
-        for recipe, (cfg, trace) in runs.items():
+        for recipe, (cfg, xs, mus) in runs.items():
             cert = certificate(cfg, stack, net, ref.x_star)
             assert cert.alpha_ok and cert.xi_ok, recipe
+            assert len(xs) == 401, recipe
             lyap = np.array([
                 lyapunov_value(x, mu, saddle, net, stack.h_min)
-                for x, mu in zip(trace.xs, trace.mus)
+                for x, mu in zip(xs, mus)
             ])
             floor = lyap.min()
             for k in range(len(lyap) - 1):
                 if lyap[k] >= 100.0 * floor:
                     assert lyap[k + 1] / lyap[k] <= cert.r + 0.01, (recipe, k)
             d = stack.dimension
-            for k, x in enumerate(trace.xs):
+            for k, x in enumerate(xs):
                 worst = np.max(np.linalg.norm(
                     x.reshape(stack.n_nodes, d) - ref.x_star, axis=1
                 ))
@@ -216,10 +224,10 @@ def test_criterion_5_global_linear_rate(rate_instance):
 def test_criterion_6_epsilon_iteration_count(rate_instance):
     with criterion(6, "iterations to 1e-6 relative primal error within the bound"):
         net, stack, ref, saddle, runs = rate_instance
-        for recipe, (cfg, trace) in runs.items():
+        for recipe, (cfg, xs, _) in runs.items():
             cert = certificate(cfg, stack, net, ref.x_star)
             errs = np.array([
-                np.linalg.norm(x - saddle.x_bullet) for x in trace.xs
+                np.linalg.norm(x - saddle.x_bullet) for x in xs
             ])
             rel = errs / errs[0]
             hits = np.nonzero(rel <= 1e-6)[0]

@@ -1,7 +1,11 @@
 """Algorithm drivers: dual ascent, sweeps, Poisson schedules, traces."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dalopt import almethods
 from dalopt.almethods import (
@@ -9,6 +13,7 @@ from dalopt.almethods import (
     ConfigError,
     PoissonSchedule,
     TRACE_HEADER,
+    VARIANTS,
     gradient_sweeps,
     jacobi_sweeps,
     read_trace_csv,
@@ -31,11 +36,12 @@ from dalopt.network import (
     NetworkError,
     build_network,
     metropolis_weights,
+    Graph,
 )
-from dalopt.objective import QuadraticCost
+from dalopt.objective import ObjectiveStack, QuadraticCost
 from dalopt.theory import saddle_point
 
-from oracles import node_costs, run_policy, stack_of
+from oracles import node_costs, record_iterates, run_policy, stack_of
 
 
 def scalar_quadratic(center):
@@ -62,7 +68,9 @@ class TestDualUpdate:
         stack = generate_quadratic_stack(net.node_count, d, seed=0)
         cfg = AlgorithmConfig(variant="det_jacobi", alpha=alpha, rho=1.0, tau=1)
         given = iter(xs)
-        return run_policy(stack, net, cfg, lambda x, mu: next(given), len(xs)).mus
+        _, mus, record = record_iterates()
+        run_policy(stack, net, cfg, lambda x, mu: next(given), len(xs), stop=record)
+        return mus
 
     def test_consensus_leaves_dual_unchanged(self, chain5_net, rng):
         x = np.tile(rng.standard_normal(2), 5)
@@ -90,8 +98,10 @@ class TestDetJacobi:
         net = build_network(build_chain_graph(3))
         stack = stack_of(tuple(scalar_quadratic(2.5) for _ in range(3)))
         cfg = AlgorithmConfig(variant="det_jacobi", alpha=1.0, rho=1.0, tau=2)
-        tr = run_variant(stack, net, cfg, 4, x0=np.full(3, 2.5))
-        for x, mu in zip(tr.xs, tr.mus):
+        xs, mus, record = record_iterates()
+        run_variant(stack, net, cfg, 4, x0=np.full(3, 2.5), stop=record)
+        assert len(xs) == 5
+        for x, mu in zip(xs, mus):
             assert np.array_equal(x, np.full(3, 2.5))
             assert np.array_equal(mu, np.zeros(3))
 
@@ -104,9 +114,10 @@ class TestDetJacobi:
 
         tau = resolve_recipe("section4_jacobi", stack.h_min, stack.h_max, net.lambda2)[4]
         cfg = AlgorithmConfig(variant="det_jacobi", alpha=alpha, rho=rho, tau=tau, epsilon=1e-12)
-        tr = run_variant(stack, net, cfg, 100)
+        xs, _, record = record_iterates()
+        run_variant(stack, net, cfg, 100, stop=record)
         x_star = 3.0  # mean of the centers for identical curvatures
-        errs = np.array([np.linalg.norm(x - x_star) for x in tr.xs])
+        errs = np.array([np.linalg.norm(x - x_star) for x in xs])
         assert errs[-1] <= 1e-8 * errs[0]
         # geometric decrease: every 10 outer iterations shrink the error
         assert errs[20] < 0.5 * errs[10] and errs[30] < 0.5 * errs[20]
@@ -115,8 +126,9 @@ class TestDetJacobi:
         net = build_network(build_chain_graph(3))
         stack = stack_of(tuple(scalar_quadratic(c) for c in (1.0, -2.0, 5.0)))
         cfg = AlgorithmConfig(variant="det_jacobi", alpha=0.5, rho=0.0, tau=1, epsilon=1e-14)
-        tr = run_variant(stack, net, cfg, 1)
-        assert np.allclose(tr.xs[1], [1.0, -2.0, 5.0], atol=1e-6)
+        xs, _, record = record_iterates()
+        run_variant(stack, net, cfg, 1, stop=record)
+        assert np.allclose(xs[1], [1.0, -2.0, 5.0], atol=1e-6)
 
     def test_one_sweep_matches_per_node_solves(self, geo10_net, rng):
         stack, net = generate_logistic_data(10, 4, reg=2.0, seed=5), geo10_net
@@ -157,6 +169,14 @@ class TestDetJacobi:
         bad = np.arange(15.0)
         with pytest.raises(ConfigError, match="equal"):
             run_variant(quad5_stack, chain5_net, cfg, 1, x0=bad)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_initialization_rejected(self, chain5_net, quad5_stack, value):
+        # equal non-finite blocks pass the equal-blocks test, as |x - x_0| is
+        # nan there, and failed later, deep in the prox kernel
+        cfg = AlgorithmConfig(variant="det_jacobi", alpha=0.5, rho=1.0, tau=1)
+        with pytest.raises(ConfigError, match="primal initialization must be finite"):
+            run_variant(quad5_stack, chain5_net, cfg, 1, x0=np.full(15, value))
 
     def test_schedule_rejected(self, chain5_net, quad5_stack):
         # tick schedules drive the randomized variants only
@@ -271,11 +291,14 @@ class TestLazyTicks:
         k_max = 8
         stop = None if stop_at is None else (lambda x, mu, k: k == stop_at)
         sched = sample_poisson_schedule(10, cfg.tau, k_max, cfg.seed)
-        lazy = run_variant(quad10_stack, geo10_net, cfg, k_max, stop=stop)
-        given = run_variant(quad10_stack, geo10_net, cfg, k_max, schedule=sched, stop=stop)
+        lazy_xs, lazy_mus, record = record_iterates(stop)
+        lazy = run_variant(quad10_stack, geo10_net, cfg, k_max, stop=record)
+        given_xs, given_mus, record = record_iterates(stop)
+        given = run_variant(quad10_stack, geo10_net, cfg, k_max, schedule=sched, stop=record)
         assert lazy.outer_iterations == (stop_at or k_max)
-        assert all(np.array_equal(a, b) for a, b in zip(lazy.xs, given.xs, strict=True))
-        assert all(np.array_equal(a, b) for a, b in zip(lazy.mus, given.mus, strict=True))
+        assert len(lazy_xs) == lazy.outer_iterations + 1
+        assert all(np.array_equal(a, b) for a, b in zip(lazy_xs, given_xs, strict=True))
+        assert all(np.array_equal(a, b) for a, b in zip(lazy_mus, given_mus, strict=True))
         assert lazy.transmissions == given.transmissions
         assert lazy.grad_evals == given.grad_evals
 
@@ -289,17 +312,35 @@ class TestStop:
         return AlgorithmConfig(variant="det_jacobi", alpha=0.5, rho=1.0, tau=1)
 
     def test_sees_every_row(self, chain5_net, quad5_stack):
+        # each row seen is the loop's: row 0 the start, and row k one sweep
+        # and one dual step on from row k - 1
+        net, stack, cfg = chain5_net, quad5_stack, self.config()
         seen = []
-        tr = run_variant(quad5_stack, chain5_net, self.config(), 3,
+        tr = run_variant(stack, net, cfg, 3,
                          stop=lambda x, mu, k: seen.append((k, x.copy(), mu.copy())))
         assert [k for k, _, _ in seen] == [0, 1, 2, 3]
-        assert all(np.array_equal(x, tx) for (_, x, _), tx in zip(seen, tr.xs, strict=True))
-        assert all(np.array_equal(mu, tm) for (_, _, mu), tm in zip(seen, tr.mus, strict=True))
+        assert len(seen) == len(tr.transmissions)
+        assert not seen[0][1].any() and not seen[0][2].any()
+        solve = node_prox_solver(stack, cfg.rho, cfg.epsilon)
+        for (_, x_prev, mu_prev), (_, x, mu) in zip(seen, seen[1:]):
+            x_next, _ = jacobi_sweeps(stack, net, x_prev, mu_prev, cfg.rho, 1, solve,
+                                      net.weights_apply(x_prev, 3))
+            assert np.array_equal(x, x_next)
+            assert np.array_equal(mu, mu_prev + cfg.alpha * (x_next - net.weights_apply(x_next, 3)))
 
     def test_stop_at_row_zero(self, chain5_net, quad5_stack):
         tr = run_variant(quad5_stack, chain5_net, self.config(), 3, stop=lambda x, mu, k: True)
         assert tr.outer_iterations == 0
         assert tr.transmissions == [0]
+
+    def test_trace_rows_align(self, chain5_net, quad5_stack):
+        # one entry per row in every counter, with the clock at 0 at row 0
+        for stop, rows in ((lambda x, mu, k: True, 1), (None, 7)):
+            tr = run_variant(quad5_stack, chain5_net, self.config(), 6, stop=stop)
+            assert len(tr.transmissions) == len(tr.grad_evals) == len(tr.wall_clock) == rows
+            assert tr.outer_iterations == rows - 1
+            assert tr.wall_clock[0] == 0.0
+            assert all(a <= b for a, b in zip(tr.wall_clock, tr.wall_clock[1:]))
 
     def test_divergent_iterates_name_k(self, chain5_net):
         # without a stop test a diverging dual step runs until x or mu overflows
@@ -308,6 +349,92 @@ class TestStop:
         with pytest.raises(FloatingPointError,
                            match=r"^iterates are not finite at outer iteration k=119$"):
             run_variant(stack, chain5_net, cfg, 300)
+
+
+class TestRunState:
+    """A run holds only its current iterates; a stop that wants every row's
+    iterates records copies of them."""
+
+    def test_recorder_copies(self, geo10_net, quad10_stack):
+        # the tick phase updates x in place, so a recorder that kept x itself
+        # would hold the last row's x once per row
+        cfg = AlgorithmConfig(variant="rand_gauss_seidel", alpha=0.5, rho=1.0, tau=2, seed=9)
+        xs, mus, record = record_iterates()
+        run_variant(quad10_stack, geo10_net, cfg, 5, stop=record)
+        assert len(xs) == len(mus) == 6
+        assert not xs[0].any() and not mus[0].any()
+        assert all(not np.array_equal(a, b) for a, b in zip(xs, xs[1:]))
+
+    @pytest.mark.parametrize("variant", ["det_gradient", "det_jacobi"])
+    def test_peak_memory_does_not_grow_with_the_rows(self, variant):
+        # tracemalloc sees numpy's buffers: 390 more rows of (x, mu) would
+        # add 390 * 2 N d * 8 bytes, 1.25 MB, where the counters add 40 KB
+        n, d = 50, 4
+        graph, _ = build_geometric_graph(n, radius=1.5 * np.sqrt(np.log(n) / n), rng_seed=2)
+        net, stack = build_network(graph), generate_quadratic_stack(n, d, seed=0)
+        beta = 1.0 / (stack.h_max + 1.0) if variant == "det_gradient" else None
+        cfg = AlgorithmConfig(variant=variant, alpha=0.1, rho=1.0, tau=1, beta=beta)
+
+        def peak(k_max):
+            tracemalloc.start()
+            try:
+                run_variant(stack, net, cfg, k_max)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(400) - peak(10) < 390 * 2 * n * d * 8 / 10
+
+
+class TestRelabeling:
+    """A run does not depend on how the nodes are numbered: relabeling the
+    graph, the stack's rows and the tick schedule by a permutation keeps
+    every row's counters and permutes the blocks of its x and mu, up to the
+    rounding of sums taken in another order. A row written back to the
+    wrong node breaks this."""
+
+    @settings(max_examples=30, derandomize=True, database=None, deadline=None)
+    @given(st.sampled_from(["chain", "complete", "geometric"]), st.integers(5, 30),
+           st.sampled_from(["quadratic", "logistic"]), st.sampled_from(VARIANTS), st.data())
+    def test_relabeled_run_permutes_the_iterates(self, graph_kind, n, cost_kind, variant, data):
+        # node j of the relabeled problem is node perm[j] of the original
+        d, k_max, seed = 3, 10, data.draw(st.integers(0, 999))
+        perm = np.array(data.draw(st.permutations(range(n))))
+        if graph_kind == "geometric":
+            graph, _ = build_geometric_graph(n, radius=1.5 * np.sqrt(np.log(n) / n),
+                                             rng_seed=seed)
+        else:
+            graph = (build_chain_graph if graph_kind == "chain" else build_complete_graph)(n)
+        if cost_kind == "quadratic":
+            # spectra this wide spread the nodes over several of the prox
+            # kernel's bands, each a table walked for its own nodes
+            stack = generate_quadratic_stack(n, d, seed=seed, h_lo=0.1, h_hi=10.0)
+            relabeled = ObjectiveStack.quadratic(stack.matrices[perm], stack.linears[perm])
+        else:
+            stack = generate_logistic_data(n, d, reg=0.5, seed=seed)
+            relabeled = ObjectiveStack.logistic(stack.samples[perm], stack.node_reg[perm])
+        beta = 1.0 / (stack.h_max + 1.0) if variant.endswith("_gradient") else None
+        cfg = AlgorithmConfig(variant=variant, alpha=0.3, rho=1.0, tau=2, beta=beta,
+                              seed=seed, epsilon=1e-9)
+        schedules = [None, None]
+        if variant.startswith("rand_"):
+            schedule = sample_poisson_schedule(n, cfg.tau, k_max, seed)
+            label = np.argsort(perm)  # node i of the original is node label[i]
+            schedules = [schedule, [PoissonSchedule(nodes=label[s.nodes]) for s in schedule]]
+        runs = []
+        for problem, net, schedule in zip(
+                (stack, relabeled),
+                (build_network(graph), build_network(Graph(graph.adjacency[np.ix_(perm, perm)]))),
+                schedules):
+            xs, mus, record = record_iterates()
+            trace = run_variant(problem, net, cfg, k_max, schedule=schedule, stop=record)
+            runs.append((trace, np.reshape(xs, (-1, n, d)), np.reshape(mus, (-1, n, d))))
+        (trace, xs, mus), (relabeled_trace, relabeled_xs, relabeled_mus) = runs
+        assert relabeled_trace.transmissions == trace.transmissions
+        assert relabeled_trace.grad_evals == trace.grad_evals
+        assert len(xs) == len(relabeled_xs) == k_max + 1
+        for ours, theirs in ((relabeled_xs, xs[:, perm]), (relabeled_mus, mus[:, perm])):
+            assert np.abs(ours - theirs).max() <= 1e-13 * np.abs(theirs).max()
 
 
 class TestSweepsReuseXbar:
@@ -319,15 +446,17 @@ class TestSweepsReuseXbar:
     def test_one_weights_apply_per_sweep(self, chain5_net, quad5_stack, monkeypatch, variant):
         beta = 1.0 / (quad5_stack.h_max + 1.0) if variant == "det_gradient" else None
         cfg = AlgorithmConfig(variant=variant, alpha=0.5, rho=1.0, tau=3, beta=beta)
-        expected = run_variant(quad5_stack, chain5_net, cfg, 4)
+        expected_xs, expected_mus, record = record_iterates()
+        run_variant(quad5_stack, chain5_net, cfg, 4, stop=record)
         calls = []
         original = NetworkModel.weights_apply
         monkeypatch.setattr(NetworkModel, "weights_apply",
                             lambda net, x, d: calls.append(1) or original(net, x, d))
-        tr = run_variant(quad5_stack, chain5_net, cfg, 4)
+        xs, mus, record = record_iterates()
+        run_variant(quad5_stack, chain5_net, cfg, 4, stop=record)
         assert len(calls) == 1 + 4 * cfg.tau
-        assert all(np.array_equal(a, b) for a, b in zip(tr.xs, expected.xs, strict=True))
-        assert all(np.array_equal(a, b) for a, b in zip(tr.mus, expected.mus, strict=True))
+        assert all(np.array_equal(a, b) for a, b in zip(xs, expected_xs, strict=True))
+        assert all(np.array_equal(a, b) for a, b in zip(mus, expected_mus, strict=True))
 
     def test_given_xbar_matches_recomputed(self, chain5_net, quad5_stack, rng):
         # a call applies W between its sweeps only, so two one-sweep calls,
@@ -355,15 +484,17 @@ class TestTicksResyncXbar:
                                                    variant):
         beta = 1.0 / (quad10_stack.h_max + 1.0) if variant == "rand_gradient" else None
         cfg = AlgorithmConfig(variant=variant, alpha=0.5, rho=1.0, tau=2, beta=beta, seed=5)
-        expected = run_variant(quad10_stack, geo10_net, cfg, 6)
+        expected_xs, expected_mus, record = record_iterates()
+        run_variant(quad10_stack, geo10_net, cfg, 6, stop=record)
         original = NetworkModel.weights_apply
         calls = []
         monkeypatch.setattr(NetworkModel, "weights_apply",
                             lambda net, x, d: calls.append(1) or original(net, x, d))
-        tr = run_variant(quad10_stack, geo10_net, cfg, 6)
+        xs, mus, record = record_iterates()
+        run_variant(quad10_stack, geo10_net, cfg, 6, stop=record)
         assert len(calls) == 1 + 6
-        assert all(np.array_equal(a, b) for a, b in zip(tr.xs, expected.xs, strict=True))
-        assert all(np.array_equal(a, b) for a, b in zip(tr.mus, expected.mus, strict=True))
+        assert all(np.array_equal(a, b) for a, b in zip(xs, expected_xs, strict=True))
+        assert all(np.array_equal(a, b) for a, b in zip(mus, expected_mus, strict=True))
 
     @pytest.mark.parametrize("variant", ["rand_gauss_seidel", "rand_gradient"])
     def test_off_graph_w_fails_once_per_run(self, variant):
@@ -383,29 +514,33 @@ class TestRandGaussSeidel:
             PoissonSchedule(nodes=np.array([2, 5, 7])),
             PoissonSchedule(nodes=np.array([], dtype=int)),
         ]
-        tr = run_variant(quad10_stack, geo10_net, cfg, 2, x0=x0, schedule=sched)
+        xs, mus, record = record_iterates()
+        tr = run_variant(quad10_stack, geo10_net, cfg, 2, x0=x0, schedule=sched, stop=record)
         # empty second interval: primal frozen, dual still advances
-        assert np.array_equal(tr.xs[2], tr.xs[1])
-        expected_mu = tr.mus[1] + 0.5 * geo10_net.laplacian_apply(tr.xs[1], 3)
-        assert np.allclose(tr.mus[2], expected_mu, atol=1e-12)
-        assert not np.allclose(tr.mus[2], tr.mus[1], atol=1e-15)
+        assert np.array_equal(xs[2], xs[1])
+        expected_mu = mus[1] + 0.5 * geo10_net.laplacian_apply(xs[1], 3)
+        assert np.allclose(mus[2], expected_mu, atol=1e-12)
+        assert not np.allclose(mus[2], mus[1], atol=1e-15)
         assert tr.transmissions == [0, 3, 3]
 
     def test_single_tick_locality(self, geo10_net, quad10_stack):
         cfg = AlgorithmConfig(variant="rand_gauss_seidel", alpha=0.5, rho=1.0, tau=1)
         x0 = np.tile(np.ones(3), 10)
         sched = [PoissonSchedule(nodes=np.array([4]))]
-        tr = run_variant(quad10_stack, geo10_net, cfg, 1, x0=x0, schedule=sched)
-        changed = np.abs(tr.xs[1] - x0).reshape(10, 3).sum(axis=1) > 0
+        xs, _, record = record_iterates()
+        tr = run_variant(quad10_stack, geo10_net, cfg, 1, x0=x0, schedule=sched, stop=record)
+        changed = np.abs(xs[1] - x0).reshape(10, 3).sum(axis=1) > 0
         assert changed[4] and changed.sum() == 1
         assert tr.transmissions == [0, 1]
 
     def test_seed_reproducibility(self, geo10_net, quad10_stack):
         cfg = AlgorithmConfig(variant="rand_gauss_seidel", alpha=0.5, rho=1.0, tau=2, seed=9)
-        a = run_variant(quad10_stack, geo10_net, cfg, 5)
-        b = run_variant(quad10_stack, geo10_net, cfg, 5)
-        assert all(np.array_equal(x, y) for x, y in zip(a.xs, b.xs))
-        assert all(np.array_equal(x, y) for x, y in zip(a.mus, b.mus))
+        a_xs, a_mus, record = record_iterates()
+        a = run_variant(quad10_stack, geo10_net, cfg, 5, stop=record)
+        b_xs, b_mus, record = record_iterates()
+        b = run_variant(quad10_stack, geo10_net, cfg, 5, stop=record)
+        assert all(np.array_equal(x, y) for x, y in zip(a_xs, b_xs, strict=True))
+        assert all(np.array_equal(x, y) for x, y in zip(a_mus, b_mus, strict=True))
         assert a.transmissions == b.transmissions
 
 
@@ -435,8 +570,9 @@ class TestRandGradient:
         cfg = AlgorithmConfig(variant="rand_gradient", alpha=0.5, rho=1.0, tau=1, beta=beta)
         x0 = np.tile(np.array([2.0, -1.0, 0.5]), 10)
         sched = [PoissonSchedule(nodes=np.array([4]))]
-        tr = run_variant(stack, geo10_net, cfg, 1, x0=x0, schedule=sched)
-        changed = np.abs(tr.xs[1] - x0).reshape(10, 3).sum(axis=1) > 0
+        xs, _, record = record_iterates()
+        tr = run_variant(stack, geo10_net, cfg, 1, x0=x0, schedule=sched, stop=record)
+        changed = np.abs(xs[1] - x0).reshape(10, 3).sum(axis=1) > 0
         assert changed[4] and changed.sum() == 1
         assert tr.transmissions == [0, 1] and tr.grad_evals == [0, 1]
 
@@ -445,9 +581,11 @@ class TestRandGradient:
         cfg = AlgorithmConfig(
             variant="rand_gradient", alpha=0.3, rho=1.0, tau=2, beta=beta, seed=4
         )
-        a = run_variant(quad10_stack, geo10_net, cfg, 5)
-        b = run_variant(quad10_stack, geo10_net, cfg, 5)
-        assert all(np.array_equal(x, y) for x, y in zip(a.xs, b.xs))
+        a_xs, _, record = record_iterates()
+        run_variant(quad10_stack, geo10_net, cfg, 5, stop=record)
+        b_xs, _, record = record_iterates()
+        run_variant(quad10_stack, geo10_net, cfg, 5, stop=record)
+        assert all(np.array_equal(x, y) for x, y in zip(a_xs, b_xs, strict=True))
 
 
 class TestSequentialReplay:
@@ -481,7 +619,8 @@ class TestSequentialReplay:
             beta = 1.0 / (stack.h_max + rho)
             cfg = AlgorithmConfig(variant=variant, alpha=0.1, rho=rho, tau=1, beta=beta,
                                   epsilon=1e-9)
-            tr = run_variant(stack, net, cfg, len(sched), x0=x0, schedule=sched)
+            xs, mus, record = record_iterates()
+            tr = run_variant(stack, net, cfg, len(sched), x0=x0, schedule=sched, stop=record)
             x, mu = x0.copy(), np.zeros(n * d)
             tx = grads = 0
             for k, s in enumerate(sched, start=1):
@@ -500,8 +639,8 @@ class TestSequentialReplay:
                 mu = mu + cfg.alpha * (x - net.weights_apply(x, d))
                 assert tr.transmissions[k] == tx
                 assert tr.grad_evals[k] == grads
-                assert np.abs(tr.xs[k] - x).max() <= 1e-12
-                assert np.abs(tr.mus[k] - mu).max() <= 1e-12
+                assert np.abs(xs[k] - x).max() <= 1e-12
+                assert np.abs(mus[k] - mu).max() <= 1e-12
 
 
 class TestJacobiReplay:
@@ -530,7 +669,8 @@ class TestJacobiReplay:
         for rho in (1.0, 0.0):
             cfg = AlgorithmConfig(variant="det_jacobi", alpha=0.1, rho=rho, tau=tau,
                                   epsilon=1e-9)
-            tr = run_variant(stack, net, cfg, k_max, x0=x0)
+            xs, mus, record = record_iterates()
+            tr = run_variant(stack, net, cfg, k_max, x0=x0, stop=record)
             x, mu = x0.copy(), np.zeros(10 * d)
             tx = grads = polished = 0
             for k in range(1, k_max + 1):
@@ -550,8 +690,8 @@ class TestJacobiReplay:
                 mu = mu + cfg.alpha * (x - net.weights_apply(x, d))
                 assert tr.transmissions[k] == tx
                 assert tr.grad_evals[k] == grads
-                assert np.abs(tr.xs[k] - x).max() <= 1e-12
-                assert np.abs(tr.mus[k] - mu).max() <= 1e-12
+                assert np.abs(xs[k] - x).max() <= 1e-12
+                assert np.abs(mus[k] - mu).max() <= 1e-12
             if kind == "quadratic_polish":
                 assert polished > 0
 
@@ -565,17 +705,20 @@ class TestInexactAlDriver:
         def policy(x, mu):
             return exact_al_minimizer_direct(stack, net, mu, rho)
 
-        tr = run_policy(stack, net, cfg, policy, 1000)
+        xs, _, record = record_iterates()
+        tr = run_policy(stack, net, cfg, policy, 1000, stop=record)
         saddle = saddle_point(stack, quad5_ref.x_star)
-        assert np.linalg.norm(tr.xs[-1] - saddle.x_bullet) <= 1e-8
+        assert tr.outer_iterations == 1000 and len(xs) == 1001
+        assert np.linalg.norm(xs[-1] - saddle.x_bullet) <= 1e-8
 
     def test_identity_policy_from_consensus_is_stationary(self, chain5_net, quad5_stack, quad5_ref):
         saddle = saddle_point(quad5_stack, quad5_ref.x_star)
         cfg = AlgorithmConfig(variant="det_jacobi", alpha=0.5, rho=1.0, tau=1)
-        tr = run_policy(
-            quad5_stack, chain5_net, cfg, lambda x, mu: x, 3, x0=saddle.x_bullet
-        )
-        for x, mu in zip(tr.xs, tr.mus):
+        xs, mus, record = record_iterates()
+        run_policy(quad5_stack, chain5_net, cfg, lambda x, mu: x, 3, x0=saddle.x_bullet,
+                   stop=record)
+        assert len(xs) == 4
+        for x, mu in zip(xs, mus):
             assert np.allclose(x, saddle.x_bullet, atol=0)
             assert np.allclose(mu, 0.0, atol=1e-12)
 
@@ -589,11 +732,13 @@ class TestInexactAlDriver:
             return jacobi_sweeps(stack, net, x, mu, cfg.rho, 1, solve,
                                  net.weights_apply(x, stack.dimension))[0]
 
-        a = run_policy(stack, net, cfg, policy, 10)
-        b = run_variant(stack, net, cfg, 10)
-        for xa, xb in zip(a.xs, b.xs):
+        a_xs, a_mus, record = record_iterates()
+        run_policy(stack, net, cfg, policy, 10, stop=record)
+        b_xs, b_mus, record = record_iterates()
+        run_variant(stack, net, cfg, 10, stop=record)
+        for xa, xb in zip(a_xs, b_xs, strict=True):
             assert np.array_equal(xa, xb)
-        for ma, mb in zip(a.mus, b.mus):
+        for ma, mb in zip(a_mus, b_mus, strict=True):
             assert np.array_equal(ma, mb)
 
 
@@ -603,8 +748,10 @@ class TestDualSumInvariant:
     def test_block_sum_stays_zero(self, geo10_net, quad10_stack, variant):
         beta = 1.0 / (quad10_stack.h_max + 1.0) if "gradient" in variant else None
         cfg = AlgorithmConfig(variant=variant, alpha=0.5, rho=1.0, tau=2, beta=beta, seed=7)
-        tr = run_variant(quad10_stack, geo10_net, cfg, 8)
-        for mu in tr.mus:
+        _, mus, record = record_iterates()
+        run_variant(quad10_stack, geo10_net, cfg, 8, stop=record)
+        assert len(mus) == 9
+        for mu in mus:
             s = np.linalg.norm(mu.reshape(10, 3).sum(axis=0))
             scale = max(1.0, np.linalg.norm(mu))
             assert s <= 1e-10 * scale
@@ -620,8 +767,9 @@ class TestDualSumInvariant:
         for variant in ("det_jacobi", "det_gradient", "rand_gauss_seidel", "rand_gradient"):
             cfg = AlgorithmConfig(variant=variant, alpha=0.5, rho=1.0, tau=50,
                                   beta=beta if "gradient" in variant else None, seed=3)
-            tr = run_variant(stack, geo10_net, cfg, 20)
-            level[variant] = max(np.linalg.norm(mu.reshape(10, 3).sum(axis=0)) for mu in tr.mus)
+            _, mus, record = record_iterates()
+            run_variant(stack, geo10_net, cfg, 20, stop=record)
+            level[variant] = max(np.linalg.norm(mu.reshape(10, 3).sum(axis=0)) for mu in mus)
         deterministic = max(level["det_jacobi"], level["det_gradient"])
         assert 0.0 < deterministic < 1e-13
         assert level["rand_gauss_seidel"] <= 4.0 * deterministic
@@ -632,7 +780,7 @@ class TestTraceCsv:
     def test_roundtrip(self, tmp_path, chain5_net, quad5_stack):
         cfg = AlgorithmConfig(variant="det_jacobi", alpha=0.5, rho=1.0, tau=1)
         tr = run_variant(quad5_stack, chain5_net, cfg, 3)
-        n = len(tr.xs)
+        n = len(tr.transmissions)
         rel = np.linspace(1.0, 0.1, n)
         prim = np.linspace(2.0, 0.2, n)
         dual = np.linspace(4.0, 0.4, n)

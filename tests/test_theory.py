@@ -28,7 +28,7 @@ from dalopt.theory import (
     xi_threshold,
 )
 
-from oracles import stack_of
+from oracles import record_iterates, stack_of
 
 getcontext().prec = 50
 
@@ -319,13 +319,15 @@ class TestCertificateOnDrawnInstances:
                               epsilon=1e-10)
         cert = certificate(cfg, stack, net, ref.x_star)
         assert cert.alpha_ok and cert.xi_ok
-        trace = run_variant(stack, net, cfg, 80)
-        xs = np.reshape(trace.xs, (len(trace.xs), stack.n_nodes, -1))
-        worst = np.linalg.norm(xs - ref.x_star, axis=2).max(axis=1)
+        xs, mus, record = record_iterates()
+        run_variant(stack, net, cfg, 80, stop=record)
+        assert len(xs) == 81
+        worst = np.linalg.norm(np.reshape(xs, (len(xs), stack.n_nodes, -1)) - ref.x_star,
+                               axis=2).max(axis=1)
         assert (worst <= cert.r ** np.arange(len(worst)) * cert.bound_constant).all()
         saddle = saddle_point(stack, ref.x_star)
         lyap = np.array([lyapunov_value(x, mu, saddle, net, stack.h_min)
-                         for x, mu in zip(trace.xs, trace.mus)])
+                         for x, mu in zip(xs, mus)])
         above = lyap[:-1] >= 100.0 * lyap.min()
         assert (lyap[1:][above] <= cert.r * lyap[:-1][above]).all()
 
