@@ -277,12 +277,13 @@ def reference_solve(stack: ObjectiveStack) -> ReferenceSolution:
     tol = 1e-12 * max(1.0, math.sqrt(g.dot(g)))
     if stack.kind == "quadratic":
         x = np.linalg.solve(stack.matrices.sum(axis=0), -stack.linears.sum(axis=0))
+        g = stack.aggregate_grad(x)
     else:
-        x = accelerated_gradient(stack.aggregate_grad, np.zeros(d), float(stack.node_h_min.sum()),
-                                 float(stack.node_h_max.sum()), tol, REFERENCE_MAX_ITERATIONS)
+        x, g = accelerated_gradient(stack.aggregate_grad, np.zeros(d),
+                                    float(stack.node_h_min.sum()), float(stack.node_h_max.sum()),
+                                    tol, REFERENCE_MAX_ITERATIONS)
         if x is None:
             raise StageError("reference", f"did not reach gradient norm {tol}")
-    g = stack.aggregate_grad(x)
     gn = math.sqrt(g.dot(g))
     if gn > tol:
         raise StageError("reference", f"gradient norm {gn} above tolerance {tol}")

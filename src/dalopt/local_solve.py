@@ -480,8 +480,10 @@ def accelerated_gradient(grad, x0, m, lip, tol, max_iterations):
     lip-Lipschitz gradient grad, from x0: steps y - grad(y)/lip with momentum
     (1 - sqrt(m/lip)) / (1 + sqrt(m/lip)), the gradient norm at the iterate
     checked against tol before every 10th step and after the last. Returns
-    the first iterate that passes the check, or None if none does within
-    max_iterations steps. grad runs once per step and once per check.
+    (x, g): the first iterate that passes the check, or None if none does
+    within max_iterations steps, and the gradient of the last check. grad
+    runs once per step and once per check, but for the first step, which
+    takes the first check's gradient at y = x0.
     """
     sq = math.sqrt(m / lip)
     momentum = (1.0 - sq) / (1.0 + sq)
@@ -491,12 +493,12 @@ def accelerated_gradient(grad, x0, m, lip, tol, max_iterations):
         if it % 10 == 0:
             g = grad(x)
             if math.sqrt(g.dot(g)) <= tol:  # np.linalg.norm of a 1-D vector
-                return x
-        x_new = y - grad(y) / lip
+                return x, g
+        x_new = y - (g if it == 0 else grad(y)) / lip
         y = x_new + momentum * (x_new - x)
         x = x_new
     g = grad(x)
-    return x if math.sqrt(g.dot(g)) <= tol else None
+    return (x if math.sqrt(g.dot(g)) <= tol else None), g
 
 
 def al_objective_grad(stack: ObjectiveStack, net: NetworkModel, x, mu, rho):
@@ -523,9 +525,9 @@ def exact_al_minimizer(
     n, d = stack.n_nodes, stack.dimension
     mu = np.asarray(mu, dtype=float)
     x = np.zeros(n * d) if x0 is None else np.asarray(x0, dtype=float)
-    x = accelerated_gradient(lambda z: al_objective_grad(stack, net, z, mu, rho), x,
-                             stack.h_min, stack.h_max + rho * net.lambda_max, tol,
-                             max_iterations)
+    x, _ = accelerated_gradient(lambda z: al_objective_grad(stack, net, z, mu, rho), x,
+                                stack.h_min, stack.h_max + rho * net.lambda_max, tol,
+                                max_iterations)
     if x is None:
         raise SolverError(f"augmented-objective solve did not reach tol={tol}")
     return x
@@ -540,5 +542,5 @@ def exact_al_minimizer_direct(stack: ObjectiveStack, net: NetworkModel, mu, rho)
     mu = np.asarray(mu, dtype=float)
     h = np.zeros((n, d, n, d))
     h[np.arange(n), :, np.arange(n), :] = stack.matrices
-    h = h.reshape(n * d, n * d) + rho * np.kron(net.laplacian, np.eye(d))
+    h = h.reshape(n * d, n * d) + rho * np.kron(np.eye(n) - net.weights, np.eye(d))
     return np.linalg.solve(h, -(stack.linears.reshape(-1) + mu))

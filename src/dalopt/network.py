@@ -156,7 +156,11 @@ def build_geometric_graph(n, radius=0.45, rng_seed=0):
         rng = np.random.default_rng(rng_seed + attempt)
         pts = rng.uniform(0.0, 1.0, size=(_node_count(n), 2))
         dx, dy = (pts[:, None, k] - pts[None, :, k] for k in (0, 1))
-        close = np.sqrt(dx * dx + dy * dy) < radius  # bit for bit np.linalg.norm's
+        dx *= dx
+        dy *= dy
+        dx += dy  # the squares summed in place, so two N x N floats are live
+        close = np.sqrt(dx, out=dx) < radius  # bit for bit np.linalg.norm's
+        del dx, dy  # before a redraw makes its own
         if _connected(close):
             return Graph(close, positions=pts), attempt + 1
     raise NetworkError(
@@ -186,8 +190,8 @@ def metropolis_weights(g: Graph) -> np.ndarray:
 
 
 def spectrum(w):
-    """(laplacian, eigvals_reduced, q_reduced): L = I - W and its full
-    symmetric eigendecomposition with the zero mode split off.
+    """(eigvals_reduced, q_reduced): the full symmetric eigendecomposition
+    of L = I - W with the zero mode split off.
 
     The smallest eigenvalue is analytically 0 (the all-ones vector) and is
     dropped: ``eigvals_reduced`` holds lambda_2 <= ... <= lambda_N and
@@ -195,11 +199,13 @@ def spectrum(w):
     is (0, 1/sqrt(N)). Raises if lambda_2 <= LAMBDA2_TOL (disconnected or
     numerically degenerate).
     """
-    lap = np.eye(len(w)) - w
+    lap = np.subtract(0.0, w)  # np.eye(N) - W bit for bit; np.negative would write -0.0
+    lap[np.diag_indices_from(lap)] += 1.0
     vals, vecs = np.linalg.eigh(lap)
+    del lap  # before the eigenvectors are copied
     if vals[1] <= LAMBDA2_TOL:
         raise NetworkError(f"lambda_2 = {vals[1]:.3e} <= tol; graph degenerate")
-    return lap, vals[1:].copy(), vecs[:, 1:].copy()
+    return vals[1:].copy(), vecs[:, 1:].copy()
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,15 +216,14 @@ class NetworkModel:
     graph's size, finite and symmetric, with rows that sum to 1 and no
     negative entry, vanishing off the links and self-loops (a node reads
     only its neighbors' blocks); ``build_network`` makes the positive
-    definite W the algorithms require. ``laplacian``, ``eigvals_reduced`` and ``q_reduced``
-    are ``spectrum(W)``. W is a private copy; it and the spectrum are
-    read-only, so a network is safe to share across threads.
+    definite W the algorithms require. ``eigvals_reduced`` and ``q_reduced``
+    are ``spectrum(W)``; L is not stored. W is a private copy; it and the
+    spectrum are read-only, so a network is safe to share across threads.
     """
 
     graph: Graph
     weights: np.ndarray
     meta: dict = field(default_factory=dict)
-    laplacian: np.ndarray = field(init=False)
     eigvals_reduced: np.ndarray = field(init=False)
     q_reduced: np.ndarray = field(init=False)
 
@@ -239,7 +244,7 @@ class NetworkModel:
             i, j = off_graph[0].tolist()
             raise NetworkError(f"W[{i}, {j}] = {float(w[i, j])!r} but ({i}, {j}) is not a link "
                                f"of the graph: a node reads only its neighbors' blocks")
-        fields = ("weights", "laplacian", "eigvals_reduced", "q_reduced")
+        fields = ("weights", "eigvals_reduced", "q_reduced")
         for name, value in zip(fields, (w, *spectrum(w))):
             value.flags.writeable = False
             object.__setattr__(self, name, value)
@@ -257,9 +262,9 @@ class NetworkModel:
         return float(self.eigvals_reduced[-1])
 
     def laplacian_apply(self, x, d):
-        """(L (x) I) x for stacked x in R^{N d}."""
+        """(L (x) I) x for stacked x in R^{N d}, with L = I - W formed here."""
         xm = np.asarray(x).reshape(self.node_count, d)
-        return (self.laplacian @ xm).reshape(-1)
+        return ((np.eye(self.node_count) - self.weights) @ xm).reshape(-1)
 
     def weights_apply(self, x, d):
         """(W (x) I) x, i.e. per-node neighbor averages."""
@@ -290,7 +295,9 @@ def build_network(graph: Graph, meta=None) -> NetworkModel:
 
     M has its eigenvalues in [-1, 1], so W has them in [0.1, 1]: it is
     positive definite, as the rate analysis assumes."""
-    w = 1.1 / 2.0 * np.eye(graph.node_count) + 0.9 / 2.0 * metropolis_weights(graph)
+    w = metropolis_weights(graph)
+    w *= 0.9 / 2.0  # in place: 0.55 I + 0.45 M bit for bit
+    w[np.diag_indices_from(w)] += 1.1 / 2.0
     return NetworkModel(graph=graph, weights=w, meta=dict(meta or {}))
 
 

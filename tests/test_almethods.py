@@ -21,7 +21,12 @@ from dalopt.almethods import (
     sample_poisson_schedule,
     write_trace_csv,
 )
-from dalopt.harness import generate_logistic_data, generate_quadratic_stack
+from dalopt.harness import (
+    generate_logistic_data,
+    generate_quadratic_stack,
+    reference_solve,
+    trace_metrics,
+)
 from dalopt.local_solve import (
     exact_al_minimizer_direct,
     gradient_step_local,
@@ -87,7 +92,7 @@ class TestDualUpdate:
         d = 3
         x1, x2 = rng.standard_normal(15), rng.standard_normal(15)
         mus = self.dual_iterates(chain5_net, d, 0.3, [x1, x2])
-        lap = np.kron(chain5_net.laplacian, np.eye(d))
+        lap = np.kron(np.eye(5) - chain5_net.weights, np.eye(d))
         assert np.allclose(mus[1], 0.3 * lap @ x1, atol=1e-12)
         # the second step starts from the nonzero dual the first one left
         assert np.allclose(mus[2], mus[1] + 0.3 * lap @ x2, atol=1e-12)
@@ -390,8 +395,9 @@ class TestRelabeling:
     """A run does not depend on how the nodes are numbered: relabeling the
     graph, the stack's rows and the tick schedule by a permutation keeps
     every row's counters and permutes the blocks of its x and mu, up to the
-    rounding of sums taken in another order. A row written back to the
-    wrong node breaks this."""
+    rounding of sums taken in another order; the trace's metric columns
+    agree to the same rounding. A row written back to the wrong node breaks
+    this."""
 
     @settings(max_examples=30, derandomize=True, database=None, deadline=None)
     @given(st.sampled_from(["chain", "complete", "geometric"]), st.integers(5, 30),
@@ -426,15 +432,27 @@ class TestRelabeling:
                 (stack, relabeled),
                 (build_network(graph), build_network(Graph(graph.adjacency[np.ix_(perm, perm)]))),
                 schedules):
+            ref = reference_solve(problem)
+            saddle = saddle_point(problem, ref.x_star)
             xs, mus, record = record_iterates()
             trace = run_variant(problem, net, cfg, k_max, schedule=schedule, stop=record)
-            runs.append((trace, np.reshape(xs, (-1, n, d)), np.reshape(mus, (-1, n, d))))
-        (trace, xs, mus), (relabeled_trace, relabeled_xs, relabeled_mus) = runs
+            metrics = [trace_metrics(problem, net, ref, saddle, x, mu) for x, mu in zip(xs, mus)]
+            runs.append((trace, np.reshape(xs, (-1, n, d)), np.reshape(mus, (-1, n, d)),
+                         np.array(metrics)))
+        (trace, xs, mus, metrics), (relabeled_trace, relabeled_xs, relabeled_mus,
+                                    relabeled_metrics) = runs
         assert relabeled_trace.transmissions == trace.transmissions
         assert relabeled_trace.grad_evals == trace.grad_evals
         assert len(xs) == len(relabeled_xs) == k_max + 1
         for ours, theirs in ((relabeled_xs, xs[:, perm]), (relabeled_mus, mus[:, perm])):
             assert np.abs(ours - theirs).max() <= 1e-13 * np.abs(theirs).max()
+        # the metric columns, each labelling with its own reference solve,
+        # saddle point and spectrum; the dual sum's exact value is 0, so its
+        # rounding residue is held to the scale of mu
+        for j in (0, 1, 3):
+            assert np.all(np.abs(relabeled_metrics[:, j] - metrics[:, j])
+                          <= 1e-12 * np.abs(metrics[:, j]))
+        assert np.abs(relabeled_metrics[:, 2] - metrics[:, 2]).max() <= 1e-13 * np.abs(mus).max()
 
 
 class TestSweepsReuseXbar:

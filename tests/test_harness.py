@@ -21,7 +21,7 @@ from dalopt.harness import (
     trace_metrics,
 )
 from dalopt.network import build_chain_graph, build_network
-from dalopt.objective import QuadraticCost
+from dalopt.objective import ObjectiveStack, QuadraticCost
 
 from oracles import node_costs, stack_of
 
@@ -185,6 +185,18 @@ class TestReferenceSolve:
         assert ref.f_zero == stack.aggregate_value(np.zeros(stack.dimension))
         g = stack.aggregate_grad(ref.x_star)
         assert ref.grad_norm_at_solution == float(np.linalg.norm(g))
+
+    def test_gradient_at_no_point_but_zero_twice(self, monkeypatch):
+        # replication's stack: the loop's 80 steps and 9 checks take 88
+        # gradients, the first step reusing the first check's and the norm
+        # the last check's; the tolerance's gradient at 0 is the one repeat
+        points = []
+        grad = ObjectiveStack.aggregate_grad
+        monkeypatch.setattr(ObjectiveStack, "aggregate_grad",
+                            lambda stack, x: points.append(x.tobytes()) or grad(stack, x))
+        reference_solve(generate_logistic_data(10, 15, reg=3.0, seed=11))
+        assert len(points) == 89
+        assert len(set(points)) == 88 and points[0] == points[1] == bytes(8 * 15)
 
     def test_logistic_iteration_cap(self, monkeypatch):
         stack = generate_logistic_data(6, 4, reg=2.0, seed=1)

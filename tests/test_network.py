@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -174,12 +175,12 @@ class TestWeightValidation:
 class TestSpectrum:
     def test_ideal_consensus_matrix(self):
         n = 4
-        lap, eigvals, q = spectrum(np.full((n, n), 1.0 / n))
+        eigvals, q = spectrum(np.full((n, n), 1.0 / n))
         assert np.allclose(eigvals, 1.0, atol=1e-12)
-        assert lap.shape == (n, n) and q.shape == (n, n - 1)
+        assert q.shape == (n, n - 1)
 
     def test_two_node_metropolis(self):
-        _, eigvals, _ = spectrum(metropolis_weights(build_chain_graph(2)))
+        eigvals, _ = spectrum(metropolis_weights(build_chain_graph(2)))
         assert eigvals == pytest.approx([1.0], abs=1e-12)
 
     def test_chain10_scaled_lambda2_oracle(self):
@@ -190,7 +191,7 @@ class TestSpectrum:
     def test_eigen_invariants(self):
         g, _ = build_geometric_graph(9, radius=0.55, rng_seed=4)
         net = build_network(g)
-        lap, q, lam = net.laplacian, net.q_reduced, net.eigvals_reduced
+        lap, q, lam = np.eye(9) - net.weights, net.q_reduced, net.eigvals_reduced
         assert np.max(np.abs(lap @ q - q * lam)) <= 1e-10
         assert np.max(np.abs(q.T @ np.ones(9))) <= 1e-10
         assert np.max(np.abs(q.T @ q - np.eye(8))) <= 1e-10
@@ -198,6 +199,20 @@ class TestSpectrum:
         assert net.lambda2 + w_eigs[-2] == pytest.approx(1.0, abs=1e-12)
         assert net.lambda_max + w_eigs[0] == pytest.approx(1.0, abs=1e-12)
         assert np.max(np.abs(lap @ np.ones(9))) <= 1e-12
+
+    @pytest.mark.parametrize("graph", [
+        lambda: build_chain_graph(7),
+        lambda: build_complete_graph(6),
+        lambda: build_geometric_graph(30, radius=0.4, rng_seed=1)[0],
+        lambda: build_geometric_graph(200, radius=0.45, rng_seed=2)[0],  # dense_n200's
+    ], ids=["chain", "complete", "geometric", "dense_n200"])
+    def test_is_eigh_of_eye_minus_w_bit_for_bit(self, graph):
+        # spectrum forms L without np.eye; -0.0 off the links (as from
+        # np.negative) would move eigh's output bits
+        w = build_network(graph()).weights
+        vals, vecs = np.linalg.eigh(np.eye(len(w)) - w)
+        eigvals, q = spectrum(w)
+        assert np.array_equal(eigvals, vals[1:]) and np.array_equal(q, vecs[:, 1:])
 
     def test_degenerate_lambda2_rejected(self):
         # block-diagonal (disconnected) stochastic matrix on a connected graph
@@ -327,12 +342,14 @@ class TestNetworkModel:
         net = build_network(build_complete_graph(4))
         w = 0.5 * net.weights + 0.5 * np.eye(4)
         model = NetworkModel(graph=net.graph, weights=w)
-        _, oracle, _ = spectrum(w)
+        oracle, _ = spectrum(w)
         assert np.array_equal(model.eigvals_reduced, oracle)
-        assert np.array_equal(model.laplacian, np.eye(4) - w)
+        x = np.random.default_rng(0).standard_normal(12)
+        assert np.array_equal(model.laplacian_apply(x, 3),
+                              ((np.eye(4) - w) @ x.reshape(4, 3)).reshape(-1))
         assert model.lambda2 == pytest.approx(net.lambda2 / 2.0, rel=1e-12)
 
-    @pytest.mark.parametrize("name", ["weights", "laplacian", "eigvals_reduced", "q_reduced"])
+    @pytest.mark.parametrize("name", ["weights", "eigvals_reduced", "q_reduced"])
     def test_arrays_are_read_only(self, name):
         # a write would leave lambda2 describing another W
         array = getattr(build_network(build_chain_graph(4)), name)
@@ -526,3 +543,29 @@ class TestNetworkOracles:
     def test_bad_edge_is_a_network_error(self, edge):
         with pytest.raises(NetworkError, match=r"edge \(%d,%d\) out of range$" % edge):
             Graph.from_edges(3, [(0, 1), (1, 2), edge])
+
+
+class TestBuildMemory:
+    """The build holds one copy of each N x N array: the geometric builder
+    sums its squared distances in place, and a network does not keep L."""
+
+    def test_geometric_builder_peak(self):
+        n = 400
+        radius = 1.5 * math.sqrt(math.log(n) / n)
+        build_geometric_graph(n, radius=radius)  # lazy imports and first-call caches
+        tracemalloc.start()
+        try:
+            build_geometric_graph(n, radius=radius)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # two N x N floats and the booleans: 2.13 arrays of floats
+        assert peak < 2.5 * n * n * 8
+
+    def test_model_holds_no_other_square_float_array(self):
+        n = 60
+        net = build_network(build_geometric_graph(n, radius=0.35, rng_seed=1)[0])
+        held = {name for part in (net, net.graph) for name, value in vars(part).items()
+                if isinstance(value, np.ndarray) and value.dtype.kind == "f"
+                and value.size >= n * (n - 1)}
+        assert held == {"weights", "q_reduced"}

@@ -344,7 +344,7 @@ class TestSaddleResiduals:
         x = rng.standard_normal(15)
         mu = rng.standard_normal(15)
         _, r2, _ = saddle_residuals(quad5_stack, chain5_net, x, mu, rho=0.5)
-        dense = np.kron(chain5_net.laplacian, np.eye(3)) @ x
+        dense = np.kron(np.eye(5) - chain5_net.weights, np.eye(3)) @ x
         assert r2 == pytest.approx(np.linalg.norm(dense), rel=1e-12)
 
     def test_block_sum_residual_exact(self, chain5_net, quad5_stack, rng):

@@ -3,11 +3,14 @@
     python3 tools/same_outputs.py --against REV
 
 Extracts REV with `git archive` into a temporary directory and runs it and
-this working tree, each command in a fresh process, on four configs from
-`perfbench/workloads.py`: replication(0), dense_n200(0), criterion9() and
-replication(0) at stop_rel_cost 1e-7. For each config it runs `dalopt run`
-and `dalopt certify`, then `dalopt spectrum` on the saved network.json, and
-compares every file the run writes with the certify and spectrum stdout.
+this working tree, each command in a fresh process, on five configs: four
+from `perfbench/workloads.py`, replication(0), dense_n200(0), criterion9()
+and replication(0) at stop_rel_cost 1e-7, and GEOMETRIC_N400, a geometric
+network at N=400 run for two outer iterations, so that the network build
+is checked on N x N arrays of about 1 MB. For each
+config it runs `dalopt run` and `dalopt certify`, then `dalopt spectrum` on
+the saved network.json, and compares every file the run writes with the
+certify and spectrum stdout.
 
 Prints "identical" or "different" per file; for a trace CSV that differs it
 also names each column that differs, with its largest relative difference.
@@ -22,6 +25,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -33,11 +37,25 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 from workloads import criterion9, dense_n200, replication  # noqa: E402
 
+GEOMETRIC_N400 = {
+    "network": {"type": "geometric", "n": 400, "radius": 1.5 * math.sqrt(math.log(400) / 400),
+                "seed": 1},
+    "objective": {"type": "quadratic", "d": 2, "h_lo": 1.0, "h_hi": 10.0, "seed": 4},
+    "algorithms": [
+        {"recipe": "section5_jacobi", "tau": 1, "label": "jacobi_tau1"},
+        {"recipe": "section5_gradient", "tau": 2, "label": "gradient_tau2"},
+        {"recipe": "section5_rand_gs", "tau": 1, "seed": 5, "label": "rand_gs_tau1"},
+    ],
+    "k_max": 2,
+    "epsilon": 1e-6,
+}
+
 CONFIGS = {
     "replication": replication(0),
     "dense_n200": dense_n200(0),
     "criterion9": criterion9(),
     "replication_1e-7": dict(replication(0), stop_rel_cost=1e-7),
+    "geometric_n400": GEOMETRIC_N400,
 }
 
 
@@ -53,7 +71,7 @@ def dalopt(src, *args):
 
 
 def outputs(src, work):
-    """{name: bytes} of every output of the four configs run on the package under src."""
+    """{name: bytes} of every output of the configs run on the package under src."""
     files = {}
     for name, cfg in CONFIGS.items():
         config, run = work / f"{name}.json", work / name
