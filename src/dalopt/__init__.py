@@ -42,6 +42,7 @@ from .theory import (
     RateCertificate,
     SaddlePoint,
     certificate,
+    error_bounds,
     eta_rand_gradient,
     eta_rand_gs,
     lyapunov_value,

@@ -13,6 +13,7 @@ directory.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .harness import ExperimentConfig, StageError, build_problem, run_experiment
@@ -48,26 +49,25 @@ def _cmd_spectrum(args):
     return 0
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(
-        prog="dalopt",
-        description="Distributed augmented-Lagrangian consensus optimization simulator.",
-    )
+@functools.cache
+def _parser():  # one per process: main is called many times in-process
+    parser = argparse.ArgumentParser(prog="dalopt", description="Distributed "
+                                     "augmented-Lagrangian consensus optimization simulator.")
     sub = parser.add_subparsers(dest="command", required=True)
-
     p_run = sub.add_parser("run", help="run a full experiment from a JSON config")
     p_run.add_argument("config", help="path to the experiment config file")
     p_run.set_defaults(func=_cmd_run)
-
     p_cert = sub.add_parser("certify", help="print rate certificates for a config")
     p_cert.add_argument("config", help="path to the experiment config file")
     p_cert.set_defaults(func=_cmd_certify)
-
     p_spec = sub.add_parser("spectrum", help="print the spectrum of a saved network")
     p_spec.add_argument("network", help="path to a network JSON file")
     p_spec.set_defaults(func=_cmd_spectrum)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except StageError as exc:

@@ -33,7 +33,8 @@ from .network import (
 )
 from .objective import ObjectiveStack, save_dataset
 from .svgplot import semilog_svg
-from .theory import RECIPES, SaddlePoint, certificate, lyapunov_value, resolve_recipe, saddle_point
+from .theory import (RECIPES, SaddlePoint, certificate, error_bounds, lyapunov_value,
+                     resolve_recipe, saddle_point)
 
 __all__ = [
     "ExperimentConfig",
@@ -279,7 +280,7 @@ def reference_solve(stack: ObjectiveStack) -> ReferenceSolution:
         x = np.linalg.solve(stack.matrices.sum(axis=0), -stack.linears.sum(axis=0))
         g = stack.aggregate_grad(x)
     else:
-        x, g = accelerated_gradient(stack.aggregate_grad, np.zeros(d),
+        x, g = accelerated_gradient(stack.aggregate_grad, np.zeros(d), g,
                                     float(stack.node_h_min.sum()), float(stack.node_h_max.sum()),
                                     tol, REFERENCE_MAX_ITERATIONS)
         if x is None:
@@ -379,9 +380,9 @@ def render_plots(out_dir):
 def build_problem(cfg: ExperimentConfig):
     """The problem `run` and `certify` share: (net, stack, ref, algorithms).
 
-    Builds the network, the node costs, the reference solution and, for
-    every entry, its resolved AlgorithmConfig paired with its
-    RateCertificate; a gradient step above 1/(h_max + rho) fails at
+    Builds the network, the node costs, the reference solution, the error
+    bounds once and, for every entry, its resolved AlgorithmConfig paired
+    with its RateCertificate; a gradient step above 1/(h_max + rho) fails at
     [config], naming the entry. Any failure raises StageError naming the
     stage. Writes no file.
     """
@@ -393,7 +394,8 @@ def build_problem(cfg: ExperimentConfig):
     ref = reference_solve(stack)
     with stage("config"):
         acfgs = [resolve_algorithm(e, stack, net, cfg.epsilon) for e in cfg.algorithms]
-        algorithms = [(a, certificate(a, stack, net, ref.x_star)) for a in acfgs]
+        bounds = error_bounds(stack, net, ref.x_star)
+        algorithms = [(a, certificate(a, stack, net, bounds)) for a in acfgs]
     return net, stack, ref, algorithms
 
 

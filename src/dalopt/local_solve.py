@@ -475,15 +475,15 @@ def gradient_step_local(cost, x_i, xbar_i, mu_i, beta, rho) -> np.ndarray:
     return gradient_step(x_i, xbar_i, np.asarray(mu_i, dtype=float), cost.grad(x_i), beta, rho)
 
 
-def accelerated_gradient(grad, x0, m, lip, tol, max_iterations):
+def accelerated_gradient(grad, x0, g0, m, lip, tol, max_iterations):
     """Nesterov's method for an m-strongly convex objective with an
-    lip-Lipschitz gradient grad, from x0: steps y - grad(y)/lip with momentum
-    (1 - sqrt(m/lip)) / (1 + sqrt(m/lip)), the gradient norm at the iterate
-    checked against tol before every 10th step and after the last. Returns
-    (x, g): the first iterate that passes the check, or None if none does
-    within max_iterations steps, and the gradient of the last check. grad
-    runs once per step and once per check, but for the first step, which
-    takes the first check's gradient at y = x0.
+    lip-Lipschitz gradient grad, from x0 with g0 = grad(x0): steps
+    y - grad(y)/lip with momentum (1 - sqrt(m/lip)) / (1 + sqrt(m/lip)), the
+    gradient norm at the iterate checked against tol before every 10th step
+    and after the last. Returns (x, g): the first iterate that passes the
+    check, or None if none does within max_iterations steps, and the
+    gradient of the last check. grad runs once per step and once per check,
+    but for the first check and the first step, which both take g0.
     """
     sq = math.sqrt(m / lip)
     momentum = (1.0 - sq) / (1.0 + sq)
@@ -491,7 +491,7 @@ def accelerated_gradient(grad, x0, m, lip, tol, max_iterations):
     y = x0.copy()
     for it in range(max_iterations):
         if it % 10 == 0:
-            g = grad(x)
+            g = grad(x) if it else g0
             if math.sqrt(g.dot(g)) <= tol:  # np.linalg.norm of a 1-D vector
                 return x, g
         x_new = y - (g if it == 0 else grad(y)) / lip
@@ -526,8 +526,8 @@ def exact_al_minimizer(
     mu = np.asarray(mu, dtype=float)
     x = np.zeros(n * d) if x0 is None else np.asarray(x0, dtype=float)
     x, _ = accelerated_gradient(lambda z: al_objective_grad(stack, net, z, mu, rho), x,
-                                stack.h_min, stack.h_max + rho * net.lambda_max, tol,
-                                max_iterations)
+                                al_objective_grad(stack, net, x, mu, rho), stack.h_min,
+                                stack.h_max + rho * net.lambda_max, tol, max_iterations)
     if x is None:
         raise SolverError(f"augmented-objective solve did not reach tol={tol}")
     return x

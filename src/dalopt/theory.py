@@ -28,6 +28,7 @@ __all__ = [
     "resolve_recipe",
     "xi_threshold",
     "certificate",
+    "error_bounds",
     "saddle_residuals",
     "lyapunov_value",
     "saddle_point",
@@ -78,6 +79,7 @@ RECIPES = {
     "section5_rand_gs": ("rand_gauss_seidel", 5),
     "section5_rand_gradient": ("rand_gradient", 5),
 }
+_REPORT_LABELS = {"d_x": "D_x", "d_mu": "D_mu"}  # RateCertificate field -> its report() name
 
 
 def resolve_recipe(recipe, h_min, h_max, lambda2, n=None):
@@ -158,22 +160,33 @@ class RateCertificate:
         lines = ["rate certificate"]
         for name, value in vars(self).items():
             text = value if isinstance(value, (bool, np.bool_)) else f"{value:.17g}"
-            lines.append(f"  {dict(d_x='D_x', d_mu='D_mu').get(name, name):<14} = {text}")
+            lines.append(f"  {_REPORT_LABELS.get(name, name):<14} = {text}")
         return "\n".join(lines) + "\n"
 
 
-def certificate(cfg, stack: ObjectiveStack, net: NetworkModel, x_star,
-                x_init=None) -> RateCertificate:
+def error_bounds(stack: ObjectiveStack, net: NetworkModel, x_star, x_init=None):
+    """(D_x, D_mu, bound_constant) of a problem, which no entry changes: x_star
+    is the reference solver's optimum, x_init every node's initial block
+    (defaults to zero), and D_mu the RMS of the node gradient norms at x_star."""
+    x_star = np.asarray(x_star, dtype=float)
+    x_init = np.zeros_like(x_star) if x_init is None else np.asarray(x_init, dtype=float)
+    d_x = float(np.linalg.norm(x_init - x_star))
+    grads = stack.node_grad_rows(np.tile(x_star, (stack.n_nodes, 1)))
+    # each row's norm(grad) ** 2, with ** as libm's pow: an array's square rounds otherwise
+    d_mu = math.sqrt(np.mean([g ** 2 for g in np.sqrt(row_dots(grads, grads)).tolist()]))
+    lam2, h_min = net.lambda2, stack.h_min
+    return d_x, d_mu, math.sqrt(stack.n_nodes) * max(d_x, 2.0 * d_mu / (math.sqrt(lam2) * h_min))
+
+
+def certificate(cfg, stack: ObjectiveStack, net: NetworkModel, bounds) -> RateCertificate:
     """Evaluate the rate conditions and convergence factor of a config.
 
-    x_star is the centralized optimum from the reference solver; x_init is
-    the common initial block of every node (defaults to zero). The rate
-    conditions are recorded on the certificate, not enforced. First,
-    check_beta raises ConfigError on a gradient step above 1/(h_max + rho).
+    bounds is the problem's error_bounds. The rate conditions are recorded
+    on the certificate, not enforced. First, check_beta raises ConfigError
+    on a gradient step above 1/(h_max + rho).
     """
     check_beta(cfg, stack)
-    h_min, h_max = stack.h_min, stack.h_max
-    lam2 = net.lambda2
+    h_min, h_max, lam2 = stack.h_min, stack.h_max, net.lambda2
     xi = inner_contraction(
         cfg.variant,
         rho=cfg.rho,
@@ -188,13 +201,7 @@ def certificate(cfg, stack: ObjectiveStack, net: NetworkModel, x_star,
         0.5 + 1.5 * xi,
         (1.0 - cfg.alpha * lam2 / (cfg.rho + h_max)) + 3.0 * cfg.alpha * xi / h_min,
     )
-    x_star = np.asarray(x_star, dtype=float)
-    x_init = np.zeros_like(x_star) if x_init is None else np.asarray(x_init, dtype=float)
-    d_x = float(np.linalg.norm(x_init - x_star))
-    grads = stack.node_grad_rows(np.tile(x_star, (stack.n_nodes, 1)))
-    # each row's norm(grad) ** 2, with ** as libm's pow: an array's square rounds otherwise
-    d_mu = math.sqrt(np.mean([g ** 2 for g in np.sqrt(row_dots(grads, grads)).tolist()]))
-    bound = math.sqrt(stack.n_nodes) * max(d_x, 2.0 * d_mu / (math.sqrt(lam2) * h_min))
+    d_x, d_mu, bound = bounds
     return RateCertificate(
         xi=xi, alpha_ok=alpha_ok, xi_ok=xi_ok, r=r, d_x=d_x, d_mu=d_mu,
         bound_constant=bound, alpha=cfg.alpha, rho=cfg.rho, lambda2=lam2,

@@ -24,6 +24,7 @@ from dalopt.theory import (
     eta_rand_gradient,
     eta_rand_gs,
     certificate,
+    error_bounds,
     inner_contraction,
     lyapunov_value,
     resolve_recipe,
@@ -201,8 +202,9 @@ def test_criterion_4_randomized_expectation_bounds():
 def test_criterion_5_global_linear_rate(rate_instance):
     with criterion(5, "deterministic recipes satisfy the global linear rate"):
         net, stack, ref, saddle, runs = rate_instance
+        bounds = error_bounds(stack, net, ref.x_star)
         for recipe, (cfg, xs, mus) in runs.items():
-            cert = certificate(cfg, stack, net, ref.x_star)
+            cert = certificate(cfg, stack, net, bounds)
             assert cert.alpha_ok and cert.xi_ok, recipe
             assert len(xs) == 401, recipe
             lyap = np.array([
@@ -224,8 +226,9 @@ def test_criterion_5_global_linear_rate(rate_instance):
 def test_criterion_6_epsilon_iteration_count(rate_instance):
     with criterion(6, "iterations to 1e-6 relative primal error within the bound"):
         net, stack, ref, saddle, runs = rate_instance
+        bounds = error_bounds(stack, net, ref.x_star)
         for recipe, (cfg, xs, _) in runs.items():
-            cert = certificate(cfg, stack, net, ref.x_star)
+            cert = certificate(cfg, stack, net, bounds)
             errs = np.array([
                 np.linalg.norm(x - saddle.x_bullet) for x in xs
             ])

@@ -1,5 +1,6 @@
 """Command-line entry points."""
 
+import argparse
 import contextlib
 import functools
 import io
@@ -8,6 +9,7 @@ import math
 import re
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -95,6 +97,36 @@ class TestCertify:
         assert "rate certificate" in out
         assert "section4_jacobi" in out
         assert "r " in out or "r  " in out
+
+    def test_two_calls_print_the_same(self, tiny_config, capsys):
+        assert main(["certify", str(tiny_config)]) == 0
+        first = capsys.readouterr().out
+        assert main(["certify", str(tiny_config)]) == 0
+        assert capsys.readouterr().out == first
+
+
+class TestParser:
+    def test_help_names_the_commands(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert "{run,certify,spectrum}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [[], ["frobnicate"]], ids=["none", "unknown"])
+    def test_no_or_unknown_command_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: dalopt ")
+
+    def test_one_parser_per_process(self, tiny_config, tmp_path, capsys):
+        assert main(["certify", str(tiny_config)]) == 0  # makes the parser if no call has
+        with mock.patch.object(argparse.ArgumentParser, "__init__", autospec=True,
+                               side_effect=argparse.ArgumentParser.__init__) as made:
+            assert main(["run", str(tiny_config)]) == 0
+            assert main(["certify", str(tiny_config)]) == 0
+            assert main(["spectrum", str(tmp_path / "out" / "network.json")]) == 0
+        assert made.call_count == 0
 
 
 class TestDivergentRun:

@@ -11,6 +11,7 @@ from dalopt.harness import (
     ExperimentConfig,
     OUTPUT_DIR_ENV,
     StageError,
+    build_problem,
     generate_logistic_data,
     generate_quadratic_stack,
     reference_solve,
@@ -186,17 +187,17 @@ class TestReferenceSolve:
         g = stack.aggregate_grad(ref.x_star)
         assert ref.grad_norm_at_solution == float(np.linalg.norm(g))
 
-    def test_gradient_at_no_point_but_zero_twice(self, monkeypatch):
-        # replication's stack: the loop's 80 steps and 9 checks take 88
-        # gradients, the first step reusing the first check's and the norm
-        # the last check's; the tolerance's gradient at 0 is the one repeat
+    def test_gradient_at_no_point_twice(self, monkeypatch):
+        # replication's stack: the tolerance's gradient at 0, then 87 for the
+        # loop's 80 steps and 9 checks, whose first check and first step
+        # take the gradient at 0; the norm is the last check's
         points = []
         grad = ObjectiveStack.aggregate_grad
         monkeypatch.setattr(ObjectiveStack, "aggregate_grad",
                             lambda stack, x: points.append(x.tobytes()) or grad(stack, x))
         reference_solve(generate_logistic_data(10, 15, reg=3.0, seed=11))
-        assert len(points) == 89
-        assert len(set(points)) == 88 and points[0] == points[1] == bytes(8 * 15)
+        assert len(points) == 88
+        assert len(set(points)) == 88 and points[0] == bytes(8 * 15)
 
     def test_logistic_iteration_cap(self, monkeypatch):
         stack = generate_logistic_data(6, 4, reg=2.0, seed=1)
@@ -413,6 +414,34 @@ class TestExperimentConfig:
         path.write_text("{")
         with pytest.raises(StageError, match="cannot read"):
             ExperimentConfig.from_file(path)
+
+
+class TestBuildProblem:
+    def test_error_bounds_once_per_problem(self, monkeypatch):
+        # the replication benchmark's problem: six entries, one set of node
+        # gradients at x*, and a certificate per entry
+        cfg = ExperimentConfig.from_dict({
+            "network": {"type": "geometric", "n": 10, "radius": 0.45, "seed": 668},
+            "objective": {"type": "logistic", "d": 15, "reg": 3.0, "seed": 11},
+            "algorithms": [
+                {"recipe": "section5_jacobi", "label": "jacobi"},
+                {"recipe": "section5_gradient", "label": "gradient"},
+                {"recipe": "section5_rand_gs", "label": "rand_gs", "seed": 5},
+                {"recipe": "section5_rand_gradient", "label": "rand_gradient", "seed": 5},
+                {"recipe": "section5_jacobi", "tau": 1, "label": "jacobi_tau1"},
+                {"recipe": "section5_gradient", "tau": 1, "alpha": 0.15,
+                 "label": "gradient_tau1"},
+            ],
+        })
+        rows, certificates = [], []
+        node_grad_rows, certificate = ObjectiveStack.node_grad_rows, harness.certificate
+        monkeypatch.setattr(ObjectiveStack, "node_grad_rows",
+                            lambda stack, x: rows.append(x) or node_grad_rows(stack, x))
+        monkeypatch.setattr(harness, "certificate",
+                            lambda *args: certificates.append(args) or certificate(*args))
+        *_, algorithms = build_problem(cfg)
+        assert len(algorithms) == len(certificates) == 6
+        assert len(rows) == 1
 
 
 class TestRunExperiment:

@@ -490,9 +490,15 @@ class TestGradientStepLocal:
 
 class TestAcceleratedGradient:
     """The loop checks x before it evaluates grad(y), so the pass that
-    returns costs one gradient, not two, and the first step takes the first
-    check's gradient, as y = x0 there; every iterate is the reference loop's
-    bit for bit, and the gradient returned is the last check's."""
+    returns costs one gradient, not two, and the first check and the first
+    step take the caller's g0 = grad(x0), as y = x0 there; every iterate is
+    the reference loop's bit for bit, and the gradient returned is the last
+    check's."""
+
+    @staticmethod
+    def solve(grad, x0, m, lip, tol, max_iterations):
+        """accelerated_gradient on the reference loop's arguments."""
+        return accelerated_gradient(grad, x0, grad(x0), m, lip, tol, max_iterations)
 
     @staticmethod
     def reference_problem(stack):
@@ -506,11 +512,11 @@ class TestAcceleratedGradient:
     def test_logistic_matches_the_reference_loop(self, n, d, reg, seed):
         stack = generate_logistic_data(n, d, reg=reg, seed=seed)
         problem = self.reference_problem(stack)
-        x, g = accelerated_gradient(*problem, 100_000)
+        x, g = self.solve(*problem, 100_000)
         assert x is not None
         assert np.array_equal(x, accelerated_gradient_reference(*problem, 100_000))
         assert np.array_equal(g, stack.aggregate_grad(x))
-        assert accelerated_gradient(*problem, 3)[0] is None
+        assert self.solve(*problem, 3)[0] is None
         assert accelerated_gradient_reference(*problem, 3) is None
 
     @pytest.mark.parametrize("rho", [0.0, 1.0, 2.5])
@@ -521,33 +527,36 @@ class TestAcceleratedGradient:
         problem = (lambda z: al_objective_grad(stack, net, z, mu, rho),
                    np.zeros(stack.n_nodes * stack.dimension), stack.h_min,
                    stack.h_max + rho * net.lambda_max, 1e-12)
-        x, g = accelerated_gradient(*problem, 2_000_000)
+        x, g = self.solve(*problem, 2_000_000)
         assert x is not None
         assert np.array_equal(x, accelerated_gradient_reference(*problem, 2_000_000))
         assert np.array_equal(g, problem[0](x))
-        assert accelerated_gradient(*problem, 5)[0] is None
+        assert self.solve(*problem, 5)[0] is None
         assert accelerated_gradient_reference(*problem, 5) is None
 
     def test_one_gradient_per_step_and_per_check(self):
         grad, x0, m, lip, tol = self.reference_problem(generate_logistic_data(10, 15, reg=3.0))
+        g0 = grad(x0)
         # the pass that returns is the first multiple of 10 whose iterate
         # passes: the least cap, among multiples of 10, with a result
         steps = next(k for k in range(0, 10_000, 10)
-                     if accelerated_gradient(grad, x0, m, lip, tol, k)[0] is not None)
+                     if accelerated_gradient(grad, x0, g0, m, lip, tol, k)[0] is not None)
         calls = []
 
         def counted(z):
             calls.append(z)
             return grad(z)
 
-        assert accelerated_gradient(counted, x0, m, lip, tol, 10_000)[0] is not None
-        assert steps > 0 and len(calls) == steps + (steps // 10 + 1) - 1
-        assert len({z.tobytes() for z in calls}) == len(calls)  # no point twice
+        assert accelerated_gradient(counted, x0, g0, m, lip, tol, 10_000)[0] is not None
+        # g0 serves the first check and the first step
+        assert steps > 0 and len(calls) == steps + (steps // 10 + 1) - 2
+        assert len({z.tobytes() for z in calls + [x0]}) == len(calls) + 1  # no point twice
         calls.clear()
-        x, g = accelerated_gradient(counted, x0, m, lip, -1.0, 25)
+        x, g = accelerated_gradient(counted, x0, g0, m, lip, -1.0, 25)
         assert x is None and np.array_equal(g, grad(calls[-1]))
-        # checks before steps 0, 10 and 20, and after the last; step 0 reads the first
-        assert len(calls) == 25 + 4 - 1
+        # checks before steps 0, 10 and 20, and after the last; g0 is the
+        # first check's and step 0's
+        assert len(calls) == 25 + 4 - 2
 
 
 class TestExactAlMinimizer:

@@ -16,6 +16,7 @@ from dalopt.objective import QuadraticCost
 from dalopt.theory import (
     RECIPES,
     certificate,
+    error_bounds,
     eta_rand_gradient,
     eta_rand_gs,
     inner_contraction,
@@ -228,7 +229,7 @@ class TestCertificate:
         cost = QuadraticCost(matrix=np.eye(2), linear=-center)
         stack = stack_of(tuple(cost for _ in range(4)))
         cfg = AlgorithmConfig(variant="det_jacobi", alpha=1.0, rho=1.0, tau=3)
-        cert = certificate(cfg, stack, net, center, x_init=center)
+        cert = certificate(cfg, stack, net, error_bounds(stack, net, center, x_init=center))
         assert cert.d_x == 0.0 and cert.d_mu == pytest.approx(0.0, abs=1e-14)
         assert cert.bound_constant == pytest.approx(0.0, abs=1e-13)
 
@@ -239,16 +240,15 @@ class TestCertificate:
         if kind == "logistic":
             stack = generate_logistic_data(6, 3, reg=1.0, seed=2)
         x_star = reference_solve(stack).x_star
-        cfg = AlgorithmConfig(variant="det_jacobi", alpha=1.0, rho=1.0, tau=3)
         norms = [np.linalg.norm(stack.node_grad(i, x_star)) for i in range(stack.n_nodes)]
-        assert certificate(cfg, stack, net, x_star).d_mu == math.sqrt(np.mean(
+        assert error_bounds(stack, net, x_star)[1] == math.sqrt(np.mean(
             [g ** 2 for g in norms]))
 
     def test_xi_zero_limit_of_r(self):
         net, stack = self.quad_pair()
         cfg = AlgorithmConfig(variant="det_jacobi", alpha=1.0, rho=1.0, tau=200)
         ref = reference_solve(stack)
-        cert = certificate(cfg, stack, net, ref.x_star)
+        cert = certificate(cfg, stack, net, error_bounds(stack, net, ref.x_star))
         expected = max(0.5, 1.0 - cfg.alpha * net.lambda2 / (cfg.rho + stack.h_max))
         assert cert.r == pytest.approx(expected, abs=1e-9)
 
@@ -259,7 +259,7 @@ class TestCertificate:
         )
         cfg = AlgorithmConfig(variant=variant, alpha=alpha, rho=rho, tau=tau)
         ref = reference_solve(stack)
-        cert = certificate(cfg, stack, net, ref.x_star)
+        cert = certificate(cfg, stack, net, error_bounds(stack, net, ref.x_star))
         assert cert.alpha_ok and cert.xi_ok and cert.r < 1.0
 
     @pytest.mark.parametrize("variant", ["det_gradient", "rand_gradient"])
@@ -272,13 +272,13 @@ class TestCertificate:
         # the message names the entry: its label, else its variant
         with pytest.raises(ConfigError, match=rf"^{variant}: beta=.* exceeds "
                                               r"1/\(h_max\+rho\)=.*; contraction not guaranteed"):
-            certificate(cfg, stack, net, ref.x_star)
+            certificate(cfg, stack, net, error_bounds(stack, net, ref.x_star))
 
     def test_report_contains_fields(self):
         net, stack = self.quad_pair()
         ref = reference_solve(stack)
         cfg = AlgorithmConfig(variant="det_jacobi", alpha=1.0, rho=1.0, tau=5)
-        text = certificate(cfg, stack, net, ref.x_star).report()
+        text = certificate(cfg, stack, net, error_bounds(stack, net, ref.x_star)).report()
         for key in ("xi", "alpha_ok", "xi_ok", "r", "D_x", "D_mu", "bound_constant"):
             assert key in text
 
@@ -317,7 +317,7 @@ class TestCertificateOnDrawnInstances:
                                                         net.lambda2)
         cfg = AlgorithmConfig(variant=variant, alpha=alpha, rho=rho, tau=tau, beta=beta,
                               epsilon=1e-10)
-        cert = certificate(cfg, stack, net, ref.x_star)
+        cert = certificate(cfg, stack, net, error_bounds(stack, net, ref.x_star))
         assert cert.alpha_ok and cert.xi_ok
         xs, mus, record = record_iterates()
         run_variant(stack, net, cfg, 80, stop=record)
