@@ -239,36 +239,40 @@ def _poisson_ticks(n, tau, seed):
 def _tick_phase(stack, net, cfg, k_max, schedule):
     """The primal phase of the randomized variants: the ticks of outer
     iteration k in order, from schedule[k - 1] or, without a schedule,
-    drawn as sample_poisson_schedule would when the loop reaches k.
+    drawn as sample_poisson_schedule would when the loop reaches k. Every
+    entry of a given schedule is checked here, before the run; drawn ticks
+    are in range by construction.
 
     A ticking node reads its neighbors' current blocks and updates its own:
     ticks(nodes, x, mu) -> grad_evals runs the ticks in place on (N, d)
     views, each reading (W x)_i from x as it stands, so no neighbor
     averages are kept between ticks. A Gauss-Seidel tick solves its prox
-    problem with v_i = mu_i - (rho W)_i x. A node reads only its neighbors,
-    since NetworkModel guarantees that W vanishes off the graph."""
+    problem with v_i = mu_i - (rho W)_i x, its row of rho W formed from W's
+    at the tick, so no N x N copy of rho W is held. A node reads only its
+    neighbors, since NetworkModel guarantees that W vanishes off the graph."""
     n, d = stack.n_nodes, stack.dimension
     if schedule is None:
         draws = _poisson_ticks(n, cfg.tau, cfg.seed)
     elif len(schedule) < k_max:
         raise ConfigError("schedule shorter than k_max")
     else:
+        for k, s in enumerate(schedule):
+            _check_ticks(k, s.nodes, n)
         draws = (s.nodes for s in schedule)
-    weights = net.weights
+    weights, rho = net.weights, cfg.rho
     if cfg.variant == "rand_gradient":
-        gradient_ticks = node_gradient_step(stack, weights, cfg.beta, cfg.rho)
+        gradient_ticks = node_gradient_step(stack, weights, cfg.beta, rho)
 
         def ticks(nodes, x, mu):
             gradient_ticks(nodes, x, mu)
             return len(nodes)  # one gradient evaluation per tick
     else:
-        solve = node_prox_solver(stack, cfg.rho, cfg.epsilon)
-        rho_weights = list(cfg.rho * weights)  # rows (rho W)_i
+        solve = node_prox_solver(stack, rho, cfg.epsilon)
 
         def ticks(nodes, x, mu):
             grads = 0
             for i in nodes:
-                x[i], g = solve(i, mu[i] - rho_weights[i].dot(x), x[i])
+                x[i], g = solve(i, mu[i] - (rho * weights[i]).dot(x), x[i])
                 grads += g
             return grads
 
@@ -280,6 +284,17 @@ def _tick_phase(stack, net, cfg, k_max, schedule):
     return inner
 
 
+def _check_ticks(k, nodes, n):
+    """ConfigError naming schedule[k] unless its nodes are integer ids in [0, n)."""
+    nodes = np.asarray(nodes)
+    if nodes.size and (nodes.dtype.kind not in "iu"):
+        raise ConfigError(f"schedule[{k}]: node id {nodes.ravel()[:1].tolist()[0]!r} "
+                          f"is not an integer (dtype {nodes.dtype})")
+    outside = nodes[(nodes < 0) | (nodes >= n)]
+    if outside.size:
+        raise ConfigError(f"schedule[{k}]: node id {outside[0]} is not in [0, {n})")
+
+
 def run_variant(stack, net, cfg: AlgorithmConfig, k_max, x0=None, stop=None,
                 schedule=None) -> RunTrace:
     """Run cfg.variant: its primal phase and the dual step, k_max times.
@@ -287,7 +302,8 @@ def run_variant(stack, net, cfg: AlgorithmConfig, k_max, x0=None, stop=None,
     The deterministic variants run tau synchronized sweeps per outer
     iteration; each node broadcasts once per sweep. The randomized ones
     run the Poisson ticks of the iteration, from schedule when one is
-    given (a list of at least k_max PoissonSchedule); only they take one.
+    given (a list of at least k_max PoissonSchedule, each checked before the
+    run: integer node ids in [0, N)); only they take one.
     The trace holds the counters; stop sees the live iterates (_outer_loop).
     """
     check_beta(cfg, stack)

@@ -217,8 +217,10 @@ class NetworkModel:
     negative entry, vanishing off the links and self-loops (a node reads
     only its neighbors' blocks); ``build_network`` makes the positive
     definite W the algorithms require. ``eigvals_reduced`` and ``q_reduced``
-    are ``spectrum(W)``; L is not stored. W is a private copy; it and the
-    spectrum are read-only, so a network is safe to share across threads.
+    are ``spectrum(W)``; L is not stored. W is a private copy unless it is
+    handed over: a read-only float64 ndarray that owns its data is held as
+    it is, as ``build_network`` hands over its W. W and the spectrum are
+    read-only, so a network is safe to share across threads.
     """
 
     graph: Graph
@@ -273,10 +275,13 @@ class NetworkModel:
 
 
 def _square(weights):
-    """A float copy of weights; NetworkError unless it is square, in
-    equal-length rows of real numbers."""
+    """weights as a float array: a read-only float64 ndarray that owns its
+    data is taken as handed over, anything else is copied; NetworkError
+    unless it is square, in equal-length rows of real numbers."""
+    handed_over = (type(weights) is np.ndarray and weights.dtype == np.float64
+                   and weights.flags.owndata and not weights.flags.writeable)
     try:
-        w = np.array(weights)
+        w = weights if handed_over else np.array(weights)
     except ValueError:  # rows of unequal length
         w = None
     if isinstance(weights, list) and w is not None and w.ndim == 2 and any(
@@ -298,6 +303,7 @@ def build_network(graph: Graph, meta=None) -> NetworkModel:
     w = metropolis_weights(graph)
     w *= 0.9 / 2.0  # in place: 0.55 I + 0.45 M bit for bit
     w[np.diag_indices_from(w)] += 1.1 / 2.0
+    w.flags.writeable = False  # handed over to the model, not copied
     return NetworkModel(graph=graph, weights=w, meta=dict(meta or {}))
 
 
@@ -305,27 +311,29 @@ def save_network(net: NetworkModel, path):
     """Serialize node positions, edge list, and W entries to a JSON file.
 
     The file is byte for byte what json.dump(doc, fh, indent=1,
-    sort_keys=True) writes: "edges" first, one join of texts made per node,
-    "weights" last, one row at a time with each float as its repr, made once
-    per bit pattern (by value, 0.0 and -0.0 would merge), and the keys
-    between them as one json.dumps. The pure-Python encoder that indent
-    selects is several times slower, and the whole document as one string
-    would cost its size in memory.
+    sort_keys=True) writes: "edges" first, one node row at a time, each a
+    join of texts made once per node, "weights" last, one row at a time
+    with each float as its repr, made once per bit pattern (by value, 0.0
+    and -0.0 would merge), and the keys between them as one json.dumps.
+    The pure-Python encoder that indent selects is several times slower,
+    and the whole document, or all its edges, as one string would cost
+    their size in memory.
     """
     head = json.dumps({"meta": net.meta, "node_count": net.node_count,
                        "positions": net.graph.positions}, indent=1, sort_keys=True)
-    nodes = range(net.node_count)
-    rows, cols = np.triu(net.graph.adjacency).nonzero()
-    pieces = np.empty(2 * len(rows), dtype=object)  # "[i, j]," texts, opening and closing
-    pieces[0::2] = np.array([f"\n  [\n   {i},\n   " for i in nodes], dtype=object)[rows]
-    pieces[1::2] = np.array([f"{j}\n  ]," for j in nodes], dtype=object)[cols]
+    ends = np.array([f"{j}\n  ]" for j in range(net.node_count)], dtype=object)
     bits = net.weights.view(np.uint64)
     ranked = np.sort(bits, axis=None)  # np.unique would import numpy.ma, 1 MB of RSS
     distinct = ranked[np.concatenate(([True], ranked[1:] != ranked[:-1]))]
+    del ranked  # before the codes: one N x N array at a time
     codes = np.searchsorted(distinct, bits)  # W's entries as indices into texts
     texts = np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype=object)
     with open(path, "w") as fh:
-        fh.write('{\n "edges": [' + "".join(pieces.tolist())[:-1])
+        fh.write('{\n "edges": [')
+        for i, links in enumerate(net.graph.adjacency):
+            start = f"\n  [\n   {i},\n   "  # pairs (i, j), j >= i: the self-loop first
+            fh.write(("," if i else "") + start
+                     + ("," + start).join(ends[i:][links[i:]].tolist()))
         fh.write("\n ],\n" + head[2:-2])  # head without its "{\n" and "\n}"
         fh.write(',\n "weights": [')
         for k, row in enumerate(codes):

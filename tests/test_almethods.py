@@ -308,6 +308,48 @@ class TestLazyTicks:
         assert lazy.grad_evals == given.grad_evals
 
 
+class TestGivenSchedule:
+    """Every entry of a given tick schedule is checked before the run: its
+    node ids are integers in [0, N), and a fault names the entry and the id."""
+
+    @staticmethod
+    def config(variant, stack):
+        beta = 1.0 / (stack.h_max + 1.0) if variant == "rand_gradient" else None
+        return AlgorithmConfig(variant=variant, alpha=0.5, rho=1.0, tau=1, beta=beta)
+
+    @pytest.mark.parametrize("variant", ["rand_gauss_seidel", "rand_gradient"])
+    @pytest.mark.parametrize("nodes, message", [
+        (np.array([3, -1]), r"schedule\[1\]: node id -1 is not in \[0, 10\)"),
+        (np.array([10, 3]), r"schedule\[1\]: node id 10 is not in \[0, 10\)"),
+        (np.array([1.5]), r"schedule\[1\]: node id 1\.5 is not an integer \(dtype float64\)"),
+        (np.array([2.0]), r"schedule\[1\]: node id 2\.0 is not an integer"),
+        (np.array([True]), r"schedule\[1\]: node id True is not an integer \(dtype bool\)"),
+    ], ids=["negative", "n", "fraction", "float", "bool"])
+    def test_bad_node_id_rejected_before_the_run(self, geo10_net, quad10_stack, variant,
+                                                  nodes, message):
+        # before, -1 ticked node N-1, N raised IndexError and 1.5 TypeError
+        sched = [PoissonSchedule(nodes=np.array([0, 4])), PoissonSchedule(nodes=nodes)]
+        rows = []
+        with pytest.raises(ConfigError, match=message):
+            run_variant(quad10_stack, geo10_net, self.config(variant, quad10_stack), 2,
+                        schedule=sched, stop=lambda x, mu, k: rows.append(k))
+        assert rows == []
+
+    def test_entries_past_k_max_are_checked(self, geo10_net, quad10_stack):
+        sched = [PoissonSchedule(nodes=np.array([0])), PoissonSchedule(nodes=np.array([99]))]
+        with pytest.raises(ConfigError, match=r"schedule\[1\]: node id 99"):
+            run_variant(quad10_stack, geo10_net, self.config("rand_gauss_seidel", quad10_stack),
+                        1, schedule=sched)
+
+    def test_any_integer_dtype_and_empty_entries_run(self, geo10_net, quad10_stack):
+        # np.array([]) is float64, but it names no node
+        cfg = self.config("rand_gauss_seidel", quad10_stack)
+        given = [np.array([2, 9], dtype=np.uint8), np.array([]), np.array([9, 2], dtype=np.int32)]
+        tr = run_variant(quad10_stack, geo10_net, cfg, 3,
+                         schedule=[PoissonSchedule(nodes=nodes) for nodes in given])
+        assert tr.transmissions == [0, 2, 2, 4]
+
+
 class TestStop:
     """stop(x, mu, k) sees every row as it is recorded, row 0 first, and the
     run ends at the first row for which it holds."""

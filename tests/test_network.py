@@ -8,6 +8,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from dalopt.almethods import AlgorithmConfig, run_variant
+from dalopt.harness import generate_logistic_data
 from dalopt.network import (
     Graph,
     NetworkError,
@@ -362,6 +364,29 @@ class TestNetworkModel:
         w[0, 0] = 7.0
         assert net.weights[0, 0] != 7.0 and w.flags.writeable
 
+    def test_build_network_hands_its_w_over(self):
+        # a read-only float64 array that owns its data is held, not copied
+        w = build_network(build_chain_graph(4)).weights
+        assert w.flags.owndata and not w.flags.writeable
+        w = w.copy()
+        w.flags.writeable = False
+        assert NetworkModel(graph=build_chain_graph(4), weights=w).weights is w
+
+    @pytest.mark.parametrize("read_only, handed", [
+        (False, lambda w: w),
+        (True, lambda w: w[:]),
+        (True, lambda w: w.astype(np.int64)),
+        (True, lambda w: w.astype(">f8")),
+        (False, lambda w: w.tolist()),
+    ], ids=["writable", "view_of_writable_base", "int", "byte_swapped", "list"])
+    def test_any_other_w_is_copied(self, read_only, handed):
+        weights = handed(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        if read_only:
+            weights.flags.writeable = False  # a view's base stays writable
+        net = NetworkModel(graph=build_complete_graph(2), weights=weights)
+        assert net.weights is not weights and not np.shares_memory(net.weights, weights)
+        assert net.weights.dtype == np.float64 and net.weights.flags.owndata
+
 
 class TestSerialization:
     def test_roundtrip(self, tmp_path):
@@ -545,22 +570,58 @@ class TestNetworkOracles:
             Graph.from_edges(3, [(0, 1), (1, 2), edge])
 
 
+def traced_peak(call):
+    """The tracemalloc peak of call(), in bytes, after one untraced warm-up
+    call (lazy imports and first-call caches)."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestBuildMemory:
-    """The build holds one copy of each N x N array: the geometric builder
-    sums its squared distances in place, and a network does not keep L."""
+    """A run holds one copy of each N x N array: the geometric builder sums
+    its squared distances in place, a network does not keep L and takes
+    build_network's W without a copy, save_network writes its edges one
+    node row at a time, and the Gauss-Seidel ticks form rho W's rows from
+    W's."""
 
     def test_geometric_builder_peak(self):
         n = 400
         radius = 1.5 * math.sqrt(math.log(n) / n)
-        build_geometric_graph(n, radius=radius)  # lazy imports and first-call caches
-        tracemalloc.start()
-        try:
-            build_geometric_graph(n, radius=radius)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: build_geometric_graph(n, radius=radius))
         # two N x N floats and the booleans: 2.13 arrays of floats
         assert peak < 2.5 * n * n * 8
+
+    def test_network_step_peak(self):
+        # 3.00 N x N arrays of floats; 4.00 while the model copied
+        # build_network's W and decomposed the copy
+        n = 400
+        graph, _ = build_geometric_graph(n, radius=1.5 * math.sqrt(math.log(n) / n))
+        assert traced_peak(lambda: build_network(graph)) < 3.5 * n * n * 8
+
+    def test_save_network_peak_does_not_grow_with_the_links(self, tmp_path):
+        # at N=200 the chain has 199 links and the complete graph 19,900;
+        # their peaks differed by 4.8 N x N floats when the edges were one
+        # string. The sorted bit patterns and their bools are 1.30 arrays of
+        # floats; 2.20 while they stayed alive beside the text codes
+        n = 200
+        nets = [build_network(build_chain_graph(n)), build_network(build_complete_graph(n))]
+        chain, complete = (traced_peak(lambda: save_network(net, tmp_path / "net.json"))
+                           for net in nets)
+        assert abs(complete - chain) < 0.1 * n * n * 8
+        assert chain < 1.6 * n * n * 8
+
+    def test_gauss_seidel_run_holds_no_copy_of_rho_w(self):
+        # 0.36 N x N floats at N=400; 1.40 with rho W's rows copied per run
+        n = 400
+        graph, _ = build_geometric_graph(n, radius=1.5 * math.sqrt(math.log(n) / n), rng_seed=2)
+        net, stack = build_network(graph), generate_logistic_data(n, 2, reg=0.5, seed=1)
+        cfg = AlgorithmConfig(variant="rand_gauss_seidel", alpha=0.1, rho=1.0, tau=1, seed=3)
+        assert traced_peak(lambda: run_variant(stack, net, cfg, 2)) < n * n * 8
 
     def test_model_holds_no_other_square_float_array(self):
         n = 60

@@ -85,6 +85,15 @@ def outputs(src, work):
     return files
 
 
+def extract(rev, into):
+    """The files of git revision rev, from `git archive`, under into."""
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev], capture_output=True)
+    if archive.returncode:
+        sys.exit(f"git archive {rev} failed:\n{archive.stderr.decode()}")
+    with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+        tar.extractall(into, filter="data")
+
+
 def column_differences(old, new):
     """Lines naming each column of two trace CSVs that differs."""
     rows = [list(csv.reader(io.StringIO(text.decode()))) for text in (old, new)]
@@ -107,12 +116,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="same_outputs_") as tmp:
         tmp = Path(tmp)
-        archive = subprocess.run(["git", "-C", str(ROOT), "archive", args.against],
-                                 capture_output=True)
-        if archive.returncode:
-            sys.exit(f"git archive {args.against} failed:\n{archive.stderr.decode()}")
-        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
-            tar.extractall(tmp / "rev", filter="data")
+        extract(args.against, tmp / "rev")
         trees = {}
         for side, src in (("rev", tmp / "rev" / "src"), ("tree", ROOT / "src")):
             (tmp / f"{side}_out").mkdir()
